@@ -92,15 +92,6 @@ def search_error(expected_found, P1, P2, bound, certificate):
     return integral_certificate_error(P1, P2, X, alpha, beta, bound)
 
 
-def frame_parabola(a_prime, a_dblprime, lattice):
-    """A = L^T L, B = L^T a' L, C = L^T (a'^2 + a''^T a'') L."""
-    a1 = np.asarray(a_prime, dtype=float)
-    L = np.asarray(lattice, dtype=float)
-    a2 = np.asarray(a_dblprime, dtype=float).reshape(-1, a1.shape[0])
-    C = L.T @ (a1 @ a1 + a2.T @ a2) @ L
-    return Parabola(L.T @ L, L.T @ a1 @ L, 0.5 * (C + C.T))
-
-
 def envelope(stdout):
     """The ``result`` of a successful CLI envelope, or raise ValueError."""
     body = json.loads(stdout)

@@ -65,11 +65,8 @@ class Frame:
         return self.cols @ self.W.T
 
     def parabola(self, A_override=None):
-        a1, a2, L = self.a_prime, self.a_dblprime, self.L
-        A = L.T @ L if A_override is None else A_override
-        return Parabola(
-            _sym(A), _sym(L.T @ a1 @ L), _sym(L.T @ (a1 @ a1 + a2.T @ a2) @ L)
-        )
+        P = frame_parabola(self.a_prime, self.a_dblprime, self.L)
+        return P if A_override is None else Parabola(_sym(A_override), P.B, P.C)
 
 
 @dataclass(frozen=True)
@@ -83,6 +80,14 @@ class Certificate:
 
 def _sym(S):
     return 0.5 * (S + S.T)
+
+
+def frame_parabola(a_prime, a_dblprime, lattice):
+    """A = L^T L, B = L^T a' L, C = L^T (a'^2 + a''^T a'') L."""
+    a1 = np.asarray(a_prime, dtype=float)
+    L = np.asarray(lattice, dtype=float)
+    a2 = np.asarray(a_dblprime, dtype=float).reshape(-1, a1.shape[0])
+    return Parabola(_sym(L.T @ L), _sym(L.T @ a1 @ L), _sym(L.T @ (a1 @ a1 + a2.T @ a2) @ L))
 
 
 def orthogonal(rng, m):

@@ -1,15 +1,16 @@
 """Reference figures: the benchmark over several seeds, and a spin loop.
 
-    python3 bench/reference.py --seeds 1-10 --seconds 30
-    python3 bench/reference.py --seeds 1-3 --trace 1 --workloads cli
-    python3 bench/reference.py --spin 40
+    python3 bench/reference.py --seeds 101-110
+    python3 bench/reference.py --seeds 101-102 --trace 1
+    python3 bench/reference.py --spin
 
-For each workload it runs ``bench/run.py`` once per seed, one process
-after another, and prints a markdown table of each metric's median and
-the distance between its first and third quartiles as a share of the
-median, with the failed share of operations.  ``--spin`` times a fixed
-pure-Python loop for that many seconds and prints its quartiles, which
-shows how steady the machine is.
+For each workload in BENCHMARK.json it runs ``bench/run.py`` once per
+seed for the ``run_seconds`` given there, one process after another, and
+prints a markdown table of each metric's median and the distance between
+its first and third quartiles as a share of the median, with the failed
+share of operations.  ``--spin`` times the reference loop of
+``speed.py`` for 40 s and prints its quartiles, which shows how steady
+the machine is.
 """
 
 from __future__ import annotations
@@ -22,8 +23,11 @@ import subprocess
 import sys
 from time import perf_counter
 
+from speed import reference_unit
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+SPIN_S = 40.0
 
 
 def seed_range(text):
@@ -58,35 +62,31 @@ def table(workload, results):
         print(f"| {name} | {results[0]['metrics'][name]['unit']} | {median:.4g} | {spread} |")
 
 
-def spin(seconds):
+def spin():
     times = []
-    end = perf_counter() + seconds
+    end = perf_counter() + SPIN_S
     while perf_counter() < end:
-        start = perf_counter()
-        x = 0
-        for i in range(100_000):
-            x += i * i
-        times.append(1e3 * (perf_counter() - start))
+        times.append(1e3 * reference_unit())
     q1, q2, q3 = statistics.quantiles(times, n=4)
-    print(f"spin loop, {len(times)} repetitions in {seconds:g} s: "
+    print(f"spin loop, {len(times)} repetitions in {SPIN_S:g} s: "
           f"p25 {q1:.2f} ms, p50 {q2:.2f} ms, p75 {q3:.2f} ms, IQR/median {(q3 - q1) / q2:.3f}")
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=seed_range, default=seed_range("1-10"), help="e.g. 1-10")
-    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--workloads", default="membership,equivalence,cli")
-    parser.add_argument("--spin", type=float, default=0.0, help="only time a spin loop for this long")
+    parser.add_argument("--spin", action="store_true", help=f"only time the reference loop for {SPIN_S:g} s")
     args = parser.parse_args()
     if args.spin:
-        spin(args.spin)
+        spin()
         return
-    for workload in args.workloads.split(","):
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        spec = json.load(handle)
+    for workload in (w["name"] for w in spec["workloads"]):
         results = []
         for seed in args.seeds:
-            result, stdout = run(workload, seed, args.seconds, args.trace)
+            result, stdout = run(workload, seed, spec["run_seconds"], args.trace)
             results.append(result)
             overhead = [line for line in stdout.splitlines() if line.startswith("trace overhead")]
             print(f"{workload} seed {seed}: attempted {result['attempted']}, failed {result['failed']}"

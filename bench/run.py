@@ -10,7 +10,7 @@ rounds of its workload's fixed list of operations for ``--seconds``
 last line of stdout, one JSON object with ``correct``, ``attempted``,
 ``failed`` and ``metrics``: the end-to-end metrics with ``--trace 0``,
 the per-layer metrics with ``--trace 1``.  Times are wall times taken
-to a reference machine speed (``Speed``).  ``--quick`` runs one short
+to a reference machine speed (``speed.Speed``).  ``--quick`` runs one short
 pass of every workload, traced and untraced, with all checks.
 """
 
@@ -40,10 +40,6 @@ MIN_ROUNDS = 3
 #: overrunning operations still ends in time.
 HARD_STOP_S = 140.0
 SETUP_SAMPLES = 5
-#: Timings are reported at the machine speed at which one reference unit
-#: (``reference_unit``) takes this long; see ``Speed``.
-REFERENCE_S = 0.005
-SAMPLE_GAP_S = 0.1
 
 
 def _import_package():
@@ -63,6 +59,7 @@ import numpy as np  # noqa: E402
 
 import tracing  # noqa: E402
 import workloads  # noqa: E402
+from speed import Speed  # noqa: E402
 
 
 class ProcessRunner:
@@ -121,27 +118,19 @@ class Tally:
 
 def run_round(ops, tally, stop_at, tracer=None, speed=None):
     """One pass over ``ops``; returns the wall time of each operation, taken
-    to the reference speed when ``speed`` is given."""
+    to the reference speed when ``speed`` is given.  Operations left when
+    ``stop_at`` has passed are not run: they count as failed, at their
+    time limit."""
     seconds = []
     for op in ops:
         factor = 1.0 if speed is None else speed.factor()
         if perf_counter() > stop_at:
-            outcome = workloads.Outcome(0.0, "not run: run time budget exhausted")
+            outcome = workloads.Outcome(op.limit, "not run: run time budget exhausted")
         else:
-            if tracer is not None:
-                tracer.op += 1
-            outcome = workloads.execute(op)
+            outcome = workloads.execute(op, tracer)
         tally.add(op, outcome)
         seconds.append(outcome.seconds * factor)
     return seconds
-
-
-def traced_round(ops, tally, stop_at, tracer, speed=None):
-    tracer.install()
-    try:
-        return run_round(ops, tally, stop_at, tracer, speed)
-    finally:
-        tracer.uninstall()
 
 
 def setup_seconds(workload, seed, speed):
@@ -175,37 +164,6 @@ def import_ms():
             workloads.run_process([sys.executable, "-c", "import causalcurves"], None, ROOT)
             samples.append(1e3 * (perf_counter() - start))
     return statistics.median(samples)
-
-
-def reference_unit():
-    """Wall time of a fixed pure-Python loop, the machine's current speed."""
-    start = perf_counter()
-    x = 0
-    for i in range(100_000):
-        x += i * i
-    return perf_counter() - start
-
-
-class Speed:
-    """Reference-speed samples taken between operations, at most every
-    ``SAMPLE_GAP_S`` of wall time.
-
-    This machine's speed moves in steps of 20-35 % that last from tens
-    of seconds to minutes, and process start-up, numpy kernels and
-    Python loops move together (see README).  Each operation's time is
-    multiplied by ``REFERENCE_S`` over the reference unit's time measured
-    just before it, which takes it to the reference speed.
-    """
-
-    def __init__(self):
-        self.samples = []
-        self._last = float("-inf")
-
-    def factor(self, fresh=False):
-        if fresh or perf_counter() - self._last > SAMPLE_GAP_S:
-            self.samples.append(min(reference_unit() for _ in range(2)))
-            self._last = perf_counter()
-        return REFERENCE_S / self.samples[-1]
 
 
 def typical(per_round):
@@ -261,8 +219,8 @@ def measure_traced(workload, seed, ops, seconds):
     start = perf_counter()
     stop_at = start + HARD_STOP_S
     plain, traced, process = [], [], []
-    runner = ProcessRunner()
-    process_ops = workloads.cli_ops(seed, runner) if workload == "cli" else None
+    runner = ProcessRunner() if workload == "cli" else None
+    process_ops = workloads.cli_ops(seed, runner) if runner is not None else None
     n_traced = 0
     speed = Speed()
     factors = []
@@ -271,7 +229,7 @@ def measure_traced(workload, seed, ops, seconds):
             process.append(run_round(process_ops, tally, stop_at, speed=speed))
         plain.append(run_round(ops, tally, stop_at, speed=speed))
         factors.append(speed.factor())
-        traced.append(traced_round(ops, tally, stop_at, tracer, speed))
+        traced.append(run_round(ops, tally, stop_at, tracer, speed))
         n_traced += len(ops)
         if perf_counter() > stop_at:
             break
@@ -337,13 +295,12 @@ def quick():
     ok = True
     for workload in WORKLOADS:
         start = perf_counter()
-        runner = ProcessRunner()
-        ops = make_ops(workload, 1, runner)
+        ops = make_ops(workload, 1, ProcessRunner() if workload == "cli" else None)
         warm_up(workload, ops)
         tally = Tally()
         run_round(ops, tally, start + HARD_STOP_S)
         traced_ops = make_ops(workload, 1, workloads.cli_in_process) if workload == "cli" else ops
-        traced_round(traced_ops, tally, start + HARD_STOP_S, tracing.Tracer())
+        run_round(traced_ops, tally, start + HARD_STOP_S, tracing.Tracer())
         _summarize_failures(tally)
         ok = ok and tally.correct
         print(json.dumps({"workload": workload, "correct": tally.correct, "attempted": tally.attempted,
@@ -370,7 +327,7 @@ def main(argv=None):
         tally, metrics, extra = measure_traced(args.workload, args.seed, ops, args.seconds)
         print(f"trace overhead: traced/untraced round time {extra['trace_overhead']:.3f}")
     else:
-        runner = ProcessRunner()
+        runner = ProcessRunner() if args.workload == "cli" else None
         ops = make_ops(args.workload, args.seed, runner)
         warm_up(args.workload, ops)
         if args.setup_probe:

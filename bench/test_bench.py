@@ -140,14 +140,35 @@ def test_tracer_restores_every_binding():
 
     before = (causalcurves.is_characteristic, classify.is_characteristic, np.linalg.eigh)
     tracer = tracing.Tracer()
-    tracer.install()
-    try:
+    with tracer:
         assert classify.is_characteristic is not before[1]
         causalcurves.realize(_mp(inputs.frame(np.random.default_rng(1), 2, 1).parabola()), 5)
-    finally:
-        tracer.uninstall()
     assert (causalcurves.is_characteristic, classify.is_characteristic, np.linalg.eigh) == before
     metrics = tracing.layer_metrics(tracer, 1)
     assert metrics["classify.realize.calls"] == 1
     assert metrics["charpoly.is_characteristic.calls"] == 1
     assert metrics["construction.build.calls"] == 1
+
+
+def test_checks_are_not_traced():
+    P = inputs.frame(np.random.default_rng(2), 2, 1).parabola()
+
+    def check(result):
+        causalcurves.symmat.det_poly(P.A, P.B, P.C)
+        return "wrong"
+
+    op = Op("traced", lambda: causalcurves.symmat.det_poly(P.A, P.B, P.C), check,
+            fault="fault", is_fault=check)
+    tracer = tracing.Tracer()
+    execute(op, tracer)
+    assert [span[tracing.NAME] for span in tracer.spans] == ["symmat.det_poly"]
+    assert tracer.factor_calls == 2 * P.m + 1
+
+
+def test_operations_left_at_the_stop_fail_at_their_limit(membership):
+    import run
+
+    tally = run.Tally()
+    seconds = run.run_round(membership[:3], tally, stop_at=0.0)
+    assert seconds == [op.limit for op in membership[:3]]
+    assert tally.attempted == 3 and len(tally.failures) == 3 and not tally.correct

@@ -26,7 +26,6 @@ SPANNED = {
         "reduce_degenerate",
     ),
     "causalcurves.classify": (
-        "almost_equivalent",
         "realize",
         "affine_spectrum",
         "simple_spectrum_form",
@@ -34,7 +33,6 @@ SPANNED = {
         "search_certificate",
     ),
     "causalcurves.construction": ("build",),
-    "causalcurves.cli": ("main",),
 }
 #: numpy eigensolvers: spans, grouped with symmat.sym_eig.
 NUMPY_EIG = ("eigh", "eigvalsh", "eig", "eigvals")
@@ -52,7 +50,12 @@ def _from_package(depth=2):
 
 
 class Tracer:
-    """Span recorder; ``op`` is the index of the operation being run."""
+    """Span recorder; ``op`` is the index of the operation being run.
+
+    Used as a context manager around one operation's call: entering
+    installs the wrappers and starts the next operation, leaving
+    restores every binding, so checks of the result are never traced.
+    """
 
     def __init__(self):
         self.spans = []
@@ -94,6 +97,14 @@ class Tracer:
             return fn(*args, **kwargs)
 
         return wrapper
+
+    def __enter__(self):
+        self.op += 1
+        self.install()
+        return self
+
+    def __exit__(self, *exc):
+        self.uninstall()
 
     def install(self):
         """Rebind every traced name; ``uninstall`` restores them."""
