@@ -59,10 +59,10 @@ class EquivalenceCertificate:
     beta: float
 
     def __post_init__(self):
-        X = symmat.as_square(self.X, "certificate X")
+        X = symmat.as_square(symmat.require_finite(self.X, "certificate X"), "certificate X")
         object.__setattr__(self, "X", X)
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "alpha", float(symmat.require_finite(self.alpha, "alpha")))
+        object.__setattr__(self, "beta", float(symmat.require_finite(self.beta, "beta")))
         if not self.alpha > 0.0:
             raise BadCertificate(f"alpha must be positive, got {self.alpha}")
         if abs(np.linalg.det(X)) <= 1e-12:

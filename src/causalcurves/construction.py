@@ -154,9 +154,9 @@ def build(n, a_prime, a_dblprime, lattice, tol=DEFAULT_TOL):
     a_dblprime has one row per R-coordinate (r rows); r = 0 with a' = 0
     gives the elliptic case of a pure translation lattice.
     """
-    a_prime = symmat.as_square(a_prime, "a_prime")
+    a_prime = symmat.as_square(symmat.require_finite(a_prime, "a_prime"), "a_prime")
     m = a_prime.shape[0]
-    a_dbl = np.asarray(a_dblprime, dtype=float)
+    a_dbl = symmat.require_finite(a_dblprime, "a_dblprime")
     if a_dbl.size == 0:
         a_dbl = a_dbl.reshape(0, m)
     if a_dbl.ndim != 2 or a_dbl.shape[1] != m:
@@ -164,7 +164,7 @@ def build(n, a_prime, a_dblprime, lattice, tol=DEFAULT_TOL):
             f"a_dblprime must have {m} columns, got shape {a_dbl.shape}"
         )
     r = a_dbl.shape[0]
-    lattice = symmat.as_square(lattice, "lattice")
+    lattice = symmat.as_square(symmat.require_finite(lattice, "lattice"), "lattice")
     if lattice.shape[0] != m:
         raise DimensionMismatch(f"lattice must be {m}x{m}, got {lattice.shape}")
 

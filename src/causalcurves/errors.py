@@ -14,8 +14,8 @@ class DimensionMismatch(CausalCurvesError):
     """Operands have incompatible shapes or live in different frames."""
 
 
-class ConvergenceFailure(CausalCurvesError):
-    """An iterative routine hit its iteration cap before converging."""
+class NonFiniteInput(CausalCurvesError):
+    """An input matrix or number holds NaN or infinity."""
 
 
 class NotPositiveDefinite(CausalCurvesError):

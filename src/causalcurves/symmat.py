@@ -1,14 +1,15 @@
-"""Self-contained dense linear algebra for small symmetric matrices.
+"""Dense linear algebra for small symmetric matrices.
 
 Everything downstream (positivity of matrix parabolas, Schur criteria,
 reconstruction) reduces to eigenvalues of symmetric matrices of order
-m <= ~10 and to real-root counting of scalar polynomials of degree
-<= 2m.  Matrices are plain float ndarrays; polynomials are coefficient
+m <= ~10.  Matrices are plain float ndarrays; polynomials are coefficient
 arrays in ascending degree order (numpy's polynomial convention).
 
-The eigensolver is a cyclic Jacobi iteration rather than LAPACK: at
-these sizes robustness and auditability beat speed, and the tests keep
-``numpy.linalg.eigh`` around as an independent cross-check.
+There is one eigen kernel: :func:`sym_eig` is LAPACK's symmetric solver
+(``numpy.linalg.eigh``), and every predicate, square root and rank here
+goes through it.  Real roots of scalar polynomials come from the
+eigenvalues of the companion matrix (``numpy.polynomial``), clustered so
+that a multiple root is reported once.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .errors import (
-    ConvergenceFailure,
     DimensionMismatch,
+    NonFiniteInput,
     NotPSD,
     ZeroPolynomial,
 )
@@ -28,10 +29,11 @@ from .errors import (
 #: Relative tolerance used by every predicate unless overridden per call.
 DEFAULT_TOL = 1e-9
 
-_JACOBI_SWEEP_CAP = 100
-_JACOBI_OFF_REL = 1e-13
 _COEFF_TRIM_REL = 1e-10
-_STURM_PRUNE_REL = 1e-12
+#: Computed roots closer than this (relative to max(1, |root|)) are one
+#: root: a root of multiplicity k scatters by about eps**(1/k), which is
+#: 2.4e-4 for k = 4.
+_ROOT_CLUSTER_REL = 1e-3
 
 
 class EigenDecomposition(NamedTuple):
@@ -61,62 +63,18 @@ def max_norm(S):
     return 0.0 if S.size == 0 else float(np.max(np.abs(S)))
 
 
-def _offdiag_norm(a):
-    return float(np.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2)))
+def require_finite(S, name="matrix"):
+    """Return ``S`` as a float array, raising NonFiniteInput on NaN or inf."""
+    S = np.asarray(S, dtype=float)
+    if not np.all(np.isfinite(S)):
+        raise NonFiniteInput(f"{name} has non-finite entries")
+    return S
 
 
-def _jacobi_sweep(a, v):
-    n = a.shape[0]
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            apq = a[p, q]
-            if apq == 0.0:
-                continue
-            tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-            if abs(tau) > 1e150:
-                t = 0.5 / tau  # asymptotic rotation; tau*tau would overflow
-            elif tau >= 0.0:
-                t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-            else:
-                t = 1.0 / (tau - np.sqrt(1.0 + tau * tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            # A <- J^T A J with J the rotation in the (p, q) plane.
-            ap, aq = a[:, p].copy(), a[:, q].copy()
-            a[:, p] = c * ap - s * aq
-            a[:, q] = s * ap + c * aq
-            ap, aq = a[p, :].copy(), a[q, :].copy()
-            a[p, :] = c * ap - s * aq
-            a[q, :] = s * ap + c * aq
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            vp, vq = v[:, p].copy(), v[:, q].copy()
-            v[:, p] = c * vp - s * vq
-            v[:, q] = s * vp + c * vq
-
-
-def sym_eig(S, max_sweeps=_JACOBI_SWEEP_CAP):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps until the off-diagonal Frobenius norm drops below
-    1e-13 * ||S||_F, capped at ``max_sweeps`` full sweeps.
-    """
-    S = symmetrize(S)
-    n = S.shape[0]
-    a = S.copy()
-    v = np.eye(n)
-    thresh = _JACOBI_OFF_REL * np.linalg.norm(S, "fro")
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) <= thresh:
-            break
-        _jacobi_sweep(a, v)
-    if _offdiag_norm(a) > thresh:
-        raise ConvergenceFailure(
-            f"Jacobi iteration did not converge within {max_sweeps} sweeps"
-        )
-    values = np.diag(a).copy()
-    order = np.argsort(values, kind="stable")
-    return EigenDecomposition(values[order], v[:, order])
+def sym_eig(S):
+    """Eigendecomposition of a symmetric matrix by LAPACK (``eigh``)."""
+    values, vectors = np.linalg.eigh(symmetrize(S))
+    return EigenDecomposition(values, vectors)
 
 
 def is_pd(S, tol=DEFAULT_TOL):
@@ -169,9 +127,9 @@ def pd_inv_sqrt(S, tol=DEFAULT_TOL):
     S = symmetrize(S)
     values, vectors = sym_eig(S)
     band = tol * (1.0 + max_norm(S))
-    if np.min(np.abs(values)) <= band:
+    if np.any(np.abs(values) <= band):
         return None
-    if values[0] < 0.0:
+    if np.any(values < 0.0):
         raise NotPSD(
             f"matrix has negative eigenvalue {values[0]:.3e}; no real inverse root"
         )
@@ -258,125 +216,26 @@ def poly_eval(coeffs, x):
     return npoly.polyval(x, np.asarray(coeffs, dtype=float))
 
 
-def _unit_scale(coeffs):
-    # Positive rescaling preserves the sign of every evaluation, so the
-    # Sturm sign sequences are unaffected while the chain stays O(1).
-    return coeffs / np.max(np.abs(coeffs))
+def real_roots(coeffs):
+    """Distinct real roots in ascending order.
 
-
-def sturm_chain(coeffs):
-    """Canonical Sturm chain p, p', -rem(...), numerically stabilized.
-
-    Every element is rescaled to unit max-coefficient (a positive factor,
-    so sign sequences are untouched); remainder coefficients below
-    1e-12 * max|coeff| of the polynomials entering the division are
-    pruned.  Rescaling keeps genuine structure at O(1) while a remainder
-    that is pure roundoff (the multiple-root case) lands near machine
-    epsilon and is pruned, terminating the chain.
+    The roots are the eigenvalues of the companion matrix; computed
+    roots closer than 1e-3 * max(1, |root|) are joined into one cluster
+    (single linkage), and each cluster whose mean is real within the
+    same distance contributes its mean once.  A multiple root therefore
+    comes back once, and more accurately than any of its scattered
+    copies.
     """
     p = trim_poly(coeffs)
     if is_zero_poly(p):
-        raise ZeroPolynomial("Sturm chain of the zero polynomial")
-    chain = [_unit_scale(p)]
-    if p.size > 1:
-        chain.append(_unit_scale(trim_poly(npoly.polyder(p))))
-    while chain[-1].size > 1:
-        _, rem = npoly.polydiv(chain[-2], chain[-1])
-        rem = np.atleast_1d(-rem)
-        # Inputs are unit-scaled, so the prune threshold is absolute.
-        rem[np.abs(rem) < _STURM_PRUNE_REL] = 0.0
-        rem = trim_poly(rem, _STURM_PRUNE_REL)
-        if is_zero_poly(rem):
-            break
-        chain.append(_unit_scale(rem))
-    return chain
-
-
-def _variations(signs):
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-
-def _variations_at(chain, x):
-    return _variations([np.sign(poly_eval(p, x)) for p in chain])
-
-
-def _variations_at_inf(chain, positive):
-    signs = []
-    for p in chain:
-        lead = p[-1]
-        deg = p.size - 1
-        s = np.sign(lead)
-        if not positive and deg % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
-
-
-def real_root_count(coeffs):
-    """Number of distinct real roots, by Sturm's theorem over all of R.
-
-    Works for polynomials with multiple roots too: the canonical chain
-    counts each distinct root once.
-    """
-    p = trim_poly(coeffs)
-    if is_zero_poly(p):
-        raise ZeroPolynomial("cannot count roots of the zero polynomial")
-    if p.size == 1:
-        return 0
-    chain = sturm_chain(p)
-    return _variations_at_inf(chain, positive=False) - _variations_at_inf(
-        chain, positive=True
+        raise ZeroPolynomial("cannot find roots of the zero polynomial")
+    clusters = []
+    for z in npoly.polyroots(p):
+        radius = _ROOT_CLUSTER_REL * max(1.0, abs(z))
+        near = [c for c in clusters if min(abs(z - w) for w in c) <= radius]
+        clusters = [c for c in clusters if all(c is not n for n in near)]
+        clusters.append([z, *(w for c in near for w in c)])
+    means = [complex(np.mean(c)) for c in clusters]
+    return np.sort(
+        [z.real for z in means if abs(z.imag) <= _ROOT_CLUSTER_REL * max(1.0, abs(z))]
     )
-
-
-def cauchy_root_bound(coeffs):
-    """Every real root lies strictly inside [-bound, bound]."""
-    p = trim_poly(coeffs)
-    if p.size == 1:
-        return 1.0
-    return 1.0 + float(np.max(np.abs(p[:-1])) / abs(p[-1]))
-
-
-def real_roots(coeffs, refine=1e-12):
-    """Distinct real roots, isolated by Sturm bisection then refined.
-
-    Each root is bracketed by halving intervals on which the variation
-    count drops by exactly one, until the bracket width falls below
-    ``refine * max(1, |endpoint|)``; the midpoint is returned.  Multiple
-    roots are located once, like :func:`real_root_count`.
-    """
-    p = trim_poly(coeffs)
-    if is_zero_poly(p):
-        raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    if p.size == 1:
-        return np.array([])
-    chain = sturm_chain(p)
-    bound = cauchy_root_bound(p)
-    lo, hi = -bound, bound
-    v_lo, v_hi = _variations_at(chain, lo), _variations_at(chain, hi)
-    roots = []
-    stack = [(lo, hi, v_lo, v_hi)]
-    while stack:
-        a, b, va, vb = stack.pop()
-        count = va - vb
-        if count <= 0:
-            continue
-        if count == 1:
-            while b - a > refine * max(1.0, abs(a), abs(b)):
-                mid = 0.5 * (a + b)
-                vm = _variations_at(chain, mid)
-                if va - vm >= 1:
-                    b, vb = mid, vm
-                else:
-                    a, va = mid, vm
-            roots.append(0.5 * (a + b))
-            continue
-        mid = 0.5 * (a + b)
-        if poly_eval(p, mid) == 0.0:
-            # Nudge the split point off the exact root.
-            mid += (b - a) * 1e-3
-        vm = _variations_at(chain, mid)
-        stack.append((a, mid, va, vm))
-        stack.append((mid, b, vm, vb))
-    return np.array(sorted(roots))

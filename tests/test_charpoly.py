@@ -1,13 +1,20 @@
 """Parabola extraction, positivity, Schur criterion, degenerate reduction."""
 
+import signal
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalcurves import (
+    EquivalenceCertificate,
     InvalidCharacteristic,
     MatrixParabola,
+    NonFiniteInput,
     NotDegenerate,
     SingularA,
+    apply_certificate,
     char_polynomial,
     check_free,
     check_positive_all_s,
@@ -23,8 +30,11 @@ from causalcurves import (
 )
 from causalcurves.errors import DimensionMismatch
 from conftest import (
+    random_characteristic_parabola,
     random_elliptic,
     random_manifold,
+    random_real_invertible,
+    random_unimodular,
     random_violating_arrays,
     unvalidated_manifold,
 )
@@ -163,7 +173,8 @@ class TestPositivity:
                 P = MatrixParabola(*mats)
             p = symmat.det_poly(P.A, P.B, P.C)
             dp = symmat.trim_poly(npoly.polyder(p))
-            bound = symmat.cauchy_root_bound(dp) if not symmat.is_zero_poly(dp) else 1.0
+            # Cauchy's bound: every real root of dp lies inside [-bound, bound].
+            bound = 1.0 + np.max(np.abs(dp[:-1])) / abs(dp[-1]) if dp.size > 1 else 1.0
             grid = np.linspace(-bound, bound, 1001)
             grid_min = min(np.linalg.eigvalsh(P(s))[0] for s in grid)
             lead_ok = p.size % 2 == 1 and p[-1] > 0
@@ -238,13 +249,65 @@ class TestIsCharacteristic:
             assert check_positive_all_s(P) == is_pd(P.A)
 
     def test_freeness_matches_positivity(self, rng):
-        for _ in range(60):
-            if rng.random() < 0.5:
-                M = random_manifold(rng)
-            else:
-                a_prime, a_dbl = random_violating_arrays(rng)
-                M = unvalidated_manifold(a_prime, a_dbl)
-            assert check_free(M) == check_positive_all_s(char_polynomial(M))
+        # Orders 5 and 8 draw from their own seed.  A killed eigenvector
+        # makes Q singular at a single point where it stays semidefinite;
+        # at order 8 such points are easy to miss.
+        wide = np.random.default_rng(6)
+        for gen, m in [(rng, None), (wide, 5), (wide, 8)]:
+            for _ in range(60):
+                if gen.random() < 0.5:
+                    M = random_manifold(gen, m=m)
+                else:
+                    a_prime, a_dbl = random_violating_arrays(gen, m=m)
+                    M = unvalidated_manifold(a_prime, a_dbl)
+                assert check_free(M) == check_positive_all_s(char_polynomial(M))
+
+    def test_steep_reparametrization_terminates(self):
+        # s -> 1000 s of an order-3 member; each verdict must come back
+        # within the deadline instead of looping in the root finder.
+        rng = np.random.default_rng(9)
+        for _ in range(19):
+            P = random_characteristic_parabola(rng)
+        assert P.dim == 3
+
+        def expire(signum, frame):
+            raise TimeoutError("is_characteristic exceeded its deadline")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        try:
+            for Q in (P, reparametrize(P, 1000.0, 0.0)):
+                signal.setitimer(signal.ITIMER_REAL, 5.0)
+                ok, sig = is_characteristic(Q, 8)
+                signal.setitimer(signal.ITIMER_REAL, 0.0)
+                assert ok and sig.as_tuple() == (8, 3, 2, 0)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        member=st.booleans(),
+        unimodular=st.booleans(),
+        log_alpha=st.floats(-3.0, 3.0),
+        beta=st.floats(-50.0, 50.0),
+    )
+    def test_verdict_invariant_under_wide_certificates(
+        self, seed, member, unimodular, log_alpha, beta
+    ):
+        # Members and freeness-violating non-members keep their verdict
+        # under X^T Q(alpha s + beta) X with alpha in [1e-3, 1e3].
+        rng = np.random.default_rng(seed)
+        if member:
+            M = random_manifold(rng)
+        else:
+            M = unvalidated_manifold(*random_violating_arrays(rng))
+        P = char_polynomial(M)
+        X = random_unimodular(rng, P.dim) if unimodular else random_real_invertible(rng, P.dim)
+        Q = apply_certificate(P, EquivalenceCertificate(X, 10.0**log_alpha, beta))
+        n = 2 * P.dim + 2
+        assert is_characteristic(Q, n)[0] == is_characteristic(P, n)[0]
+        assert check_positive_all_s(Q) == check_positive_all_s(P)
 
     def test_rank_bookkeeping(self, rng):
         for _ in range(40):
@@ -322,3 +385,11 @@ class TestParabolaType:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             MatrixParabola(np.eye(2), np.eye(3), np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", range(3))
+    def test_rejects_non_finite(self, which, bad):
+        coeffs = [np.eye(2), np.zeros((2, 2)), np.eye(2)]
+        coeffs[which][0, 1] = bad
+        with pytest.raises(NonFiniteInput):
+            MatrixParabola(*coeffs)

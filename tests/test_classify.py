@@ -9,6 +9,7 @@ from causalcurves import (
     DegenerateK,
     EquivalenceCertificate,
     MatrixParabola,
+    NonFiniteInput,
     NotCharacteristic,
     NotSimpleSpectrum,
     UnsupportedDimension,
@@ -143,6 +144,15 @@ class TestCertificates:
         assert EquivalenceCertificate([[0, 1], [1, 0]], 1.0, 0.0).integral
         assert not EquivalenceCertificate([[0.5]], 1.0, 0.0).integral
         assert not EquivalenceCertificate([[2.0]], 1.0, 0.0).integral
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(NonFiniteInput):
+            EquivalenceCertificate([[1.0, bad], [0.0, 1.0]], 1.0, 0.0)
+        with pytest.raises(NonFiniteInput):
+            EquivalenceCertificate(np.eye(2), bad, 0.0)
+        with pytest.raises(NonFiniteInput):
+            EquivalenceCertificate(np.eye(2), 1.0, bad)
 
 
 class TestVerifyEquivalence:

@@ -7,6 +7,7 @@ from causalcurves import (
     FreenessViolated,
     InconsistentHolonomy,
     LorentzFrame,
+    NonFiniteInput,
     NotPositiveDefinite,
     NotSymmetric,
     RankDeficientR,
@@ -77,6 +78,18 @@ class TestBuild:
         M = build(5, np.zeros((2, 2)), np.zeros((0, 2)), np.eye(2))
         assert M.elliptic
         assert signature_of(M).as_tuple() == (5, 2, 0, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["a_prime", "a_dblprime", "lattice"])
+    def test_rejects_non_finite(self, field, bad):
+        data = {
+            "a_prime": np.diag([0.0, 1.0]),
+            "a_dblprime": np.array([[1.0, 1.0]]),
+            "lattice": np.eye(2),
+        }
+        data[field][0, 0] = bad
+        with pytest.raises(NonFiniteInput):
+            build(5, **data)
 
 
 class TestExamples:

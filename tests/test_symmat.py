@@ -225,23 +225,26 @@ def _sign_change_count(coeffs, lo, hi, samples=40001):
 
 
 class TestSturm:
+    """Distinct real roots from ``real_roots`` (companion-matrix
+    eigenvalues, clustered); the class keeps its historical name."""
+
     def test_no_real_roots(self):
-        assert symmat.real_root_count([1.0, 0.0, 1.0]) == 0  # 1 + s^2
+        assert symmat.real_roots([1.0, 0.0, 1.0]).size == 0  # 1 + s^2
 
     def test_two_real_roots(self):
-        assert symmat.real_root_count([-1.0, 0.0, 1.0]) == 2  # s^2 - 1
+        assert symmat.real_roots([-1.0, 0.0, 1.0]).size == 2  # s^2 - 1
 
     def test_double_root_counted_once(self):
-        # (1+s)^2 (1+s^2): textbook chain gives exactly one distinct root.
+        # (1+s)^2 (1+s^2): exactly one distinct real root.
         coeffs = npoly.polymul(npoly.polymul([1, 1], [1, 1]), [1, 0, 1])
-        assert symmat.real_root_count(coeffs) == 1
+        assert symmat.real_roots(coeffs).size == 1
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ZeroPolynomial):
-            symmat.real_root_count([0.0, 0.0])
+            symmat.real_roots([0.0, 0.0])
 
     def test_constant_has_no_roots(self):
-        assert symmat.real_root_count([3.0]) == 0
+        assert symmat.real_roots([3.0]).size == 0
 
     def test_against_sampling_oracle(self, rng):
         for _ in range(60):
@@ -250,10 +253,11 @@ class TestSturm:
             if n_real + 2 * n_pairs == 0:
                 continue
             coeffs, real = _poly_from_real_and_complex(rng, n_real, n_pairs)
-            bound = symmat.cauchy_root_bound(coeffs)
+            # Cauchy's bound: every real root lies inside [-bound, bound].
+            bound = 1.0 + np.max(np.abs(coeffs[:-1])) / abs(coeffs[-1])
             sampled = _sign_change_count(coeffs, -bound, bound)
             assert sampled == n_real  # grid is fine enough for separated roots
-            assert symmat.real_root_count(coeffs) == n_real
+            assert symmat.real_roots(coeffs).size == n_real
 
     def test_root_isolation_against_numpy(self, rng):
         for _ in range(30):
@@ -265,10 +269,15 @@ class TestSturm:
             np.testing.assert_allclose(found, real, atol=1e-7)
 
     def test_isolates_double_root(self):
-        coeffs = npoly.polymul(npoly.polymul([1, 1], [1, 1]), [1, 0, 1])
-        roots = symmat.real_roots(coeffs)
-        assert roots.size == 1
-        assert abs(roots[0] + 1.0) < 1e-8
+        # (1+s)^2 (1+s^2) -> [-1]; the triple root of (s-1)^3 (s-2) -> [1, 2].
+        cases = [
+            (npoly.polymul(npoly.polymul([1, 1], [1, 1]), [1, 0, 1]), [-1.0]),
+            (npoly.polyfromroots([1.0, 1.0, 1.0, 2.0]), [1.0, 2.0]),
+        ]
+        for coeffs, expected in cases:
+            roots = symmat.real_roots(coeffs)
+            assert roots.size == len(expected)
+            np.testing.assert_allclose(roots, expected, atol=1e-8)
 
 
 class TestTrim:
