@@ -188,7 +188,6 @@ def reduce_degenerate(P: MatrixParabola, tol=DEFAULT_TOL) -> ReductionResult:
     parabola that comes from a manifold has ker C inside ker B (those
     directions act by pure translations), so B U must vanish.
     """
-    m = P.dim
     values, vectors = symmat.sym_eig(P.C)
     band = tol * (1.0 + symmat.max_norm(P.C))
     kernel = np.abs(values) <= band
@@ -200,14 +199,6 @@ def reduce_degenerate(P: MatrixParabola, tol=DEFAULT_TOL) -> ReductionResult:
         raise InvalidCharacteristic(
             "B does not vanish on ker C; no manifold produces this parabola"
         )
-    if k == m:
-        # Everything is constant; the reduced parabola is empty.
-        X = U
-        constant = symmat.congruence(P.A, U)
-        reduced = MatrixParabola(
-            np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0))
-        )
-        return ReductionResult(X, constant, reduced)
     _, _, vh = np.linalg.svd(U.T @ P.A)
     V = vh[k:].T
     X = np.hstack([U, V])
@@ -218,18 +209,18 @@ def reduce_degenerate(P: MatrixParabola, tol=DEFAULT_TOL) -> ReductionResult:
         symmat.congruence(P.C, V),
     )
     result = ReductionResult(X, constant, reduced)
-    _verify_reduction(P, result)
+    _verify_reduction(P, result, tol)
     return result
 
 
-def _verify_reduction(P, result, samples=(-2.0, -1.0, 0.0, 1.0, 2.0)):
+def _verify_reduction(P, result, tol):
     k = result.constant_block.shape[0]
-    for s in samples:
+    for s in (-2.0, -1.0, 0.0, 1.0, 2.0):
         full = symmat.congruence(P(s), result.X)
         expect = np.zeros_like(full)
         expect[:k, :k] = result.constant_block
         expect[k:, k:] = result.reduced(s)
-        bound = 1e-9 * (1.0 + symmat.max_norm(full))
+        bound = tol * (1.0 + symmat.max_norm(full))
         if symmat.max_norm(full - expect) > bound:
             raise InvalidCharacteristic(
                 f"reduction is not block-diagonal at s={s:g}"
@@ -254,20 +245,19 @@ def is_characteristic(P: MatrixParabola, n, tol=DEFAULT_TOL):
         if m + 2 <= n and symmat.is_pd(P.A, tol):
             return True, Signature(n, m, 0, m)
         return False, None
-    k = m - symmat.rank_tol(P.C, tol)
-    if k > 0:
-        try:
-            red = reduce_degenerate(P, tol)
-        except InvalidCharacteristic:
+    try:
+        red = reduce_degenerate(P, tol)
+    except InvalidCharacteristic:
+        return False, None
+    except NotDegenerate:
+        pass
+    else:
+        k = red.constant_block.shape[0]
+        if red.reduced.dim == 0 or not symmat.is_pd(red.constant_block, tol):
             return False, None
-        if red.reduced.dim == 0:
-            return False, None
-        if not symmat.is_pd(red.constant_block, tol):
-            return False, None
+        # The reduced parabola is tested at n - k, which enforces m + r + 2 <= n.
         ok, sub = is_characteristic(red.reduced, n - k, tol)
         if not ok or sub.k != 0:
-            return False, None
-        if m + sub.r + 2 > n:
             return False, None
         return True, Signature(n, m, sub.r, k)
     if not check_positive_all_s(P, tol):

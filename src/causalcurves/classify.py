@@ -27,7 +27,7 @@ import numpy as np
 
 from . import symmat
 from .charpoly import MatrixParabola, is_characteristic, reduce_degenerate, schur_condition
-from .construction import ManifoldData, build
+from .construction import ManifoldData, Signature, build
 from .errors import (
     BadCertificate,
     CSingular,
@@ -35,6 +35,7 @@ from .errors import (
     DimensionMismatch,
     NotCharacteristic,
     NotSimpleSpectrum,
+    SingularA,
     UnsupportedDimension,
 )
 from .symmat import DEFAULT_TOL
@@ -65,7 +66,8 @@ class EquivalenceCertificate:
         object.__setattr__(self, "beta", float(symmat.require_finite(self.beta, "beta")))
         if not self.alpha > 0.0:
             raise BadCertificate(f"alpha must be positive, got {self.alpha}")
-        if abs(np.linalg.det(X)) <= 1e-12:
+        sv = np.linalg.svd(X, compute_uv=False)
+        if np.any(sv <= 1e-12 * sv.max(initial=0.0)):
             raise BadCertificate("certificate matrix X is singular")
 
     @property
@@ -170,10 +172,7 @@ def affine_spectrum(P: MatrixParabola, tol=DEFAULT_TOL) -> AffineSpectrum:
     The symmetric route makes the realness of sp(B C^{-1}) manifest.
     Requires C positive definite; reduce degenerate parabolas first.
     """
-    if P.dim == 0:
-        raise CSingular("C must be positive definite for the affine spectrum")
-    values, _ = symmat.sym_eig(P.C)
-    if values[0] <= tol * (1.0 + symmat.max_norm(P.C)):
+    if P.dim == 0 or not symmat.is_pd(P.C, tol):
         raise CSingular("C must be positive definite for the affine spectrum")
     inv_root = symmat.pd_inv_sqrt(P.C, tol)
     S = symmat.symmetrize(inv_root @ P.B @ inv_root)
@@ -199,23 +198,30 @@ def realize(P: MatrixParabola, n, tol=DEFAULT_TOL) -> ManifoldData:
         raise NotCharacteristic(
             f"parabola fails the membership criteria at n={n}"
         )
+    return _realize(P, sig, tol)
+
+
+def _realize(P, sig, tol):
+    """:func:`realize` for a member whose signature ``sig`` is known."""
     m = P.dim
     root = symmat.psd_sqrt(P.A, tol)
     if sig.r == 0:
         # Elliptic point: pure translations.
-        return build(n, np.zeros((m, m)), np.zeros((0, m)), root, tol)
+        return build(sig.n, np.zeros((m, m)), np.zeros((0, m)), root, tol)
     if sig.k > 0:
         raise DegenerateK(
             f"parabola has k={sig.k} constant directions; reduce before realizing"
         )
     inv_root = symmat.pd_inv_sqrt(P.A, tol)
+    if inv_root is None:
+        raise SingularA("constant coefficient A is singular at this tolerance")
     B_t = symmat.symmetrize(inv_root @ P.B @ inv_root)
     C_t = symmat.symmetrize(inv_root @ P.C @ inv_root)
     G = symmat.symmetrize(C_t - B_t @ B_t)
     g_values, g_vectors = symmat.sym_eig(G)
     top = np.clip(g_values[m - sig.r :], 0.0, None)
     a_dbl = np.diag(np.sqrt(top)) @ g_vectors[:, m - sig.r :].T
-    return build(n, B_t, a_dbl, root, tol)
+    return build(sig.n, B_t, a_dbl, root, tol)
 
 
 @dataclass(frozen=True)
@@ -334,12 +340,13 @@ def almost_equivalent(P1, P2, tol=DEFAULT_TOL, n=None) -> AlmostVerdict:
     frames and the A^{1/2} factors.  Degenerate or non-simple spectra
     return unknown (except order one and the elliptic point, which are
     decided in closed form); every yes is re-verified numerically.
+    Membership is decided once per parabola: the aligned copy of P2 and
+    the reduced pair of a degenerate signature inherit it.
     """
     if P1.dim != P2.dim:
         raise DimensionMismatch(
             f"parabolas have different orders {P1.dim} and {P2.dim}"
         )
-    m = P1.dim
     if n is None:
         n = _common_signature_n(P1)
     ok1, sig1 = is_characteristic(P1, n, tol)
@@ -352,12 +359,17 @@ def almost_equivalent(P1, P2, tol=DEFAULT_TOL, n=None) -> AlmostVerdict:
         return AlmostVerdict(
             "no", None, f"signatures differ: {sig1.as_tuple()} vs {sig2.as_tuple()}"
         )
-    if sig1.r == 0:
+    return _almost_equivalent_members(P1, P2, sig1, tol)
+
+
+def _almost_equivalent_members(P1, P2, sig, tol):
+    """:func:`almost_equivalent` for two members of signature ``sig``."""
+    if sig.r == 0:
         # Elliptic: all lattices are linearly equivalent.
         return _yes(P1, P2, _chol_congruence(P1.A, P2.A), 1.0, 0.0, tol)
-    if sig1.k > 0:
-        return _almost_equivalent_degenerate(P1, P2, sig1, tol, n)
-    if m == 1:
+    if sig.k > 0:
+        return _almost_equivalent_degenerate(P1, P2, sig, tol)
+    if P1.dim == 1:
         return _almost_equivalent_m1(P1, P2, tol)
     sp1 = affine_spectrum(P1, tol)
     sp2 = affine_spectrum(P2, tol)
@@ -372,8 +384,8 @@ def almost_equivalent(P1, P2, tol=DEFAULT_TOL, n=None) -> AlmostVerdict:
     alpha = spread2 / spread1
     beta = alpha * float(sp1.raw[0]) - float(sp2.raw[0])
     P2_aligned = reparametrize(P2, alpha, beta)
-    M1 = realize(P1, n, tol)
-    M2 = realize(P2_aligned, n, tol)
+    M1 = _realize(P1, sig, tol)
+    M2 = _realize(P2_aligned, sig, tol)
     try:
         f1 = simple_spectrum_form(M1, tol)
         f2 = simple_spectrum_form(M2, tol)
@@ -383,27 +395,26 @@ def almost_equivalent(P1, P2, tol=DEFAULT_TOL, n=None) -> AlmostVerdict:
         )
     if not f1.matches(f2):
         return AlmostVerdict("no", None, "simple-spectrum forms differ")
-    root1 = symmat.psd_sqrt(P1.A, tol)
-    inv_root2 = symmat.pd_inv_sqrt(P2_aligned.A, tol)
-    X = inv_root2 @ f2.frame @ f1.frame.T @ root1
+    X = np.linalg.solve(M2.lattice, f2.frame @ f1.frame.T @ M1.lattice)
     return _yes(P1, P2, X, alpha, beta, tol)
 
 
-def _almost_equivalent_degenerate(P1, P2, sig, tol, n):
-    """Split off the constant blocks and recurse on the moving parts.
+def _almost_equivalent_degenerate(P1, P2, sig, tol):
+    """Split off the constant blocks and compare the moving parts.
 
     Constant positive blocks are always real-congruent, so the verdict
     is that of the reduced parabolas; a yes witness is reassembled
     through the two reduction congruences.
     """
+    n, m, r, k = sig.as_tuple()
     red1 = reduce_degenerate(P1, tol)
     red2 = reduce_degenerate(P2, tol)
-    sub = almost_equivalent(red1.reduced, red2.reduced, tol, n - sig.k)
+    sub = _almost_equivalent_members(
+        red1.reduced, red2.reduced, Signature(n - k, m - k, r, 0), tol
+    )
     if not sub.is_yes:
         return sub
     Z = _chol_congruence(red1.constant_block, red2.constant_block)
-    k = sig.k
-    m = P1.dim
     inner = np.zeros((m, m))
     inner[:k, :k] = Z
     inner[k:, k:] = sub.certificate.X

@@ -36,6 +36,7 @@ from .charpoly import (
 )
 from .classify import EquivalenceCertificate
 from .errors import CausalCurvesError, NotPSD, SingularA
+from .symmat import DEFAULT_TOL
 
 MALFORMED_EXIT = 2
 DOMAIN_EXIT = 1
@@ -322,7 +323,7 @@ _COMMANDS = {
 
 def _add_io_flags(sub):
     sub.add_argument("--input", help="read the JSON payload from PATH instead of stdin")
-    sub.add_argument("--tol", type=float, default=1e-9, help="relative tolerance (default 1e-9)")
+    sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="relative tolerance (default %(default)g)")
     sub.add_argument("--pretty", action="store_true", help="indent the JSON output")
 
 
@@ -339,7 +340,7 @@ def build_parser():
     sub.add_argument("--name", choices=["dim4", "dim5"], required=True)
     sub.add_argument("--t", type=float, default=1.0, help="dim5 parameter t (nonzero)")
     sub.add_argument("--r", type=float, default=1.0, help="dim5 parameter r (nonzero)")
-    sub.add_argument("--tol", type=float, default=1e-9)
+    sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
     sub.add_argument("--pretty", action="store_true")
 
     for name, help_text in [

@@ -317,6 +317,22 @@ class TestIsCharacteristic:
             sig = signature_of(M)
             assert P.dim - sig.k == rank_tol(P.C, 1e-8)
 
+    @pytest.mark.parametrize("tol", [1e-9, 1e-7, 1e-6])
+    def test_reduction_check_follows_tol(self, tol):
+        # C has an eigenvalue near 1e-8 whose eigenvector B kills to 1e-8:
+        # a full-rank member at tol = 1e-9, one constant direction above
+        # 1e-8.  The block structure of the reduction must be checked at
+        # the same tol, or the looser bands turn the member away.
+        eps = 1e-8
+        P = MatrixParabola(
+            np.diag([2.0, 1.5, 1.0]),
+            [[0.3, 0.1, eps], [0.1, -0.2, 0.0], [eps, 0.0, 0.0]],
+            [[1.0, 0.2, 0.0], [0.2, 0.8, eps], [0.0, eps, eps]],
+        )
+        ok, sig = is_characteristic(P, 8, tol)
+        assert ok
+        assert sig.as_tuple() == ((8, 3, 3, 0) if tol < eps else (8, 3, 2, 1))
+
 
 class TestReduction:
     def test_already_block(self):
@@ -367,6 +383,19 @@ class TestReduction:
         assert not check_positive_all_s(red.reduced)
         ok, _ = is_characteristic(P, 6)
         assert not ok
+
+    def test_everything_constant(self):
+        # B = C = 0: the kernel of C is everything, X is the orthonormal
+        # kernel basis, the constant block is X^T A X and the reduced
+        # parabola is empty.
+        A = np.array([[2.0, 0.5], [0.5, 1.0]])
+        P = MatrixParabola(A, np.zeros((2, 2)), np.zeros((2, 2)))
+        red = reduce_degenerate(P)
+        np.testing.assert_allclose(red.X, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(red.constant_block, red.X.T @ A @ red.X, atol=1e-12)
+        assert red.reduced.dim == 0
+        for coeff in (red.reduced.A, red.reduced.B, red.reduced.C):
+            assert coeff.shape == (0, 0)
 
     def test_full_rank_rejected(self):
         with pytest.raises(NotDegenerate):

@@ -30,10 +30,11 @@ from causalcurves import (
     symmetrize,
     verify_equivalence,
 )
-from causalcurves import symmat
+from causalcurves import charpoly, classify, symmat
 from conftest import (
     random_characteristic_parabola,
     random_elliptic,
+    random_manifold,
     random_real_invertible,
     random_unimodular,
 )
@@ -139,6 +140,12 @@ class TestCertificates:
     def test_singular_x_rejected(self):
         with pytest.raises(BadCertificate):
             EquivalenceCertificate(np.zeros((2, 2)), 1.0, 0.0)
+
+    @pytest.mark.parametrize("X", [1e-5 * np.eye(3), 0.03 * np.eye(8)])
+    def test_small_well_conditioned_x_accepted(self, X):
+        # |det X| is 1e-15 and 6.6e-13, but X is perfectly conditioned.
+        cert = EquivalenceCertificate(X, 1.0, 0.0)
+        np.testing.assert_array_equal(cert.inverse().X, np.linalg.inv(X))
 
     def test_integrality_flag(self):
         assert EquivalenceCertificate([[0, 1], [1, 0]], 1.0, 0.0).integral
@@ -324,6 +331,42 @@ class TestAlmostEquivalent:
         bad = MatrixParabola(np.eye(2), np.eye(2), [[1.0, 0.5], [0.5, 1.0]])
         with pytest.raises(NotCharacteristic):
             almost_equivalent(bad, bad)
+
+    def test_scaled_order_eight_pair(self):
+        # The witness scales like 1e-3^{1/2}, so |det X| is near 1e-12.
+        P = random_characteristic_parabola(np.random.default_rng(3), m=8, simple=True)
+        small = MatrixParabola(1e-3 * P.A, 1e-3 * P.B, 1e-3 * P.C)
+        verdict = almost_equivalent(small, P)
+        assert verdict.is_yes
+        assert verify_equivalence(small, P, verdict.certificate, 1e-6)
+
+
+class TestMembershipDecidedOnce:
+    """realize and almost_equivalent decide each input's membership once."""
+
+    @pytest.fixture
+    def decided(self, monkeypatch):
+        calls = []
+
+        def counting(P, n, tol=symmat.DEFAULT_TOL):
+            calls.append(P.dim)
+            return charpoly.is_characteristic(P, n, tol)
+
+        monkeypatch.setattr(classify, "is_characteristic", counting)
+        return calls
+
+    def test_realize(self, decided, rng):
+        realize(random_characteristic_parabola(rng), 8)
+        assert len(decided) == 1
+
+    @pytest.mark.parametrize("m, r, k", [(3, 2, 0), (3, 1, 1)])
+    def test_almost_equivalent_yes_pair(self, decided, rng, m, r, k):
+        P = char_polynomial(random_manifold(rng, m=m, r=r, k=k, zero_eigs=0))
+        P2 = apply_certificate(P, random_certificate(rng, m).inverse())
+        verdict = almost_equivalent(P, P2)
+        assert len(decided) == 2
+        assert verdict.is_yes
+        assert verify_equivalence(P, P2, verdict.certificate, 1e-6)
 
 
 class TestSearchCertificate:
