@@ -15,11 +15,20 @@ A parabola is characteristic for some manifold of ambient dimension n
 iff Q(s) > 0 for all real s, the Schur complement C - B A^{-1} B is
 positive semidefinite of rank r, and m + r + 2 <= n; kernel directions
 of C (which must also kill B) split off as an s-independent block.
+
+Every criterion reads one :class:`ParabolaAnalysis` per parabola and
+tolerance: A^{-1/2}, the gauged coefficients B~ and C~, the eigenpairs
+of G = C~ - B~^2 and of C, each computed once.  ``is_characteristic``
+returns that analysis with its verdict, so ``realize``,
+``almost_equivalent`` and the CLI read it instead of decomposing again;
+``check_positive_all_s`` and ``schur_condition`` are views of a fresh
+analysis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +38,6 @@ from .errors import (
     DimensionMismatch,
     InvalidCharacteristic,
     NotDegenerate,
-    NotPSD,
     SingularA,
 )
 from .symmat import DEFAULT_TOL
@@ -129,55 +137,139 @@ def q_direct(M: ManifoldData, z, v):
     return -M.frame.ell(w, w)
 
 
-def check_positive_all_s(P: MatrixParabola, tol=DEFAULT_TOL):
-    """Whether Q(s) is positive definite for every real s.
+class ParabolaAnalysis:
+    """The decompositions of one parabola that every criterion reads.
 
-    Equivalent to Q(0) = A being definite together with Q(s) never
-    becoming singular for real s (eigenvalues move continuously in s).
-    The singular points come from a linearization rather than from the
-    determinant polynomial: with B~ = A^{-1/2} B A^{-1/2} and
-    C~ = A^{-1/2} C A^{-1/2}, Q(1/mu) is singular exactly when mu is an
-    eigenvalue of the 2m x 2m companion matrix [[0, I], [-C~, -2B~]].
-    The minimum eigenvalue of Q(1/Re mu) must clear the band
-    tol * (1 + max|Q(s)|) for every mu with
-    |Re mu| > tol * (1 + max(max|B~|, max|C~|)); smaller mu are singular
-    points at s = infinity.  A tangency, where rounding splits a real
-    double eigenvalue into a complex pair, is still caught because
-    every real part is tested, and testing extra points is safe since
-    the check only ever evaluates Q.  Verdicts inside the band resolve
-    to False (strictness preserved).
+    In the gauge of A^{-1/2} the parabola is a sum of squares
+
+        Q(s) = A^{1/2} ((I + s B~)^2 + s^2 G) A^{1/2},   G = C~ - B~^2,
+
+    with B~ = A^{-1/2} B A^{-1/2} and C~ = A^{-1/2} C A^{-1/2}.
+    Positivity, the Schur condition, realization and the equivalence
+    invariants all read A^{-1/2}, B~, C~, the eigenpairs of G and those
+    of C.  Each attribute is computed on first use and kept; the gauge
+    attributes need A positive definite (``inv_root`` not None).
     """
-    if not symmat.is_pd(P.A, tol):
-        return False
-    inv_root = symmat.pd_inv_sqrt(P.A, tol)
-    B = inv_root @ P.B @ inv_root
-    C = inv_root @ P.C @ inv_root
-    m = P.dim
-    companion = np.block([[np.zeros((m, m)), np.eye(m)], [-C, -2.0 * B]])
-    floor = tol * (1.0 + max(symmat.max_norm(B), symmat.max_norm(C)))
-    mu = np.linalg.eigvals(companion)
-    mu = mu.real[mu.imag >= 0.0]  # one of each conjugate pair
-    for s in 1.0 / mu[np.abs(mu) > floor]:
-        q_s = P(float(s))
-        if symmat.sym_eig(q_s).values[0] <= tol * (1.0 + symmat.max_norm(q_s)):
+
+    def __init__(self, P: MatrixParabola, tol=DEFAULT_TOL):
+        self.P = P
+        self.tol = tol
+
+    @cached_property
+    def inv_root(self):
+        """A^{-1/2}, or None when A is not positive definite."""
+        return symmat.pd_inv_sqrt(self.P.A, self.tol)
+
+    @cached_property
+    def root(self):
+        """A^{1/2}, as A A^{-1/2}."""
+        return symmat.symmetrize(self.P.A @ self.inv_root)
+
+    @cached_property
+    def B_t(self):
+        return symmat.congruence(self.P.B, self.inv_root)
+
+    @cached_property
+    def C_t(self):
+        return symmat.congruence(self.P.C, self.inv_root)
+
+    @cached_property
+    def g_eig(self):
+        """Eigenpairs of G = C~ - B~^2."""
+        return symmat.sym_eig(self.C_t - self.B_t @ self.B_t)
+
+    @cached_property
+    def c_eig(self):
+        return symmat.sym_eig(self.P.C)
+
+    @cached_property
+    def kernel(self):
+        """Mask of the eigenvalues of C inside the band tol * max|C|."""
+        return np.abs(self.c_eig.values) <= self.tol * symmat.max_norm(self.P.C)
+
+    @cached_property
+    def reduction(self):
+        """:func:`reduce_degenerate` of the parabola, None when C has full rank."""
+        return reduce_degenerate(self.P, self.tol) if self.kernel.any() else None
+
+    @cached_property
+    def reduced(self):
+        """The analysis of the reduced parabola."""
+        return ParabolaAnalysis(self.reduction.reduced, self.tol)
+
+    @cached_property
+    def positive(self):
+        """Whether Q(s) is positive definite for every real s.
+
+        Equivalent to Q(0) = A being definite together with Q(s) never
+        becoming singular for real s (eigenvalues move continuously in
+        s).  Q(1/mu) is singular exactly when mu is an eigenvalue of the
+        2m x 2m linearization [[0, I], [-C~, -2B~]].  One batched
+        eigvalsh over the stacked Q(1/Re mu) then requires
+        lambda_min(Q(1/Re mu)) > tol * (1 + max|Q(1/Re mu)|) for every
+        mu with |Re mu| > tol * (1 + max(max|B~|, max|C~|)); smaller mu
+        are singular points at s = infinity.  A tangency, where rounding
+        splits a real double eigenvalue into a complex pair, is still
+        caught because every real part is tested, and testing extra
+        points is safe since the check only ever evaluates Q.  Verdicts
+        inside the band resolve to False (strictness preserved).
+        """
+        if self.inv_root is None:
             return False
-    return True
+        B, C, m = self.B_t, self.C_t, self.P.dim
+        companion = np.block([[np.zeros((m, m)), np.eye(m)], [-C, -2.0 * B]])
+        floor = self.tol * (1.0 + max(symmat.max_norm(B), symmat.max_norm(C)))
+        mu = np.linalg.eigvals(companion)
+        mu = mu.real[mu.imag >= 0.0]  # one of each conjugate pair
+        q = self.P(1.0 / mu[np.abs(mu) > floor, None, None])
+        band = self.tol * (1.0 + np.max(np.abs(q), axis=(1, 2), initial=0.0))
+        return bool(np.all(np.linalg.eigvalsh(q) > band[:, None]))
+
+    @cached_property
+    def schur(self) -> SchurResult:
+        """D = C - B A^{-1} B with the PSD verdict and rank of G.
+
+        D = A^{1/2} G A^{1/2} is congruent to G, so both are read from
+        the eigenvalues of G, against the purely relative band
+        tol * max(max|C~|, max|B~|^2): both terms scale like G, by
+        alpha^2 under s -> alpha s, where a band with an absolute term
+        swallows genuine eigenvalues once alpha is small.  D is
+        formed as C - (A^{-1/2} B)^T (A^{-1/2} B).  Raises SingularA
+        unless A is positive definite.
+        """
+        if self.inv_root is None:
+            raise SingularA("constant coefficient A is not positive definite at this tolerance")
+        values = self.g_eig.values
+        band = self.tol * max(symmat.max_norm(self.C_t), symmat.max_norm(self.B_t) ** 2)
+        half = self.inv_root @ self.P.B
+        D = symmat.symmetrize(self.P.C - half.T @ half)
+        return SchurResult(D, bool(np.all(values >= -band)), int(np.sum(np.abs(values) > band)))
+
+
+class MembershipVerdict(tuple):
+    """(ok, signature) from :func:`is_characteristic`, with its analysis.
+
+    Unpacks, indexes and compares as the pair; ``analysis`` is the
+    :class:`ParabolaAnalysis` the verdict read, for callers to reuse.
+    """
+
+    def __new__(cls, ok, signature, analysis):
+        verdict = super().__new__(cls, (ok, signature))
+        verdict.analysis = analysis
+        return verdict
+
+
+def check_positive_all_s(P: MatrixParabola, tol=DEFAULT_TOL):
+    """Whether Q(s) is positive definite for every real s
+    (:attr:`ParabolaAnalysis.positive`)."""
+    return ParabolaAnalysis(P, tol).positive
 
 
 def schur_condition(P: MatrixParabola, tol=DEFAULT_TOL) -> SchurResult:
-    """Evaluate D = C - B A^{-1} B together with is_psd and rank.
-
-    D is formed as C - (A^{-1/2} B)^T (A^{-1/2} B) so that symmetry is
-    automatic.  A inside the singularity band raises SingularA; a
-    genuinely negative eigenvalue of A raises NotPSD since no real
-    inverse root exists.
-    """
-    inv_root = symmat.pd_inv_sqrt(P.A, tol)
-    if inv_root is None:
-        raise SingularA("constant coefficient A is singular at this tolerance")
-    half = inv_root @ P.B
-    D = symmat.symmetrize(P.C - half.T @ half)
-    return SchurResult(D, symmat.is_psd(D, tol), symmat.rank_tol(D, tol))
+    """D = C - B A^{-1} B with its PSD verdict and rank
+    (:attr:`ParabolaAnalysis.schur`); raises SingularA unless A is
+    positive definite."""
+    return ParabolaAnalysis(P, tol).schur
 
 
 def reduce_degenerate(P: MatrixParabola, tol=DEFAULT_TOL) -> ReductionResult:
@@ -188,13 +280,11 @@ def reduce_degenerate(P: MatrixParabola, tol=DEFAULT_TOL) -> ReductionResult:
     parabola that comes from a manifold has ker C inside ker B (those
     directions act by pure translations), so B U must vanish.
     """
-    values, vectors = symmat.sym_eig(P.C)
-    band = tol * (1.0 + symmat.max_norm(P.C))
-    kernel = np.abs(values) <= band
-    k = int(np.sum(kernel))
+    analysis = ParabolaAnalysis(P, tol)
+    k = int(np.sum(analysis.kernel))
     if k == 0:
         raise NotDegenerate("C has full rank; nothing to reduce")
-    U = vectors[:, kernel]
+    U = analysis.c_eig.vectors[:, analysis.kernel]
     if symmat.max_norm(P.B @ U) > tol * (1.0 + symmat.max_norm(P.B)):
         raise InvalidCharacteristic(
             "B does not vanish on ker C; no manifold produces this parabola"
@@ -227,47 +317,44 @@ def _verify_reduction(P, result, tol):
             )
 
 
-def _is_elliptic(P: MatrixParabola, tol):
-    bound = tol * P.coeff_scale()
-    return symmat.max_norm(P.B) <= bound and symmat.max_norm(P.C) <= bound
+def _decide(analysis, n):
+    """(ok, signature) of the membership criteria, read from ``analysis``."""
+    P, m = analysis.P, analysis.P.dim
+    bound = analysis.tol * P.coeff_scale()
+    if symmat.max_norm(P.B) <= bound and symmat.max_norm(P.C) <= bound:  # elliptic point
+        if m + 2 <= n and analysis.inv_root is not None:
+            return True, Signature(n, m, 0, m)
+        return False, None
+    try:
+        red = analysis.reduction
+    except InvalidCharacteristic:
+        return False, None
+    if red is not None:
+        k = red.constant_block.shape[0]
+        if red.reduced.dim == 0 or not symmat.is_pd(red.constant_block, analysis.tol):
+            return False, None
+        # The reduced parabola is tested at n - k, which enforces m + r + 2 <= n.
+        ok, sub = _decide(analysis.reduced, n - k)
+        if not ok or sub.k != 0:
+            return False, None
+        return True, Signature(n, m, sub.r, k)
+    schur = analysis.schur if analysis.positive else None
+    if schur is None or not schur.psd or schur.rank == 0 or m + schur.rank + 2 > n:
+        return False, None
+    return True, Signature(n, m, schur.rank, 0)
 
 
 def is_characteristic(P: MatrixParabola, n, tol=DEFAULT_TOL):
     """Decide membership among characteristic parabolas at dimension n.
 
-    Returns (verdict, signature); the signature is None on rejection.
-    Degenerate C is reduced first, contributing k = m - rank C; the
-    elliptic point B = C = 0 is accepted whenever A is definite and
-    m + 2 <= n.  Nonelliptic parabolas must report r >= 1.
+    Returns a :class:`MembershipVerdict` (ok, signature); the signature
+    is None on rejection, and ``.analysis`` holds the parabola's
+    :class:`ParabolaAnalysis` (with the reduction and the reduced
+    parabola's analysis on degenerate input).  Degenerate C is reduced
+    first, contributing k = m - rank C; the elliptic point B = C = 0 is
+    accepted whenever A is definite and m + 2 <= n.  Nonelliptic
+    parabolas must report r >= 1.
     """
-    m = P.dim
-    if _is_elliptic(P, tol):
-        if m + 2 <= n and symmat.is_pd(P.A, tol):
-            return True, Signature(n, m, 0, m)
-        return False, None
-    try:
-        red = reduce_degenerate(P, tol)
-    except InvalidCharacteristic:
-        return False, None
-    except NotDegenerate:
-        pass
-    else:
-        k = red.constant_block.shape[0]
-        if red.reduced.dim == 0 or not symmat.is_pd(red.constant_block, tol):
-            return False, None
-        # The reduced parabola is tested at n - k, which enforces m + r + 2 <= n.
-        ok, sub = is_characteristic(red.reduced, n - k, tol)
-        if not ok or sub.k != 0:
-            return False, None
-        return True, Signature(n, m, sub.r, k)
-    if not check_positive_all_s(P, tol):
-        return False, None
-    try:
-        schur = schur_condition(P, tol)
-    except (SingularA, NotPSD):
-        return False, None
-    if not schur.psd or schur.rank == 0:
-        return False, None
-    if m + schur.rank + 2 > n:
-        return False, None
-    return True, Signature(n, m, schur.rank, 0)
+    analysis = ParabolaAnalysis(P, tol)
+    return MembershipVerdict(*_decide(analysis, n), analysis)
+

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import symmat
-from .charpoly import MatrixParabola, is_characteristic, reduce_degenerate, schur_condition
+from .charpoly import MatrixParabola, ParabolaAnalysis, is_characteristic
 from .construction import ManifoldData, Signature, build
 from .errors import (
     BadCertificate,
@@ -35,7 +35,6 @@ from .errors import (
     DimensionMismatch,
     NotCharacteristic,
     NotSimpleSpectrum,
-    SingularA,
     UnsupportedDimension,
 )
 from .symmat import DEFAULT_TOL
@@ -172,11 +171,18 @@ def affine_spectrum(P: MatrixParabola, tol=DEFAULT_TOL) -> AffineSpectrum:
     The symmetric route makes the realness of sp(B C^{-1}) manifest.
     Requires C positive definite; reduce degenerate parabolas first.
     """
-    if P.dim == 0 or not symmat.is_pd(P.C, tol):
+    return _affine_spectrum(ParabolaAnalysis(P, tol))
+
+
+def _affine_spectrum(analysis):
+    """:func:`affine_spectrum` from the eigenpairs (lambda, V) of C held
+    by ``analysis``: C^{-1/2} B C^{-1/2} is orthogonally similar to the
+    congruence of B by V lambda^{-1/2}."""
+    P, tol = analysis.P, analysis.tol
+    c_values, c_vectors = analysis.c_eig
+    if P.dim == 0 or c_values[0] <= tol * (1.0 + symmat.max_norm(P.C)):
         raise CSingular("C must be positive definite for the affine spectrum")
-    inv_root = symmat.pd_inv_sqrt(P.C, tol)
-    S = symmat.symmetrize(inv_root @ P.B @ inv_root)
-    mu, _ = symmat.sym_eig(S)
+    mu, _ = symmat.sym_eig(symmat.congruence(P.B, c_vectors / np.sqrt(c_values)))
     spread = float(mu[-1] - mu[0])
     scale = 1.0 + float(np.max(np.abs(mu)))
     if spread <= tol * scale:
@@ -191,20 +197,20 @@ def realize(P: MatrixParabola, n, tol=DEFAULT_TOL) -> ManifoldData:
     A^{1/2}((1 + s B~)^2 + s^2 (C~ - B~^2)) A^{1/2}; the self-adjoint
     part is B~, the transverse part is any root of G = C~ - B~^2 of the
     right rank, and the lattice matrix is A^{1/2}.  The composition with
-    char_polynomial is the identity on parabolas up to roundoff.
+    char_polynomial is the identity on parabolas up to roundoff.  All
+    three factors come from the membership verdict's analysis.
     """
-    ok, sig = is_characteristic(P, n, tol)
+    ok, sig = verdict = is_characteristic(P, n, tol)
     if not ok:
         raise NotCharacteristic(
             f"parabola fails the membership criteria at n={n}"
         )
-    return _realize(P, sig, tol)
+    return _realize(verdict.analysis, sig)
 
 
-def _realize(P, sig, tol):
+def _realize(analysis, sig):
     """:func:`realize` for a member whose signature ``sig`` is known."""
-    m = P.dim
-    root = symmat.psd_sqrt(P.A, tol)
+    m, root, tol = analysis.P.dim, analysis.root, analysis.tol
     if sig.r == 0:
         # Elliptic point: pure translations.
         return build(sig.n, np.zeros((m, m)), np.zeros((0, m)), root, tol)
@@ -212,16 +218,10 @@ def _realize(P, sig, tol):
         raise DegenerateK(
             f"parabola has k={sig.k} constant directions; reduce before realizing"
         )
-    inv_root = symmat.pd_inv_sqrt(P.A, tol)
-    if inv_root is None:
-        raise SingularA("constant coefficient A is singular at this tolerance")
-    B_t = symmat.symmetrize(inv_root @ P.B @ inv_root)
-    C_t = symmat.symmetrize(inv_root @ P.C @ inv_root)
-    G = symmat.symmetrize(C_t - B_t @ B_t)
-    g_values, g_vectors = symmat.sym_eig(G)
+    g_values, g_vectors = analysis.g_eig
     top = np.clip(g_values[m - sig.r :], 0.0, None)
     a_dbl = np.diag(np.sqrt(top)) @ g_vectors[:, m - sig.r :].T
-    return build(sig.n, B_t, a_dbl, root, tol)
+    return build(sig.n, analysis.B_t, a_dbl, root, tol)
 
 
 @dataclass(frozen=True)
@@ -340,8 +340,9 @@ def almost_equivalent(P1, P2, tol=DEFAULT_TOL, n=None) -> AlmostVerdict:
     frames and the A^{1/2} factors.  Degenerate or non-simple spectra
     return unknown (except order one and the elliptic point, which are
     decided in closed form); every yes is re-verified numerically.
-    Membership is decided once per parabola: the aligned copy of P2 and
-    the reduced pair of a degenerate signature inherit it.
+    Membership is decided once per parabola, and its analysis supplies
+    the affine spectra, the realization of P1 and the reductions of a
+    degenerate signature; only the aligned copy of P2 is analysed anew.
     """
     if P1.dim != P2.dim:
         raise DimensionMismatch(
@@ -349,30 +350,32 @@ def almost_equivalent(P1, P2, tol=DEFAULT_TOL, n=None) -> AlmostVerdict:
         )
     if n is None:
         n = _common_signature_n(P1)
-    ok1, sig1 = is_characteristic(P1, n, tol)
+    ok1, sig1 = first = is_characteristic(P1, n, tol)
     if not ok1:
         raise NotCharacteristic("first parabola is not characteristic")
-    ok2, sig2 = is_characteristic(P2, n, tol)
+    ok2, sig2 = second = is_characteristic(P2, n, tol)
     if not ok2:
         raise NotCharacteristic("second parabola is not characteristic")
     if sig1 != sig2:
         return AlmostVerdict(
             "no", None, f"signatures differ: {sig1.as_tuple()} vs {sig2.as_tuple()}"
         )
-    return _almost_equivalent_members(P1, P2, sig1, tol)
+    return _almost_equivalent_members(first.analysis, second.analysis, sig1)
 
 
-def _almost_equivalent_members(P1, P2, sig, tol):
-    """:func:`almost_equivalent` for two members of signature ``sig``."""
+def _almost_equivalent_members(a1, a2, sig):
+    """:func:`almost_equivalent` for two members of signature ``sig``,
+    given their analyses."""
+    P1, P2, tol = a1.P, a2.P, a1.tol
     if sig.r == 0:
         # Elliptic: all lattices are linearly equivalent.
         return _yes(P1, P2, _chol_congruence(P1.A, P2.A), 1.0, 0.0, tol)
     if sig.k > 0:
-        return _almost_equivalent_degenerate(P1, P2, sig, tol)
+        return _almost_equivalent_degenerate(a1, a2, sig)
     if P1.dim == 1:
         return _almost_equivalent_m1(P1, P2, tol)
-    sp1 = affine_spectrum(P1, tol)
-    sp2 = affine_spectrum(P2, tol)
+    sp1 = _affine_spectrum(a1)
+    sp2 = _affine_spectrum(a2)
     if not sp1.matches(sp2):
         return AlmostVerdict("no", None, "affine spectra differ")
     if sp1.degenerate:
@@ -384,8 +387,8 @@ def _almost_equivalent_members(P1, P2, sig, tol):
     alpha = spread2 / spread1
     beta = alpha * float(sp1.raw[0]) - float(sp2.raw[0])
     P2_aligned = reparametrize(P2, alpha, beta)
-    M1 = _realize(P1, sig, tol)
-    M2 = _realize(P2_aligned, sig, tol)
+    M1 = _realize(a1, sig)
+    M2 = _realize(ParabolaAnalysis(P2_aligned, tol), sig)
     try:
         f1 = simple_spectrum_form(M1, tol)
         f2 = simple_spectrum_form(M2, tol)
@@ -399,19 +402,16 @@ def _almost_equivalent_members(P1, P2, sig, tol):
     return _yes(P1, P2, X, alpha, beta, tol)
 
 
-def _almost_equivalent_degenerate(P1, P2, sig, tol):
+def _almost_equivalent_degenerate(a1, a2, sig):
     """Split off the constant blocks and compare the moving parts.
 
     Constant positive blocks are always real-congruent, so the verdict
     is that of the reduced parabolas; a yes witness is reassembled
-    through the two reduction congruences.
+    through the two reduction congruences, which the analyses hold.
     """
     n, m, r, k = sig.as_tuple()
-    red1 = reduce_degenerate(P1, tol)
-    red2 = reduce_degenerate(P2, tol)
-    sub = _almost_equivalent_members(
-        red1.reduced, red2.reduced, Signature(n - k, m - k, r, 0), tol
-    )
+    red1, red2 = a1.reduction, a2.reduction
+    sub = _almost_equivalent_members(a1.reduced, a2.reduced, Signature(n - k, m - k, r, 0))
     if not sub.is_yes:
         return sub
     Z = _chol_congruence(red1.constant_block, red2.constant_block)
@@ -419,7 +419,7 @@ def _almost_equivalent_degenerate(P1, P2, sig, tol):
     inner[:k, :k] = Z
     inner[k:, k:] = sub.certificate.X
     X = red2.X @ inner @ np.linalg.inv(red1.X)
-    return _yes(P1, P2, X, sub.certificate.alpha, sub.certificate.beta, tol)
+    return _yes(a1.P, a2.P, X, sub.certificate.alpha, sub.certificate.beta, a1.tol)
 
 
 def _int_det(X):

@@ -26,16 +26,9 @@ import sys
 import numpy as np
 
 from . import classify, construction
-from .charpoly import (
-    MatrixParabola,
-    char_polynomial,
-    check_positive_all_s,
-    is_characteristic,
-    reduce_degenerate,
-    schur_condition,
-)
+from .charpoly import MatrixParabola, char_polynomial, is_characteristic, reduce_degenerate
 from .classify import EquivalenceCertificate
-from .errors import CausalCurvesError, NotPSD, SingularA
+from .errors import CausalCurvesError
 from .symmat import DEFAULT_TOL
 
 MALFORMED_EXIT = 2
@@ -141,7 +134,7 @@ def _require_dict(payload, what="payload"):
 
 def _parse_manifold(payload, tol):
     payload = _require_dict(payload, "manifold payload")
-    if "n" not in payload or not isinstance(payload["n"], int):
+    if not isinstance(payload.get("n"), int) or isinstance(payload["n"], bool):
         raise _MalformedInput("field 'n' must be an integer")
     a_prime = _matrix(payload, "a_prime")
     m = a_prime.shape[1]
@@ -233,19 +226,16 @@ def _cmd_simple_form(args):
 
 def _cmd_validate_parabola(args):
     P = _parse_parabola(_load_payload(args))
-    ok, sig = is_characteristic(P, args.n, args.tol)
-    poabc = check_positive_all_s(P, args.tol)
-    try:
-        schur = schur_condition(P, args.tol)
-        schur_psd, schur_rank = schur.psd, schur.rank
-    except (SingularA, NotPSD):
-        schur_psd, schur_rank = None, None
+    ok, sig = verdict = is_characteristic(P, args.n, args.tol)
+    analysis = verdict.analysis
+    # The Schur condition needs A positive definite; it is null otherwise.
+    schur = analysis.schur if analysis.inv_root is not None else None
     return {
         "characteristic": ok,
         "signature": _signature_dict(sig),
-        "poabc": poabc,
-        "schur_psd": schur_psd,
-        "schur_rank": schur_rank,
+        "poabc": analysis.positive,
+        "schur_psd": None if schur is None else schur.psd,
+        "schur_rank": None if schur is None else schur.rank,
     }
 
 

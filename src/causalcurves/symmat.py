@@ -90,15 +90,6 @@ def is_pd(S, tol=DEFAULT_TOL):
     return bool(values[0] > tol * (1.0 + max_norm(S)))
 
 
-def is_psd(S, tol=DEFAULT_TOL):
-    """Positive semidefiniteness: min eigenvalue >= -tol * (1 + max|S|)."""
-    S = symmetrize(S)
-    if S.size == 0:
-        return True
-    values, _ = sym_eig(S)
-    return bool(values[0] >= -tol * (1.0 + max_norm(S)))
-
-
 def psd_sqrt(S, tol=DEFAULT_TOL):
     """Nonnegative square root of a PSD matrix.
 
@@ -119,20 +110,14 @@ def psd_sqrt(S, tol=DEFAULT_TOL):
 def pd_inv_sqrt(S, tol=DEFAULT_TOL):
     """Inverse square root of a positive definite matrix.
 
-    Returns None when S has an eigenvalue inside the singularity band
-    |lambda| <= tol * (1 + max|S|); raises :class:`NotPSD` when S has a
-    genuinely negative eigenvalue.  Callers translate None into their
-    own singularity error (SingularA, CSingular, ...).
+    Returns None unless S is positive definite in the sense of
+    :func:`is_pd` (min eigenvalue > tol * (1 + max|S|)); callers
+    translate None into their own error (SingularA, CSingular, ...).
     """
     S = symmetrize(S)
     values, vectors = sym_eig(S)
-    band = tol * (1.0 + max_norm(S))
-    if np.any(np.abs(values) <= band):
+    if np.any(values <= tol * (1.0 + max_norm(S))):
         return None
-    if np.any(values < 0.0):
-        raise NotPSD(
-            f"matrix has negative eigenvalue {values[0]:.3e}; no real inverse root"
-        )
     return symmetrize(vectors @ np.diag(values ** -0.5) @ vectors.T)
 
 

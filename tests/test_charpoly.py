@@ -13,6 +13,7 @@ from causalcurves import (
     MatrixParabola,
     NonFiniteInput,
     NotDegenerate,
+    Signature,
     SingularA,
     apply_certificate,
     char_polynomial,
@@ -287,27 +288,43 @@ class TestIsCharacteristic:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**32 - 1),
+        order=st.sampled_from([None, 5, 8]),
         member=st.booleans(),
         unimodular=st.booleans(),
         log_alpha=st.floats(-3.0, 3.0),
         beta=st.floats(-50.0, 50.0),
     )
     def test_verdict_invariant_under_wide_certificates(
-        self, seed, member, unimodular, log_alpha, beta
+        self, seed, order, member, unimodular, log_alpha, beta
     ):
         # Members and freeness-violating non-members keep their verdict
-        # under X^T Q(alpha s + beta) X with alpha in [1e-3, 1e3].
+        # and signature under X^T Q(alpha s + beta) X with alpha in
+        # [1e-3, 1e3], at orders 1-3 (order None) and at orders 5 and 8.
         rng = np.random.default_rng(seed)
         if member:
-            M = random_manifold(rng)
+            M = random_manifold(rng, m=order)
         else:
-            M = unvalidated_manifold(*random_violating_arrays(rng))
+            M = unvalidated_manifold(*random_violating_arrays(rng, m=order))
         P = char_polynomial(M)
         X = random_unimodular(rng, P.dim) if unimodular else random_real_invertible(rng, P.dim)
         Q = apply_certificate(P, EquivalenceCertificate(X, 10.0**log_alpha, beta))
         n = 2 * P.dim + 2
-        assert is_characteristic(Q, n)[0] == is_characteristic(P, n)[0]
+        assert is_characteristic(Q, n) == is_characteristic(P, n)
         assert check_positive_all_s(Q) == check_positive_all_s(P)
+
+    @pytest.mark.parametrize("seed", [92, 205, 462, 874])
+    def test_schur_rank_kept_under_small_alpha(self, seed):
+        # Order-2 members of rank r = 2 under certificates with alpha in
+        # [1e-3, 1e-2]: C shrinks by alpha^2, so a Schur band with an
+        # absolute term, or a ker C band with one, reported r = 1.
+        rng = np.random.default_rng(seed)
+        P = char_polynomial(random_manifold(rng))
+        X = random_unimodular(rng, 2) if rng.random() < 0.5 else random_real_invertible(rng, 2)
+        alpha, beta = 10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(-50.0, 50.0)
+        assert 1e-3 <= alpha <= 1e-2
+        Q = apply_certificate(P, EquivalenceCertificate(X, alpha, beta))
+        assert is_characteristic(P, 6) == (True, Signature(6, 2, 2, 0))
+        assert is_characteristic(Q, 6) == (True, Signature(6, 2, 2, 0))
 
     def test_rank_bookkeeping(self, rng):
         for _ in range(40):

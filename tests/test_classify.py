@@ -1,5 +1,9 @@
 """Reconstruction, certificates, spectral invariants, equivalence search."""
 
+import io
+import json
+import sys
+
 import numpy as np
 import pytest
 
@@ -30,7 +34,8 @@ from causalcurves import (
     symmetrize,
     verify_equivalence,
 )
-from causalcurves import charpoly, classify, symmat
+import causalcurves
+from causalcurves import charpoly, classify, cli, symmat
 from conftest import (
     random_characteristic_parabola,
     random_elliptic,
@@ -341,8 +346,23 @@ class TestAlmostEquivalent:
         assert verify_equivalence(small, P, verdict.certificate, 1e-6)
 
 
+def _rebind(monkeypatch, name, replacement):
+    """Replace ``name`` in every module of the package that binds it."""
+    for module in (causalcurves, charpoly, classify, cli):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, replacement)
+
+
+def _validate_parabola(monkeypatch, P, n):
+    """Run ``validate-parabola`` in-process on P; returns the exit code."""
+    payload = {"A": P.A.tolist(), "B": P.B.tolist(), "C": P.C.tolist()}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    return cli.main(["validate-parabola", "--n", str(n)])
+
+
 class TestMembershipDecidedOnce:
-    """realize and almost_equivalent decide each input's membership once."""
+    """realize, almost_equivalent and validate-parabola decide each
+    input's membership once and read every criterion from its analysis."""
 
     @pytest.fixture
     def decided(self, monkeypatch):
@@ -367,6 +387,76 @@ class TestMembershipDecidedOnce:
         assert len(decided) == 2
         assert verdict.is_yes
         assert verify_equivalence(P, P2, verdict.certificate, 1e-6)
+
+    def test_almost_equivalent_reduces_each_input_once(self, monkeypatch, rng):
+        reductions = []
+        original = charpoly.reduce_degenerate
+
+        def counting(P, tol=symmat.DEFAULT_TOL):
+            reductions.append(P.dim)
+            return original(P, tol)
+
+        _rebind(monkeypatch, "reduce_degenerate", counting)
+        P = char_polynomial(random_manifold(rng, m=3, r=1, k=1, zero_eigs=0))
+        P2 = apply_certificate(P, random_certificate(rng, 3).inverse())
+        assert almost_equivalent(P, P2).is_yes
+        assert reductions == [3, 3]
+
+    def test_validate_parabola(self, monkeypatch, rng, capsys):
+        calls = []
+
+        def counting(P, n, tol=symmat.DEFAULT_TOL):
+            calls.append(P.dim)
+            return charpoly.is_characteristic(P, n, tol)
+
+        def recomputed(*args, **kwargs):
+            raise AssertionError("criterion recomputed outside the analysis")
+
+        monkeypatch.setattr(cli, "is_characteristic", counting)
+        _rebind(monkeypatch, "check_positive_all_s", recomputed)
+        _rebind(monkeypatch, "schur_condition", recomputed)
+        assert _validate_parabola(monkeypatch, random_characteristic_parabola(rng), 8) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["characteristic"] and result["poabc"] and result["schur_psd"]
+        assert calls == [result["signature"]["m"]]
+
+
+class TestEigensolverCounts:
+    """Eigendecompositions per top-level call on k = 0 members."""
+
+    @pytest.fixture
+    def eig_calls(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh", "eigvals", "eig"):
+
+            def counting(*args, _solver=getattr(np.linalg, name), **kwargs):
+                calls.append(_solver.__name__)
+                return _solver(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        return calls
+
+    @staticmethod
+    def _count(calls, fn):
+        calls.clear()
+        fn()
+        return len(calls)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    def test_membership_realize_and_validate(self, eig_calls, monkeypatch, capsys, rng, m):
+        M = random_manifold(rng, m=m, zero_eigs=0)
+        P = char_polynomial(M)
+        assert self._count(eig_calls, lambda: charpoly.is_characteristic(P, M.n)) <= 5
+        assert self._count(eig_calls, lambda: realize(P, M.n)) <= 6
+        assert self._count(eig_calls, lambda: _validate_parabola(monkeypatch, P, M.n)) <= 5
+        assert json.loads(capsys.readouterr().out)["result"]["characteristic"]
+
+    def test_almost_equivalent_order_eight(self, eig_calls, rng):
+        P = char_polynomial(random_manifold(rng, m=8, zero_eigs=0))
+        P2 = apply_certificate(P, random_certificate(rng, 8).inverse())
+        eig_calls.clear()
+        assert almost_equivalent(P, P2).is_yes
+        assert len(eig_calls) <= 18
 
 
 class TestSearchCertificate:

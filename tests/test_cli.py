@@ -151,6 +151,13 @@ class TestExitCodes:
         assert code == 2
         assert body["error"]["code"] == "MalformedInput"
 
+    def test_boolean_n_is_two(self):
+        # JSON true is not the integer 1.
+        payload = {"n": True, "a_prime": [[0]], "a_dblprime": [[1]], "lattice": [[1]]}
+        code, body = run_cli(["signature"], payload)
+        assert code == 2
+        assert body["error"]["code"] == "MalformedInput"
+
     def test_bad_flags_is_two(self):
         proc = subprocess.run(
             CLI + ["realize"], input="{}", capture_output=True, text=True

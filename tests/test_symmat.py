@@ -80,11 +80,6 @@ class TestPredicates:
         # Eigenvalues 1 +- 1/2 by hand.
         assert symmat.is_pd([[1.0, 0.5], [0.5, 1.0]])
 
-    def test_is_psd_cases(self):
-        assert symmat.is_psd(np.diag([1.0, 0.0]))
-        assert not symmat.is_psd([[0.0, 0.5], [0.5, 0.0]])
-        assert not symmat.is_psd(-np.eye(2))
-
     def test_strictness_near_boundary(self):
         # Min eigenvalue sits exactly at the tolerance threshold: false.
         eps = 1e-9
@@ -112,13 +107,20 @@ class TestPsdSqrt:
             symmat.psd_sqrt([[2.0, 1.0], [1.0, 2.0]]), expected, atol=1e-12
         )
 
+    def test_psd_cases(self):
+        # Semidefinite input has a root; indefinite or negative input has none.
+        np.testing.assert_allclose(symmat.psd_sqrt(np.diag([1.0, 0.0])), np.diag([1.0, 0.0]))
+        for S in ([[0.0, 0.5], [0.5, 0.0]], -np.eye(2)):
+            with pytest.raises(NotPSD):
+                symmat.psd_sqrt(S)
+
     def test_rejects_negative(self):
         with pytest.raises(NotPSD):
             symmat.psd_sqrt(np.diag([1.0, -1.0]))
 
     def test_clamps_tiny_negative(self):
         root = symmat.psd_sqrt(np.diag([1.0, -1e-12]))
-        assert symmat.is_psd(root)
+        assert np.linalg.eigvalsh(root)[0] >= -1e-9 * (1.0 + symmat.max_norm(root))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -133,7 +135,7 @@ class TestPsdSqrt:
         root = symmat.psd_sqrt(s)
         scale = 1.0 + np.max(np.abs(s))
         assert np.max(np.abs(root @ root - s)) <= 1e-9 * scale
-        assert symmat.is_psd(root)
+        assert np.linalg.eigvalsh(root)[0] >= -1e-9 * (1.0 + symmat.max_norm(root))
 
 
 class TestRankAndCongruence:
