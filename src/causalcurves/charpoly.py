@@ -18,11 +18,12 @@ of C (which must also kill B) split off as an s-independent block.
 
 Every criterion reads one :class:`ParabolaAnalysis` per parabola and
 tolerance: A^{-1/2}, the gauged coefficients B~ and C~, the eigenpairs
-of G = C~ - B~^2 and of C, each computed once.  ``is_characteristic``
+of G = C~ - B~^2 and of C, each computed once, and the reduction of a
+degenerate C built from those eigenpairs.  ``is_characteristic``
 returns that analysis with its verdict, so ``realize``,
 ``almost_equivalent`` and the CLI read it instead of decomposing again;
-``check_positive_all_s`` and ``schur_condition`` are views of a fresh
-analysis.
+``check_positive_all_s``, ``schur_condition`` and ``reduce_degenerate``
+are views of a fresh analysis.
 """
 
 from __future__ import annotations
@@ -145,10 +146,11 @@ class ParabolaAnalysis:
         Q(s) = A^{1/2} ((I + s B~)^2 + s^2 G) A^{1/2},   G = C~ - B~^2,
 
     with B~ = A^{-1/2} B A^{-1/2} and C~ = A^{-1/2} C A^{-1/2}.
-    Positivity, the Schur condition, realization and the equivalence
-    invariants all read A^{-1/2}, B~, C~, the eigenpairs of G and those
-    of C.  Each attribute is computed on first use and kept; the gauge
-    attributes need A positive definite (``inv_root`` not None).
+    Positivity, the Schur condition, the reduction of a degenerate C,
+    realization and the equivalence invariants all read A^{-1/2}, B~,
+    C~, the eigenpairs of G and those of C.  Each attribute is computed
+    on first use and kept; the gauge attributes need A positive definite
+    (``inv_root`` not None).
     """
 
     def __init__(self, P: MatrixParabola, tol=DEFAULT_TOL):
@@ -189,8 +191,29 @@ class ParabolaAnalysis:
 
     @cached_property
     def reduction(self):
-        """:func:`reduce_degenerate` of the parabola, None when C has full rank."""
-        return reduce_degenerate(self.P, self.tol) if self.kernel.any() else None
+        """The :class:`ReductionResult` splitting off ker C, None when C
+        has full rank.
+
+        The congruence is X = [U | V] with U the eigenvectors of C on
+        the ``kernel`` mask and V a basis of the A-orthogonal complement
+        {w : U^T A w = 0}; a parabola that comes from a manifold has
+        ker C inside ker B (those directions act by pure translations),
+        so B U must vanish, else InvalidCharacteristic.
+        """
+        P, tol, kernel = self.P, self.tol, self.kernel
+        if not kernel.any():
+            return None
+        U = self.c_eig.vectors[:, kernel]
+        if symmat.max_norm(P.B @ U) > tol * (1.0 + symmat.max_norm(P.B)):
+            raise InvalidCharacteristic(
+                "B does not vanish on ker C; no manifold produces this parabola"
+            )
+        _, _, vh = np.linalg.svd(U.T @ P.A)
+        V = vh[U.shape[1] :].T
+        reduced = MatrixParabola(*(symmat.congruence(S, V) for S in (P.A, P.B, P.C)))
+        result = ReductionResult(np.hstack([U, V]), symmat.congruence(P.A, U), reduced)
+        _verify_reduction(P, result, tol)
+        return result
 
     @cached_property
     def reduced(self):
@@ -273,33 +296,13 @@ def schur_condition(P: MatrixParabola, tol=DEFAULT_TOL) -> SchurResult:
 
 
 def reduce_degenerate(P: MatrixParabola, tol=DEFAULT_TOL) -> ReductionResult:
-    """Split off the kernel of C as an s-independent diagonal block.
-
-    The congruence is X = [U | V] with U an orthonormal kernel basis of
-    C and V a basis of the A-orthogonal complement {w : U^T A w = 0}; a
-    parabola that comes from a manifold has ker C inside ker B (those
-    directions act by pure translations), so B U must vanish.
-    """
-    analysis = ParabolaAnalysis(P, tol)
-    k = int(np.sum(analysis.kernel))
-    if k == 0:
+    """Split off the kernel of C as an s-independent diagonal block
+    (:attr:`ParabolaAnalysis.reduction`); raises NotDegenerate when C
+    has full rank and InvalidCharacteristic when B does not vanish on
+    ker C."""
+    result = ParabolaAnalysis(P, tol).reduction
+    if result is None:
         raise NotDegenerate("C has full rank; nothing to reduce")
-    U = analysis.c_eig.vectors[:, analysis.kernel]
-    if symmat.max_norm(P.B @ U) > tol * (1.0 + symmat.max_norm(P.B)):
-        raise InvalidCharacteristic(
-            "B does not vanish on ker C; no manifold produces this parabola"
-        )
-    _, _, vh = np.linalg.svd(U.T @ P.A)
-    V = vh[k:].T
-    X = np.hstack([U, V])
-    constant = symmat.congruence(P.A, U)
-    reduced = MatrixParabola(
-        symmat.congruence(P.A, V),
-        symmat.congruence(P.B, V),
-        symmat.congruence(P.C, V),
-    )
-    result = ReductionResult(X, constant, reduced)
-    _verify_reduction(P, result, tol)
     return result
 
 

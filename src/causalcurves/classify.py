@@ -16,6 +16,11 @@ up to the choice of lattice).  This module can
 * decide almost-equivalence where the invariants allow it
   (``almost_equivalent``), and
 * exhaustively search tiny integer certificates (``search_certificate``).
+
+Realization and equivalence read the :class:`ParabolaAnalysis` of the
+membership verdict: a' = B~, a'' = the rank-r root of G and the lattice
+A^{1/2}.  ``almost_equivalent`` compares normal forms built from those
+arrays directly, so it validates no manifold data.
 """
 
 from __future__ import annotations
@@ -177,10 +182,11 @@ def affine_spectrum(P: MatrixParabola, tol=DEFAULT_TOL) -> AffineSpectrum:
 def _affine_spectrum(analysis):
     """:func:`affine_spectrum` from the eigenpairs (lambda, V) of C held
     by ``analysis``: C^{-1/2} B C^{-1/2} is orthogonally similar to the
-    congruence of B by V lambda^{-1/2}."""
+    congruence of B by V lambda^{-1/2}.  C counts as singular on the
+    analysis's ker C band, the rule membership uses."""
     P, tol = analysis.P, analysis.tol
     c_values, c_vectors = analysis.c_eig
-    if P.dim == 0 or c_values[0] <= tol * (1.0 + symmat.max_norm(P.C)):
+    if P.dim == 0 or analysis.kernel.any() or c_values[0] < 0.0:
         raise CSingular("C must be positive definite for the affine spectrum")
     mu, _ = symmat.sym_eig(symmat.congruence(P.B, c_vectors / np.sqrt(c_values)))
     spread = float(mu[-1] - mu[0])
@@ -205,23 +211,24 @@ def realize(P: MatrixParabola, n, tol=DEFAULT_TOL) -> ManifoldData:
         raise NotCharacteristic(
             f"parabola fails the membership criteria at n={n}"
         )
-    return _realize(verdict.analysis, sig)
-
-
-def _realize(analysis, sig):
-    """:func:`realize` for a member whose signature ``sig`` is known."""
-    m, root, tol = analysis.P.dim, analysis.root, analysis.tol
+    analysis, m = verdict.analysis, P.dim
     if sig.r == 0:
         # Elliptic point: pure translations.
-        return build(sig.n, np.zeros((m, m)), np.zeros((0, m)), root, tol)
+        return build(sig.n, np.zeros((m, m)), np.zeros((0, m)), analysis.root, tol)
     if sig.k > 0:
         raise DegenerateK(
             f"parabola has k={sig.k} constant directions; reduce before realizing"
         )
+    return build(sig.n, analysis.B_t, _transverse_root(analysis, sig.r), analysis.root, tol)
+
+
+def _transverse_root(analysis, r):
+    """a'' = diag(sqrt(g)) V^T from the top r eigenpairs (g, V) of G,
+    so that a''^T a'' = G on a member of Schur rank r."""
+    m = analysis.P.dim
     g_values, g_vectors = analysis.g_eig
-    top = np.clip(g_values[m - sig.r :], 0.0, None)
-    a_dbl = np.diag(np.sqrt(top)) @ g_vectors[:, m - sig.r :].T
-    return build(sig.n, analysis.B_t, a_dbl, root, tol)
+    top = np.clip(g_values[m - r :], 0.0, None)
+    return np.diag(np.sqrt(top)) @ g_vectors[:, m - r :].T
 
 
 @dataclass(frozen=True)
@@ -255,11 +262,16 @@ def simple_spectrum_form(M: ManifoldData, tol=DEFAULT_TOL) -> SimpleSpectrumForm
     makes the first usable entry of each row positive, scanning earlier
     columns in order.
     """
-    values, vectors = symmat.sym_eig(M.a_prime)
+    return _simple_spectrum(M.a_prime, M.a_dblprime, tol)
+
+
+def _simple_spectrum(a_prime, a_dblprime, tol):
+    """:func:`simple_spectrum_form` of the arrays a' and a''."""
+    values, vectors = symmat.sym_eig(a_prime)
     scale = 1.0 + float(np.max(np.abs(values)))
     if np.any(np.diff(values) <= tol * scale):
         raise NotSimpleSpectrum("a_prime has a repeated eigenvalue at this tolerance")
-    images = M.a_dblprime @ vectors
+    images = a_dblprime @ vectors
     gram = symmat.symmetrize(images.T @ images)
     m = values.size
     signs = np.ones(m)
@@ -335,14 +347,16 @@ def almost_equivalent(P1, P2, tol=DEFAULT_TOL, n=None) -> AlmostVerdict:
 
     Procedure: signatures must agree, then affine spectra; when both
     spectra are nondegenerate the alignment (alpha, beta) is pinned by
-    their endpoints and the simple-spectrum forms of the realized data
-    are compared, assembling an explicit witness from the eigenvector
-    frames and the A^{1/2} factors.  Degenerate or non-simple spectra
-    return unknown (except order one and the elliptic point, which are
-    decided in closed form); every yes is re-verified numerically.
+    their endpoints and the simple-spectrum forms of (a', a'') =
+    (B~, rank-r root of G) are compared, assembling an explicit witness
+    from the eigenvector frames and the A^{1/2} factors.  Degenerate or
+    non-simple spectra return unknown (except order one and the
+    elliptic point, which are decided in closed form); every yes is
+    re-verified numerically.
     Membership is decided once per parabola, and its analysis supplies
-    the affine spectra, the realization of P1 and the reductions of a
+    the affine spectra, P1's normal form and the reductions of a
     degenerate signature; only the aligned copy of P2 is analysed anew.
+    No manifold data is built.
     """
     if P1.dim != P2.dim:
         raise DimensionMismatch(
@@ -386,19 +400,17 @@ def _almost_equivalent_members(a1, a2, sig):
     spread2 = float(sp2.raw[-1] - sp2.raw[0])
     alpha = spread2 / spread1
     beta = alpha * float(sp1.raw[0]) - float(sp2.raw[0])
-    P2_aligned = reparametrize(P2, alpha, beta)
-    M1 = _realize(a1, sig)
-    M2 = _realize(ParabolaAnalysis(P2_aligned, tol), sig)
+    aligned = ParabolaAnalysis(reparametrize(P2, alpha, beta), tol)
     try:
-        f1 = simple_spectrum_form(M1, tol)
-        f2 = simple_spectrum_form(M2, tol)
+        f1 = _simple_spectrum(a1.B_t, _transverse_root(a1, sig.r), tol)
+        f2 = _simple_spectrum(aligned.B_t, _transverse_root(aligned, sig.r), tol)
     except NotSimpleSpectrum:
         return AlmostVerdict(
             "unknown", None, "self-adjoint part has repeated eigenvalues"
         )
     if not f1.matches(f2):
         return AlmostVerdict("no", None, "simple-spectrum forms differ")
-    X = np.linalg.solve(M2.lattice, f2.frame @ f1.frame.T @ M1.lattice)
+    X = np.linalg.solve(aligned.root, f2.frame @ f1.frame.T @ a1.root)
     return _yes(P1, P2, X, alpha, beta, tol)
 
 

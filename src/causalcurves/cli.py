@@ -311,9 +311,18 @@ _COMMANDS = {
 }
 
 
+def _tolerance(text):
+    """argparse type of --tol: a finite, nonnegative float (NaN fails
+    the comparison)."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite nonnegative number, got {text!r}")
+    return value
+
+
 def _add_io_flags(sub):
     sub.add_argument("--input", help="read the JSON payload from PATH instead of stdin")
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="relative tolerance (default %(default)g)")
+    sub.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="relative tolerance (default %(default)g)")
     sub.add_argument("--pretty", action="store_true", help="indent the JSON output")
 
 
@@ -330,7 +339,7 @@ def build_parser():
     sub.add_argument("--name", choices=["dim4", "dim5"], required=True)
     sub.add_argument("--t", type=float, default=1.0, help="dim5 parameter t (nonzero)")
     sub.add_argument("--r", type=float, default=1.0, help="dim5 parameter r (nonzero)")
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sub.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     sub.add_argument("--pretty", action="store_true")
 
     for name, help_text in [

@@ -6,8 +6,8 @@ m <= ~10.  Matrices are plain float ndarrays; polynomials are coefficient
 arrays in ascending degree order (numpy's polynomial convention).
 
 There is one eigen kernel: :func:`sym_eig` is LAPACK's symmetric solver
-(``numpy.linalg.eigh``), and every predicate, square root and rank here
-goes through it.  Real roots of scalar polynomials come from the
+(``numpy.linalg.eigh``), and every predicate and square root here goes
+through it.  Real roots of scalar polynomials come from the
 eigenvalues of the companion matrix (``numpy.polynomial``), clustered so
 that a multiple root is reported once.
 """
@@ -119,15 +119,6 @@ def pd_inv_sqrt(S, tol=DEFAULT_TOL):
     if np.any(values <= tol * (1.0 + max_norm(S))):
         return None
     return symmetrize(vectors @ np.diag(values ** -0.5) @ vectors.T)
-
-
-def rank_tol(S, tol=DEFAULT_TOL):
-    """Number of eigenvalues with |lambda| > tol * (1 + max|S|)."""
-    S = symmetrize(S)
-    if S.size == 0:
-        return 0
-    values, _ = sym_eig(S)
-    return int(np.sum(np.abs(values) > tol * (1.0 + max_norm(S))))
 
 
 def congruence(S, X):

@@ -1,5 +1,6 @@
 """Reconstruction, certificates, spectral invariants, equivalence search."""
 
+import functools
 import io
 import json
 import sys
@@ -345,6 +346,33 @@ class TestAlmostEquivalent:
         assert verdict.is_yes
         assert verify_equivalence(small, P, verdict.certificate, 1e-6)
 
+    @pytest.mark.parametrize("m, k", [(2, 0), (3, 0), (5, 0), (3, 1)])
+    @pytest.mark.parametrize("alpha", [1e-5, 1e-6])
+    def test_small_c_is_not_singular(self, m, k, alpha):
+        # s -> alpha s shrinks C by alpha^2; membership keeps its rank, and
+        # the affine spectrum reads C's kernel on the same band.
+        rng = np.random.default_rng(7)
+        P = char_polynomial(random_manifold(rng, m=m, r=1, k=k, zero_eigs=0))
+        P2 = reparametrize(P, alpha, 0.0)
+        verdict = almost_equivalent(P, P2)
+        assert verdict.is_yes
+        assert verify_equivalence(P, P2, verdict.certificate, 1e-7)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_witness_matches_realized_route(self, rng, m):
+        # The witness from the analyses equals the one assembled from the
+        # realized manifold data of P1 and of the aligned P2.
+        for _ in range(5):
+            P1 = char_polynomial(random_manifold(rng, m=m, zero_eigs=0))
+            P2 = apply_certificate(P1, random_certificate(rng, m).inverse())
+            cert = almost_equivalent(P1, P2).certificate
+            n = 2 * m + 2
+            M1 = realize(P1, n)
+            M2 = realize(reparametrize(P2, cert.alpha, cert.beta), n)
+            f1, f2 = simple_spectrum_form(M1), simple_spectrum_form(M2)
+            X = np.linalg.solve(M2.lattice, f2.frame @ f1.frame.T @ M1.lattice)
+            assert np.array_equal(X, cert.X)
+
 
 def _rebind(monkeypatch, name, replacement):
     """Replace ``name`` in every module of the package that binds it."""
@@ -390,13 +418,16 @@ class TestMembershipDecidedOnce:
 
     def test_almost_equivalent_reduces_each_input_once(self, monkeypatch, rng):
         reductions = []
-        original = charpoly.reduce_degenerate
+        original = charpoly.ParabolaAnalysis.reduction.func
 
-        def counting(P, tol=symmat.DEFAULT_TOL):
-            reductions.append(P.dim)
-            return original(P, tol)
+        def counting(analysis):
+            if analysis.kernel.any():
+                reductions.append(analysis.P.dim)
+            return original(analysis)
 
-        _rebind(monkeypatch, "reduce_degenerate", counting)
+        counted = functools.cached_property(counting)
+        counted.__set_name__(charpoly.ParabolaAnalysis, "reduction")
+        monkeypatch.setattr(charpoly.ParabolaAnalysis, "reduction", counted)
         P = char_polynomial(random_manifold(rng, m=3, r=1, k=1, zero_eigs=0))
         P2 = apply_certificate(P, random_certificate(rng, 3).inverse())
         assert almost_equivalent(P, P2).is_yes
@@ -419,6 +450,16 @@ class TestMembershipDecidedOnce:
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["characteristic"] and result["poabc"] and result["schur_psd"]
         assert calls == [result["signature"]["m"]]
+
+    @pytest.mark.parametrize("m, r, k", [(3, 2, 0), (3, 1, 1)])
+    def test_almost_equivalent_builds_no_manifold(self, monkeypatch, rng, m, r, k):
+        def built(*args, **kwargs):
+            raise AssertionError("manifold data built on the equivalence path")
+
+        monkeypatch.setattr(classify, "build", built)
+        P = char_polynomial(random_manifold(rng, m=m, r=r, k=k, zero_eigs=0))
+        P2 = apply_certificate(P, random_certificate(rng, m).inverse())
+        assert almost_equivalent(P, P2).is_yes
 
 
 class TestEigensolverCounts:
@@ -451,12 +492,20 @@ class TestEigensolverCounts:
         assert self._count(eig_calls, lambda: _validate_parabola(monkeypatch, P, M.n)) <= 5
         assert json.loads(capsys.readouterr().out)["result"]["characteristic"]
 
+    def test_membership_degenerate(self, eig_calls, rng):
+        # C of the full parabola, then the definiteness of the constant
+        # block, then C, A, linearization, batched evaluation and G of the
+        # reduced parabola; the reduction reuses the eigenpairs of C.
+        M = random_manifold(rng, m=3, r=1, k=1, zero_eigs=0)
+        P = char_polynomial(M)
+        assert self._count(eig_calls, lambda: charpoly.is_characteristic(P, M.n)) <= 7
+
     def test_almost_equivalent_order_eight(self, eig_calls, rng):
         P = char_polynomial(random_manifold(rng, m=8, zero_eigs=0))
         P2 = apply_certificate(P, random_certificate(rng, 8).inverse())
         eig_calls.clear()
         assert almost_equivalent(P, P2).is_yes
-        assert len(eig_calls) <= 18
+        assert len(eig_calls) <= 16
 
 
 class TestSearchCertificate:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from causalcurves import MatrixParabola, check_positive_all_s
-from causalcurves.cli import main
+from causalcurves.cli import _COMMANDS, main
 
 CLI = [sys.executable, "-m", "causalcurves.cli"]
 
@@ -163,6 +163,20 @@ class TestExitCodes:
             CLI + ["realize"], input="{}", capture_output=True, text=True
         )  # missing required --n
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_is_two(self, capsys, tol):
+        required = {"example": ["--name", "dim4"], "validate-parabola": ["--n", "4"],
+                    "realize": ["--n", "4"]}
+        for command in _COMMANDS:
+            assert main([command, *required.get(command, []), "--tol", tol]) == 2
+            assert "argument --tol" in capsys.readouterr().err
+
+    def test_zero_tol_is_valid(self):
+        payload = {"A": [[1.0]], "B": [[0.0]], "C": [[1.0]]}
+        code, body = run_cli(["validate-parabola", "--n", "4", "--tol", "0"], payload)
+        assert code == 0
+        assert body["result"]["characteristic"] is True
 
     def test_unknown_subcommand_is_two(self):
         proc = subprocess.run(
