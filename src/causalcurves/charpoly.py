@@ -14,7 +14,9 @@ C = L^T (a'^2 + a''^T a'') L with L the lattice matrix.
 A parabola is characteristic for some manifold of ambient dimension n
 iff Q(s) > 0 for all real s, the Schur complement C - B A^{-1} B is
 positive semidefinite of rank r, and m + r + 2 <= n; kernel directions
-of C (which must also kill B) split off as an s-independent block.
+of C (which must also kill B) split off as an s-independent block.  The
+elliptic point B = C = 0 is no separate case: all of its directions
+are kernel directions, and the moving part left is the 0 x 0 parabola.
 
 Every criterion reads one :class:`ParabolaAnalysis` per parabola and
 tolerance: A^{-1/2}, the gauged coefficients B~ and C~, the eigenpairs
@@ -230,19 +232,21 @@ class ParabolaAnalysis:
         2m x 2m linearization [[0, I], [-C~, -2B~]].  One batched
         eigvalsh over the stacked Q(1/Re mu) then requires
         lambda_min(Q(1/Re mu)) > tol * (1 + max|Q(1/Re mu)|) for every
-        mu with |Re mu| > tol * (1 + max(max|B~|, max|C~|)); smaller mu
-        are singular points at s = infinity.  A tangency, where rounding
-        splits a real double eigenvalue into a complex pair, is still
-        caught because every real part is tested, and testing extra
-        points is safe since the check only ever evaluates Q.  Verdicts
-        inside the band resolve to False (strictness preserved).
+        mu with |Re mu| > tol * max|mu|; smaller mu are singular points
+        at s = infinity.  The floor scales like mu, by alpha under
+        s -> alpha s, so no reparametrization moves a genuine singular
+        point across it.  A tangency, where rounding splits a real double
+        eigenvalue into a complex pair, is still caught because every
+        real part is tested, and testing extra points is safe since the
+        check only ever evaluates Q.  Verdicts inside the band resolve
+        to False (strictness preserved).
         """
         if self.inv_root is None:
             return False
         B, C, m = self.B_t, self.C_t, self.P.dim
         companion = np.block([[np.zeros((m, m)), np.eye(m)], [-C, -2.0 * B]])
-        floor = self.tol * (1.0 + max(symmat.max_norm(B), symmat.max_norm(C)))
         mu = np.linalg.eigvals(companion)
+        floor = self.tol * np.max(np.abs(mu), initial=0.0)
         mu = mu.real[mu.imag >= 0.0]  # one of each conjugate pair
         q = self.P(1.0 / mu[np.abs(mu) > floor, None, None])
         band = self.tol * (1.0 + np.max(np.abs(q), axis=(1, 2), initial=0.0))
@@ -307,34 +311,38 @@ def reduce_degenerate(P: MatrixParabola, tol=DEFAULT_TOL) -> ReductionResult:
 
 
 def _verify_reduction(P, result, tol):
+    """Check X^T Q(s) X against the blocks at five points, stacked."""
     k = result.constant_block.shape[0]
-    for s in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        full = symmat.congruence(P(s), result.X)
-        expect = np.zeros_like(full)
-        expect[:k, :k] = result.constant_block
-        expect[k:, k:] = result.reduced(s)
-        bound = tol * (1.0 + symmat.max_norm(full))
-        if symmat.max_norm(full - expect) > bound:
-            raise InvalidCharacteristic(
-                f"reduction is not block-diagonal at s={s:g}"
-            )
+    s = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])[:, None, None]
+    full = result.X.T @ P(s) @ result.X
+    full = 0.5 * (full + full.transpose(0, 2, 1))
+    expect = np.zeros_like(full)
+    expect[:, :k, :k] = result.constant_block
+    expect[:, k:, k:] = result.reduced(s)
+    bound = tol * (1.0 + np.max(np.abs(full), axis=(1, 2), initial=0.0))
+    bad = np.max(np.abs(full - expect), axis=(1, 2), initial=0.0) > bound
+    if bad.any():
+        raise InvalidCharacteristic(
+            f"reduction is not block-diagonal at s={s[bad.argmax(), 0, 0]:g}"
+        )
 
 
 def _decide(analysis, n):
-    """(ok, signature) of the membership criteria, read from ``analysis``."""
-    P, m = analysis.P, analysis.P.dim
-    bound = analysis.tol * P.coeff_scale()
-    if symmat.max_norm(P.B) <= bound and symmat.max_norm(P.C) <= bound:  # elliptic point
-        if m + 2 <= n and analysis.inv_root is not None:
-            return True, Signature(n, m, 0, m)
-        return False, None
+    """(ok, signature) of the membership criteria, read from ``analysis``.
+
+    The constant directions (ker C) split off first; the elliptic point
+    is the case where they are all of T, leaving the 0 x 0 parabola.
+    """
+    m = analysis.P.dim
+    if m == 0:
+        return (True, Signature(n, 0, 0, 0)) if n >= 2 else (False, None)
     try:
         red = analysis.reduction
     except InvalidCharacteristic:
         return False, None
     if red is not None:
         k = red.constant_block.shape[0]
-        if red.reduced.dim == 0 or not symmat.is_pd(red.constant_block, analysis.tol):
+        if not symmat.is_pd(red.constant_block, analysis.tol):
             return False, None
         # The reduced parabola is tested at n - k, which enforces m + r + 2 <= n.
         ok, sub = _decide(analysis.reduced, n - k)
@@ -354,9 +362,12 @@ def is_characteristic(P: MatrixParabola, n, tol=DEFAULT_TOL):
     is None on rejection, and ``.analysis`` holds the parabola's
     :class:`ParabolaAnalysis` (with the reduction and the reduced
     parabola's analysis on degenerate input).  Degenerate C is reduced
-    first, contributing k = m - rank C; the elliptic point B = C = 0 is
-    accepted whenever A is definite and m + 2 <= n.  Nonelliptic
-    parabolas must report r >= 1.
+    first, on the band tol * max|C|: its kernel contributes
+    k = m - rank C and must carry a positive definite constant block.
+    The elliptic point is the reduction where ker C is everything
+    (C = 0 exactly, not merely small), with signature (n, m, 0, m); the
+    0 x 0 parabola is accepted at every n >= 2.  A parabola whose C has
+    full rank must report r >= 1.
     """
     analysis = ParabolaAnalysis(P, tol)
     return MembershipVerdict(*_decide(analysis, n), analysis)

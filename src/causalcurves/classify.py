@@ -6,7 +6,7 @@ integer unimodular X, alpha > 0 and real beta; allowing real invertible
 X instead gives the weaker notion of almost causal isometry (same data
 up to the choice of lattice).  This module can
 
-* rebuild manifold data realizing a valid parabola (``realize``),
+* rebuild manifold data realizing any member (``realize``),
 * apply and verify certificates (``apply_certificate``,
   ``verify_equivalence``),
 * compute the affine spectrum of B C^{-1}, an isometry invariant up to
@@ -20,7 +20,10 @@ up to the choice of lattice).  This module can
 Realization and equivalence read the :class:`ParabolaAnalysis` of the
 membership verdict: a' = B~, a'' = the rank-r root of G and the lattice
 A^{1/2}.  ``almost_equivalent`` compares normal forms built from those
-arrays directly, so it validates no manifold data.
+arrays directly, so it validates no manifold data.  Constant directions
+(k > 0) take one path in both: the analysis's reduction splits them off
+as a constant block, and the moving part is handled as a k = 0 member.
+The elliptic point is the case k = m, whose moving part is 0 x 0.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .construction import ManifoldData, Signature, build
 from .errors import (
     BadCertificate,
     CSingular,
-    DegenerateK,
     DimensionMismatch,
     NotCharacteristic,
     NotSimpleSpectrum,
@@ -202,24 +204,31 @@ def realize(P: MatrixParabola, n, tol=DEFAULT_TOL) -> ManifoldData:
     Normalizing by A^{-1/2} writes Q as a sum of squares
     A^{1/2}((1 + s B~)^2 + s^2 (C~ - B~^2)) A^{1/2}; the self-adjoint
     part is B~, the transverse part is any root of G = C~ - B~^2 of the
-    right rank, and the lattice matrix is A^{1/2}.  The composition with
-    char_polynomial is the identity on parabolas up to roundoff.  All
-    three factors come from the membership verdict's analysis.
+    right rank, and the lattice matrix is A^{1/2}.  A member with k > 0
+    constant directions is realized as its constant block K plus its
+    moving part: with X^T Q(s) X = blockdiag(K, Q_red(s)) from the
+    reduction, a' = blockdiag(0, a'_red), a'' = [0 | a''_red] and the
+    lattice is blockdiag(K^{1/2}, L_red) X^{-1}.  The elliptic point is
+    the case k = m: X is an orthonormal eigenbasis of C = 0 (the
+    identity, as LAPACK returns it) and the lattice is X^T A^{1/2}.  The
+    composition with char_polynomial is the identity on parabolas up to
+    roundoff.  Every factor comes from the membership verdict's analysis.
     """
     ok, sig = verdict = is_characteristic(P, n, tol)
     if not ok:
         raise NotCharacteristic(
             f"parabola fails the membership criteria at n={n}"
         )
-    analysis, m = verdict.analysis, P.dim
-    if sig.r == 0:
-        # Elliptic point: pure translations.
-        return build(sig.n, np.zeros((m, m)), np.zeros((0, m)), analysis.root, tol)
-    if sig.k > 0:
-        raise DegenerateK(
-            f"parabola has k={sig.k} constant directions; reduce before realizing"
-        )
-    return build(sig.n, analysis.B_t, _transverse_root(analysis, sig.r), analysis.root, tol)
+    analysis, m, r, k = verdict.analysis, P.dim, sig.r, sig.k
+    if k == 0:
+        return build(sig.n, analysis.B_t, _transverse_root(analysis, r), analysis.root, tol)
+    red, moving = analysis.reduction, analysis.reduced
+    a_prime, a_dblprime, lattice = np.zeros((m, m)), np.zeros((r, m)), np.zeros((m, m))
+    a_prime[k:, k:] = moving.B_t
+    a_dblprime[:, k:] = _transverse_root(moving, r)
+    lattice[:k, :k] = symmat.psd_sqrt(red.constant_block, tol)
+    lattice[k:, k:] = moving.root
+    return build(sig.n, a_prime, a_dblprime, lattice @ np.linalg.inv(red.X), tol)
 
 
 def _transverse_root(analysis, r):
@@ -349,10 +358,12 @@ def almost_equivalent(P1, P2, tol=DEFAULT_TOL, n=None) -> AlmostVerdict:
     spectra are nondegenerate the alignment (alpha, beta) is pinned by
     their endpoints and the simple-spectrum forms of (a', a'') =
     (B~, rank-r root of G) are compared, assembling an explicit witness
-    from the eigenvector frames and the A^{1/2} factors.  Degenerate or
-    non-simple spectra return unknown (except order one and the
-    elliptic point, which are decided in closed form); every yes is
-    re-verified numerically.
+    from the eigenvector frames and the A^{1/2} factors.  A signature
+    with k > 0 compares the moving parts and matches the constant
+    blocks by Cholesky factors; for the elliptic point (k = m) the
+    moving parts are 0 x 0 and always match.  Degenerate or non-simple
+    spectra return unknown (except order one, decided in closed form);
+    every yes is re-verified numerically.
     Membership is decided once per parabola, and its analysis supplies
     the affine spectra, P1's normal form and the reductions of a
     degenerate signature; only the aligned copy of P2 is analysed anew.
@@ -381,9 +392,9 @@ def _almost_equivalent_members(a1, a2, sig):
     """:func:`almost_equivalent` for two members of signature ``sig``,
     given their analyses."""
     P1, P2, tol = a1.P, a2.P, a1.tol
-    if sig.r == 0:
-        # Elliptic: all lattices are linearly equivalent.
-        return _yes(P1, P2, _chol_congruence(P1.A, P2.A), 1.0, 0.0, tol)
+    if P1.dim == 0:
+        # The moving part of the elliptic point.
+        return _yes(P1, P2, np.zeros((0, 0)), 1.0, 0.0, tol)
     if sig.k > 0:
         return _almost_equivalent_degenerate(a1, a2, sig)
     if P1.dim == 1:

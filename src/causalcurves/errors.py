@@ -83,11 +83,6 @@ class NotCharacteristic(CausalCurvesError):
     curves."""
 
 
-class DegenerateK(CausalCurvesError):
-    """Reconstruction requires a full-rank quadratic coefficient; reduce
-    the degenerate block first."""
-
-
 class CSingular(CausalCurvesError):
     """The quadratic coefficient is singular where it must be inverted."""
 

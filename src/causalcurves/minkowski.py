@@ -105,9 +105,3 @@ class LorentzFrame:
                 raise DimensionMismatch(f"R-component must have length {self.r}, got {r_part.shape}")
             v[self.m : self.m + self.r] = r_part
         return v
-
-    def t_part(self, v):
-        return self._check(v)[: self.m].copy()
-
-    def r_part(self, v):
-        return self._check(v)[self.m : self.m + self.r].copy()

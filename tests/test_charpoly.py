@@ -325,6 +325,29 @@ class TestIsCharacteristic:
         assert is_characteristic(P, 6) == (True, Signature(6, 2, 2, 0))
         assert is_characteristic(Q, 6) == (True, Signature(6, 2, 2, 0))
 
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-6, 1e-4, 1e4, 1e8, 1e9])
+    def test_contraction_and_expansion_scan(self, alpha):
+        # s -> alpha s scales C by alpha^2 and the linearization
+        # eigenvalues by alpha: members keep their signature (a small C
+        # is no elliptic point) and killed-eigenvector non-members stay
+        # rejected (the s = infinity floor scales with them).
+        rng = np.random.default_rng(8)
+        for m in range(1, 9):
+            for k in (0, 1) if m > 1 else (0,):
+                P = char_polynomial(random_manifold(rng, m=m, r=1 if k else None, k=k))
+                n = 2 * m + 2
+                verdict = is_characteristic(P, n)
+                assert verdict[0]
+                assert is_characteristic(reparametrize(P, alpha, 0.0), n) == verdict
+            if m > 1:
+                P = char_polynomial(unvalidated_manifold(*random_violating_arrays(rng, m=m)))
+                assert not is_characteristic(reparametrize(P, alpha, 0.0), 2 * m + 2)[0]
+
+    def test_contracted_member_is_not_elliptic(self):
+        P = char_polynomial(random_manifold(np.random.default_rng(7), m=2, r=1, k=0, zero_eigs=0))
+        Q = reparametrize(P, 1e-6, 0.0)
+        assert is_characteristic(Q, 6, 1e-6) == (True, Signature(6, 2, 1, 0))
+
     def test_rank_bookkeeping(self, rng):
         for _ in range(40):
             k = int(rng.integers(0, 2))

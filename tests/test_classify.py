@@ -11,7 +11,6 @@ import pytest
 from causalcurves import (
     BadCertificate,
     CSingular,
-    DegenerateK,
     EquivalenceCertificate,
     MatrixParabola,
     NonFiniteInput,
@@ -27,6 +26,7 @@ from causalcurves import (
     example_4d,
     example_5d,
     identity_certificate,
+    is_characteristic,
     realize,
     reparametrize,
     search_certificate,
@@ -83,10 +83,27 @@ class TestRealize:
         with pytest.raises(NotCharacteristic):
             realize(P, 6)
 
-    def test_rejects_degenerate(self):
+    def test_round_trip_constant_directions(self, rng):
+        # Members with k >= 1 are realized as constant block plus moving
+        # part, also after wide real certificates.
         P = MatrixParabola(np.diag([1.0, 2.0]), np.zeros((2, 2)), np.diag([1.0, 0.0]))
-        with pytest.raises(DegenerateK):
-            realize(P, 5)
+        M = realize(P, 5)
+        assert signature_of(M).as_tuple() == (5, 2, 1, 1)
+        assert char_polynomial(M).close_to(P, 1e-10)
+        for m in range(2, 9):
+            for _ in range(4):
+                k = int(rng.integers(1, m))
+                P = char_polynomial(random_manifold(rng, m=m, r=int(rng.integers(1, m - k + 1)), k=k))
+                cert = EquivalenceCertificate(
+                    random_real_invertible(rng, m), 10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(-50.0, 50.0)
+                )
+                Q = apply_certificate(P, cert)
+                n = 2 * m + 2
+                ok, sig = is_characteristic(Q, n)
+                assert ok and sig.k == k
+                M = realize(Q, n)
+                assert signature_of(M) == sig
+                assert char_polynomial(M).close_to(Q, 1e-8)
 
     def test_round_trip_random(self, rng):
         for _ in range(100):
@@ -208,8 +225,6 @@ class TestVerifyEquivalence:
             cert = random_certificate(rng, P.dim)
             P2 = apply_certificate(P, cert)
             n = 2 * P.dim + 2
-            from causalcurves import is_characteristic
-
             ok1, sig1 = is_characteristic(P, n)
             ok2, sig2 = is_characteristic(P2, n)
             assert ok1 and ok2 and sig1 == sig2
@@ -358,6 +373,14 @@ class TestAlmostEquivalent:
         assert verdict.is_yes
         assert verify_equivalence(P, P2, verdict.certificate, 1e-7)
 
+    def test_contracted_member_is_equivalent(self):
+        # A member contracted by s -> 1e-6 s is no elliptic point.
+        P = char_polynomial(random_manifold(np.random.default_rng(7), m=2, r=1, k=0, zero_eigs=0))
+        P2 = reparametrize(P, 1e-6, 0.0)
+        verdict = almost_equivalent(P, P2, 1e-6)
+        assert verdict.is_yes
+        assert verify_equivalence(P, P2, verdict.certificate, 1e-6)
+
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_witness_matches_realized_route(self, rng, m):
         # The witness from the analyses equals the one assembled from the
@@ -499,6 +522,14 @@ class TestEigensolverCounts:
         M = random_manifold(rng, m=3, r=1, k=1, zero_eigs=0)
         P = char_polynomial(M)
         assert self._count(eig_calls, lambda: charpoly.is_characteristic(P, M.n)) <= 7
+
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_membership_elliptic(self, eig_calls, rng, m):
+        # C, then the definiteness of the constant block; the 0 x 0
+        # moving part needs no decomposition.
+        M = random_elliptic(rng, m=m)
+        P = char_polynomial(M)
+        assert self._count(eig_calls, lambda: charpoly.is_characteristic(P, M.n)) <= 2
 
     def test_almost_equivalent_order_eight(self, eig_calls, rng):
         P = char_polynomial(random_manifold(rng, m=8, zero_eigs=0))

@@ -95,6 +95,18 @@ class TestGoldenPipes:
         assert body["result"]["constant_block"] == [[2.0]]
         assert body["result"]["reduced"] == {"A": [[1.0]], "B": [[0.0]], "C": [[1.0]]}
 
+    def test_realize_with_constant_direction(self):
+        payload = {
+            "A": [[1.0, 0.0], [0.0, 2.0]],
+            "B": [[0.0, 0.0], [0.0, 0.0]],
+            "C": [[1.0, 0.0], [0.0, 0.0]],
+        }
+        body = pipe([["realize", "--n", "5"], ["charpoly"]], payload=payload)
+        for key in ("A", "B", "C"):
+            np.testing.assert_allclose(
+                np.array(body["result"][key]), np.array(payload[key]), atol=1e-10
+            )
+
     def test_compare_and_search(self):
         P1 = pipe([["example", "--name", "dim4"], ["charpoly"]])["result"]
         P2 = {"A": [[4.0]], "B": [[2.0]], "C": [[2.0]]}  # 2 * (1 + (s+1)^2)
