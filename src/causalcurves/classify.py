@@ -156,20 +156,11 @@ class AffineSpectrum:
     degenerate: bool
     raw: np.ndarray
 
-    def matches(self, other, tol=SPECTRUM_TOL, allow_reflection=False):
-        """Equality of canonical forms.
-
-        ``allow_reflection`` also accepts orientation-reversing affine
-        alignments (time reversal), for the weaker spectral comparison.
-        """
+    def matches(self, other, tol=SPECTRUM_TOL):
+        """Equality of canonical forms."""
         if self.degenerate != other.degenerate or self.values.size != other.values.size:
             return False
-        if np.allclose(self.values, other.values, atol=tol):
-            return True
-        if allow_reflection:
-            reflected = (1.0 - other.values)[::-1]
-            return bool(np.allclose(self.values, reflected, atol=tol))
-        return False
+        return bool(np.allclose(self.values, other.values, atol=tol))
 
 
 def affine_spectrum(P: MatrixParabola, tol=DEFAULT_TOL) -> AffineSpectrum:

@@ -1,7 +1,7 @@
 """JSON-in / JSON-out command line front end.
 
-Every subcommand reads one JSON payload (from --input or stdin, except
-``example`` which takes flags only) and writes a response envelope
+Every subcommand except ``example`` reads one JSON payload (from
+--input or stdin) and writes a response envelope
 
     {"ok": true,  "error": null, "result": ...}
     {"ok": false, "error": {"code": ..., "message": ...}, "result": null}
@@ -14,6 +14,10 @@ byte.  A full envelope is accepted wherever a payload is expected (its
 ``result`` field is unwrapped), which makes subcommands pipeable:
 
     causalcurves example --name dim4 | causalcurves charpoly
+
+Each subcommand is declared once, in ``_COMMANDS``: a payload reader,
+a handler, a help text and its own flags.  The parser, the payload
+read and the envelope are written once for all of them.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,8 +40,9 @@ MALFORMED_EXIT = 2
 DOMAIN_EXIT = 1
 
 
-class _MalformedInput(Exception):
-    """Bad payload shape, unreadable JSON, or non-finite numbers."""
+class MalformedInput(Exception):
+    """Bad payload shape, unreadable or undecodable input, invalid JSON,
+    or non-finite numbers."""
 
 
 def _round_sig(x: float) -> float:
@@ -61,81 +67,89 @@ def _jsonify(obj):
 
 
 def _emit(payload, pretty=False):
-    indent = 2 if pretty else None
-    print(json.dumps(_jsonify(payload), sort_keys=True, indent=indent))
+    print(json.dumps(_jsonify(payload), sort_keys=True, indent=2 if pretty else None))
 
 
 def _reject_constant(name):
-    raise _MalformedInput(f"non-finite number {name!r} in input")
+    raise MalformedInput(f"non-finite number {name!r} in input")
 
 
-def _load_payload(args):
-    if getattr(args, "input", None):
-        try:
-            with open(args.input, "r", encoding="utf-8") as handle:
+def _load_payload(path):
+    """The JSON payload in the file at ``path``, or on stdin if it is
+    None; every way the text can fail to be JSON is malformed input."""
+    try:
+        if path:
+            with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise _MalformedInput(f"cannot read {args.input}: {exc}") from exc
-    else:
-        text = sys.stdin.read()
+        else:
+            text = sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"cannot decode input: {exc}") from exc
+    except OSError as exc:
+        raise MalformedInput(f"cannot read {path or 'stdin'}: {exc}") from exc
     try:
         payload = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise _MalformedInput(f"invalid JSON: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # json.loads recurses once per nesting level.
+        raise MalformedInput(f"invalid JSON: {exc}") from exc
     # Unwrap a piped response envelope.
     if isinstance(payload, dict) and "ok" in payload and "result" in payload:
         payload = payload["result"]
     if payload is None:
-        raise _MalformedInput("payload is null")
+        raise MalformedInput("payload is null")
     return payload
 
 
 def _matrix(payload, key, rows=None, cols=None, allow_empty=False):
     if key not in payload:
-        raise _MalformedInput(f"missing field {key!r}")
+        raise MalformedInput(f"missing field {key!r}")
     raw = payload[key]
     if not isinstance(raw, list):
-        raise _MalformedInput(f"field {key!r} must be a list of rows")
+        raise MalformedInput(f"field {key!r} must be a list of rows")
     if not raw:
         if allow_empty:
             return np.zeros((0, cols if cols else 0))
-        raise _MalformedInput(f"field {key!r} must not be empty")
+        raise MalformedInput(f"field {key!r} must not be empty")
     try:
         arr = np.array(raw, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise _MalformedInput(f"field {key!r} is not a numeric matrix: {exc}") from exc
+        raise MalformedInput(f"field {key!r} is not a numeric matrix: {exc}") from exc
     if arr.ndim != 2:
-        raise _MalformedInput(f"field {key!r} must be two-dimensional")
+        raise MalformedInput(f"field {key!r} must be two-dimensional")
     if not np.all(np.isfinite(arr)):
-        raise _MalformedInput(f"field {key!r} contains non-finite entries")
+        raise MalformedInput(f"field {key!r} contains non-finite entries")
     if rows is not None and arr.shape[0] != rows:
-        raise _MalformedInput(f"field {key!r} must have {rows} rows")
+        raise MalformedInput(f"field {key!r} must have {rows} rows")
     if cols is not None and arr.shape[1] != cols:
-        raise _MalformedInput(f"field {key!r} must have {cols} columns")
+        raise MalformedInput(f"field {key!r} must have {cols} columns")
     return arr
 
 
 def _number(payload, key):
     if key not in payload:
-        raise _MalformedInput(f"missing field {key!r}")
+        raise MalformedInput(f"missing field {key!r}")
     value = payload[key]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise _MalformedInput(f"field {key!r} must be a number")
+        raise MalformedInput(f"field {key!r} must be a number")
     if not math.isfinite(value):
-        raise _MalformedInput(f"field {key!r} is not finite")
+        raise MalformedInput(f"field {key!r} is not finite")
     return float(value)
 
 
 def _require_dict(payload, what="payload"):
     if not isinstance(payload, dict):
-        raise _MalformedInput(f"{what} must be a JSON object")
+        raise MalformedInput(f"{what} must be a JSON object")
     return payload
+
+
+# Payload readers: (JSON payload, tol) -> the handler's input.  Only
+# manifold data is validated against the tolerance.
 
 
 def _parse_manifold(payload, tol):
     payload = _require_dict(payload, "manifold payload")
     if not isinstance(payload.get("n"), int) or isinstance(payload["n"], bool):
-        raise _MalformedInput("field 'n' must be an integer")
+        raise MalformedInput("field 'n' must be an integer")
     a_prime = _matrix(payload, "a_prime")
     m = a_prime.shape[1]
     a_dbl = _matrix(payload, "a_dblprime", cols=m, allow_empty=True)
@@ -143,7 +157,7 @@ def _parse_manifold(payload, tol):
     return construction.build(payload["n"], a_prime, a_dbl, lattice, tol)
 
 
-def _parse_parabola(payload):
+def _parse_parabola(payload, tol=None):
     payload = _require_dict(payload, "parabola payload")
     A = _matrix(payload, "A")
     m = A.shape[0]
@@ -152,21 +166,25 @@ def _parse_parabola(payload):
     return MatrixParabola(A, B, C)
 
 
-def _parse_certificate(payload):
-    payload = _require_dict(payload, "certificate payload")
-    X = _matrix(payload, "X")
-    alpha = _number(payload, "alpha")
-    beta = _number(payload, "beta")
-    return EquivalenceCertificate(X, alpha, beta)
+def _parse_pair(payload, tol=None):
+    payload = _require_dict(payload)
+    if "P1" not in payload or "P2" not in payload:
+        raise MalformedInput("payload must carry fields 'P1' and 'P2'")
+    return _parse_parabola(payload["P1"]), _parse_parabola(payload["P2"])
+
+
+def _parse_certified_pair(payload, tol=None):
+    P1, P2 = _parse_pair(payload)
+    if "certificate" not in payload:
+        raise MalformedInput("payload must carry field 'certificate'")
+    cert = _require_dict(payload["certificate"], "certificate payload")
+    return P1, P2, EquivalenceCertificate(
+        _matrix(cert, "X"), _number(cert, "alpha"), _number(cert, "beta")
+    )
 
 
 def _manifold_dict(M):
-    return {
-        "n": M.n,
-        "a_prime": M.a_prime,
-        "a_dblprime": M.a_dblprime,
-        "lattice": M.lattice,
-    }
+    return {"n": M.n, "a_prime": M.a_prime, "a_dblprime": M.a_dblprime, "lattice": M.lattice}
 
 
 def _parabola_dict(P):
@@ -174,58 +192,43 @@ def _parabola_dict(P):
 
 
 def _signature_dict(sig):
-    if sig is None:
-        return None
-    return {"n": sig.n, "m": sig.m, "r": sig.r, "k": sig.k}
+    return None if sig is None else {"n": sig.n, "m": sig.m, "r": sig.r, "k": sig.k}
 
 
 def _certificate_dict(cert):
     if cert is None:
         return None
-    X = cert.X
-    if cert.integral:
-        X = np.round(X).astype(int)
+    X = np.round(cert.X).astype(int) if cert.integral else cert.X
     return {"X": X, "alpha": cert.alpha, "beta": cert.beta, "integral": cert.integral}
 
 
-def _cmd_example(args):
+# Handlers: (the reader's output, parsed flags) -> result.  They call
+# the library through module attributes at call time, so a rebound
+# library function (a tracer, a test double) is the one that runs.
+
+
+def _cmd_example(_, args):
     if args.name == "dim4":
-        M = construction.example_4d()
-    else:
-        M = construction.example_5d(args.t, args.r)
-    return _manifold_dict(M)
+        return _manifold_dict(construction.example_4d())
+    return _manifold_dict(construction.example_5d(args.t, args.r))
 
 
-def _cmd_validate_manifold(args):
-    M = _parse_manifold(_load_payload(args), args.tol)
-    sig = construction.signature_of(M, args.tol)
+def _cmd_validate_manifold(M, args):
     return {
         "valid": True,
-        "signature": _signature_dict(sig),
+        "signature": _signature_dict(construction.signature_of(M, args.tol)),
         "elliptic": M.elliptic,
         "free": construction.check_free(M),
         "euclidean_factor_dim": construction.euclidean_factor_dim(M),
     }
 
 
-def _cmd_charpoly(args):
-    M = _parse_manifold(_load_payload(args), args.tol)
-    return _parabola_dict(char_polynomial(M))
-
-
-def _cmd_signature(args):
-    M = _parse_manifold(_load_payload(args), args.tol)
-    return _signature_dict(construction.signature_of(M, args.tol))
-
-
-def _cmd_simple_form(args):
-    M = _parse_manifold(_load_payload(args), args.tol)
+def _cmd_simple_form(M, args):
     form = classify.simple_spectrum_form(M, args.tol)
     return {"eigenvalues": form.eigenvalues, "gram": form.gram}
 
 
-def _cmd_validate_parabola(args):
-    P = _parse_parabola(_load_payload(args))
+def _cmd_validate_parabola(P, args):
     ok, sig = verdict = is_characteristic(P, args.n, args.tol)
     analysis = verdict.analysis
     # The Schur condition needs A positive definite; it is null otherwise.
@@ -239,13 +242,7 @@ def _cmd_validate_parabola(args):
     }
 
 
-def _cmd_realize(args):
-    P = _parse_parabola(_load_payload(args))
-    return _manifold_dict(classify.realize(P, args.n, args.tol))
-
-
-def _cmd_reduce(args):
-    P = _parse_parabola(_load_payload(args))
+def _cmd_reduce(P, args):
     red = reduce_degenerate(P, args.tol)
     return {
         "k": red.constant_block.shape[0],
@@ -255,22 +252,13 @@ def _cmd_reduce(args):
     }
 
 
-def _cmd_invariants(args):
-    P = _parse_parabola(_load_payload(args))
+def _cmd_invariants(P, args):
     spectrum = classify.affine_spectrum(P, args.tol)
     return {"values": spectrum.values, "degenerate": spectrum.degenerate}
 
 
-def _parse_pair(payload):
-    payload = _require_dict(payload)
-    if "P1" not in payload or "P2" not in payload:
-        raise _MalformedInput("payload must carry fields 'P1' and 'P2'")
-    return _parse_parabola(payload["P1"]), _parse_parabola(payload["P2"])
-
-
-def _cmd_compare(args):
-    P1, P2 = _parse_pair(_load_payload(args))
-    verdict = classify.almost_equivalent(P1, P2, args.tol, args.n)
+def _cmd_compare(pair, args):
+    verdict = classify.almost_equivalent(*pair, args.tol, args.n)
     return {
         "verdict": verdict.verdict,
         "reason": verdict.reason,
@@ -278,37 +266,13 @@ def _cmd_compare(args):
     }
 
 
-def _cmd_certify(args):
-    payload = _require_dict(_load_payload(args))
-    P1, P2 = _parse_pair(payload)
-    if "certificate" not in payload:
-        raise _MalformedInput("payload must carry field 'certificate'")
-    cert = _parse_certificate(payload["certificate"])
-    return {
-        "equivalent": classify.verify_equivalence(P1, P2, cert, args.tol, args.n)
-    }
+def _cmd_certify(inputs, args):
+    return {"equivalent": classify.verify_equivalence(*inputs, args.tol, args.n)}
 
 
-def _cmd_search_cert(args):
-    P1, P2 = _parse_pair(_load_payload(args))
-    cert = classify.search_certificate(P1, P2, args.bound, args.tol)
+def _cmd_search_cert(pair, args):
+    cert = classify.search_certificate(*pair, args.bound, args.tol)
     return {"found": cert is not None, "certificate": _certificate_dict(cert)}
-
-
-_COMMANDS = {
-    "example": _cmd_example,
-    "validate-manifold": _cmd_validate_manifold,
-    "charpoly": _cmd_charpoly,
-    "validate-parabola": _cmd_validate_parabola,
-    "realize": _cmd_realize,
-    "reduce": _cmd_reduce,
-    "signature": _cmd_signature,
-    "invariants": _cmd_invariants,
-    "simple-form": _cmd_simple_form,
-    "compare": _cmd_compare,
-    "certify": _cmd_certify,
-    "search-cert": _cmd_search_cert,
-}
 
 
 def _tolerance(text):
@@ -320,10 +284,48 @@ def _tolerance(text):
     return value
 
 
-def _add_io_flags(sub):
-    sub.add_argument("--input", help="read the JSON payload from PATH instead of stdin")
-    sub.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="relative tolerance (default %(default)g)")
-    sub.add_argument("--pretty", action="store_true", help="indent the JSON output")
+class _Command(NamedTuple):
+    read: Callable | None  # (payload, tol) -> input; None: no payload
+    handle: Callable  # (input, args) -> result
+    help: str
+    flags: tuple = ()  # (flag, add_argument keywords) beyond --input/--tol/--pretty
+
+
+_N = ("--n", {"type": int, "required": True, "help": "ambient dimension"})
+_COMMON_N = ("--n", {"type": int, "default": None, "help": "common ambient dimension"})
+_EXAMPLE_FLAGS = (
+    ("--name", {"choices": ["dim4", "dim5"], "required": True}),
+    ("--t", {"type": float, "default": 1.0, "help": "dim5 parameter t (nonzero)"}),
+    ("--r", {"type": float, "default": 1.0, "help": "dim5 parameter r (nonzero)"}),
+)
+_BOUND = ("--bound", {"type": int, "default": 3, "help": "entry bound for X (1..5)"})
+
+_COMMANDS = {
+    "example": _Command(None, _cmd_example, "emit one of the built-in manifolds", _EXAMPLE_FLAGS),
+    "validate-manifold": _Command(
+        _parse_manifold, _cmd_validate_manifold, "validate manifold data and report its signature"),
+    "charpoly": _Command(
+        _parse_manifold, lambda M, args: _parabola_dict(char_polynomial(M)),
+        "extract the characteristic parabola of manifold data"),
+    "signature": _Command(
+        _parse_manifold, lambda M, args: _signature_dict(construction.signature_of(M, args.tol)),
+        "signature (n, m, r, k) of manifold data"),
+    "simple-form": _Command(
+        _parse_manifold, _cmd_simple_form, "simple-spectrum normal form of manifold data"),
+    "validate-parabola": _Command(
+        _parse_parabola, _cmd_validate_parabola, "membership test for characteristic parabolas", (_N,)),
+    "realize": _Command(
+        _parse_parabola, lambda P, args: _manifold_dict(classify.realize(P, args.n, args.tol)),
+        "reconstruct manifold data from a valid parabola", (_N,)),
+    "reduce": _Command(_parse_parabola, _cmd_reduce, "split off the s-independent block"),
+    "invariants": _Command(_parse_parabola, _cmd_invariants, "affine spectrum of a parabola"),
+    "compare": _Command(
+        _parse_pair, _cmd_compare, "almost-equivalence verdict for two parabolas", (_COMMON_N,)),
+    "certify": _Command(
+        _parse_certified_pair, _cmd_certify, "verify an equivalence certificate", (_COMMON_N,)),
+    "search-cert": _Command(
+        _parse_pair, _cmd_search_cert, "exhaustive integer certificate search (m <= 2)", (_BOUND,)),
+}
 
 
 def build_parser():
@@ -334,78 +336,33 @@ def build_parser():
         "reconstruction and equivalence testing over JSON.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("example", help="emit one of the built-in manifolds")
-    sub.add_argument("--name", choices=["dim4", "dim5"], required=True)
-    sub.add_argument("--t", type=float, default=1.0, help="dim5 parameter t (nonzero)")
-    sub.add_argument("--r", type=float, default=1.0, help="dim5 parameter r (nonzero)")
-    sub.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-    sub.add_argument("--pretty", action="store_true")
-
-    for name, help_text in [
-        ("validate-manifold", "validate manifold data and report its signature"),
-        ("charpoly", "extract the characteristic parabola of manifold data"),
-        ("signature", "signature (n, m, r, k) of manifold data"),
-        ("simple-form", "simple-spectrum normal form of manifold data"),
-    ]:
-        sub = subs.add_parser(name, help=help_text)
-        _add_io_flags(sub)
-
-    for name, help_text in [
-        ("validate-parabola", "membership test for characteristic parabolas"),
-        ("realize", "reconstruct manifold data from a valid parabola"),
-    ]:
-        sub = subs.add_parser(name, help=help_text)
-        sub.add_argument("--n", type=int, required=True, help="ambient dimension")
-        _add_io_flags(sub)
-
-    sub = subs.add_parser("reduce", help="split off the s-independent block")
-    _add_io_flags(sub)
-
-    sub = subs.add_parser("invariants", help="affine spectrum of a parabola")
-    _add_io_flags(sub)
-
-    sub = subs.add_parser("compare", help="almost-equivalence verdict for two parabolas")
-    sub.add_argument("--n", type=int, default=None, help="common ambient dimension")
-    _add_io_flags(sub)
-
-    sub = subs.add_parser("certify", help="verify an equivalence certificate")
-    sub.add_argument("--n", type=int, default=None, help="common ambient dimension")
-    _add_io_flags(sub)
-
-    sub = subs.add_parser("search-cert", help="exhaustive integer certificate search (m <= 2)")
-    sub.add_argument("--bound", type=int, default=3, help="entry bound for X (1..5)")
-    _add_io_flags(sub)
-
+    for name, command in _COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        for flag, options in command.flags:
+            sub.add_argument(flag, **options)
+        if command.read is not None:
+            sub.add_argument("--input", help="read the JSON payload from PATH instead of stdin")
+        sub.add_argument(
+            "--tol", type=_tolerance, default=DEFAULT_TOL, help="relative tolerance (default %(default)g)")
+        sub.add_argument("--pretty", action="store_true", help="indent the JSON output")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = _COMMANDS[args.command]
     try:
-        result = _COMMANDS[args.command](args)
-    except _MalformedInput as exc:
-        _emit(
-            {"ok": False, "error": {"code": "MalformedInput", "message": str(exc)}, "result": None},
-            args.pretty,
-        )
-        return MALFORMED_EXIT
-    except CausalCurvesError as exc:
-        _emit(
-            {
-                "ok": False,
-                "error": {"code": type(exc).__name__, "message": str(exc)},
-                "result": None,
-            },
-            args.pretty,
-        )
-        return DOMAIN_EXIT
-    _emit({"ok": True, "error": None, "result": result}, args.pretty)
-    return 0
+        data = None if command.read is None else command.read(_load_payload(args.input), args.tol)
+        envelope, code = {"ok": True, "error": None, "result": command.handle(data, args)}, 0
+    except (MalformedInput, CausalCurvesError) as exc:
+        error = {"code": type(exc).__name__, "message": str(exc)}
+        envelope = {"ok": False, "error": error, "result": None}
+        code = MALFORMED_EXIT if isinstance(exc, MalformedInput) else DOMAIN_EXIT
+    _emit(envelope, args.pretty)
+    return code
 
 
 def console_main():

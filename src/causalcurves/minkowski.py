@@ -33,8 +33,6 @@ class LorentzFrame:
     r: int
 
     def __post_init__(self):
-        if self.n < 4:
-            raise SignatureInconsistent(f"ambient dimension must be >= 4, got {self.n}")
         if self.m < 1 or self.r < 0:
             raise SignatureInconsistent(f"need m >= 1 and r >= 0, got m={self.m}, r={self.r}")
         if self.m + self.r + 2 > self.n:

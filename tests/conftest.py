@@ -96,8 +96,7 @@ def random_elliptic(rng, m=None, extra_dim=1):
     if m is None:
         m = int(rng.integers(1, 4))
     lattice = random_lattice(rng, m)
-    n = max(4, m + 2 + extra_dim)
-    return build(n, np.zeros((m, m)), np.zeros((0, m)), lattice)
+    return build(m + 2 + extra_dim, np.zeros((m, m)), np.zeros((0, m)), lattice)
 
 
 def random_violating_arrays(rng, m=None, r=None):

@@ -105,6 +105,26 @@ class TestRealize:
                 assert signature_of(M) == sig
                 assert char_polynomial(M).close_to(Q, 1e-8)
 
+    def test_realizes_wherever_characteristic(self, rng):
+        # Membership and realization share one floor for the ambient
+        # dimension, m + r + 2 <= n: down to n = 3 for an order-1
+        # elliptic member.
+        members = []
+        for m in (1, 2, 3):
+            members += [random_manifold(rng, m=m) for _ in range(4)]
+            members += [random_elliptic(rng, m=m, extra_dim=0) for _ in range(2)]
+            if m > 1:
+                members.append(random_manifold(rng, m=m, r=1, k=1))
+        for M in members:
+            P, (_, m, r, _) = char_polynomial(M), signature_of(M).as_tuple()
+            for n in range(m + r + 1, m + r + 4):
+                ok, sig = is_characteristic(P, n)
+                assert ok == (n >= m + r + 2)
+                if ok:
+                    realized = realize(P, n)
+                    assert signature_of(realized) == sig
+                    assert char_polynomial(realized).close_to(P, 1e-8)
+
     def test_round_trip_random(self, rng):
         for _ in range(100):
             P = random_characteristic_parabola(rng)
@@ -261,20 +281,6 @@ class TestAffineSpectrum:
             P = random_characteristic_parabola(rng)
             cert = random_certificate(rng, P.dim)
             assert affine_spectrum(P).matches(affine_spectrum(apply_certificate(P, cert)))
-
-    def test_reflection_mode(self):
-        spec = affine_spectrum(char_polynomial(example_5d(1, 1)))
-        # Reverse the parameter direction: spectrum flips.
-        flipped = AffineSpectrumFlip(spec)
-        assert spec.matches(flipped, allow_reflection=True)
-        if not spec.degenerate and spec.values.size > 2:
-            assert not spec.matches(flipped)
-
-
-def AffineSpectrumFlip(spec):
-    from causalcurves import AffineSpectrum
-
-    return AffineSpectrum((1.0 - spec.values)[::-1], spec.degenerate, -spec.raw[::-1])
 
 
 class TestSimpleSpectrumForm:

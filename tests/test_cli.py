@@ -1,8 +1,11 @@
 """End-to-end CLI behavior: JSON envelopes, exit codes, pipeability."""
 
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +127,85 @@ class TestGoldenPipes:
         assert body["result"]["equivalent"] is True
 
 
+# The pipelines of README "Command line" and the lines it documents.
+README_PIPES = [
+    (
+        [["example", "--name", "dim4"], ["charpoly"]],
+        None,
+        '{"error": null, "ok": true, "result": {"A": [[1.0]], "B": [[0.0]], "C": [[1.0]]}}',
+    ),
+    (
+        [["example", "--name", "dim5", "--t", "2", "--r", "1"], ["charpoly"], ["realize", "--n", "5"], ["signature"]],
+        None,
+        '{"error": null, "ok": true, "result": {"k": 0, "m": 2, "n": 5, "r": 1}}',
+    ),
+    (
+        [["validate-parabola", "--n", "6"]],
+        '{"A": [[1,0],[0,1]], "B": [[1,0],[0,1]], "C": [[1,0.5],[0.5,1]]}',
+        '{"error": null, "ok": true, "result": {"characteristic": false, "poabc": false, '
+        '"schur_psd": false, "schur_rank": 2, "signature": null}}',
+    ),
+]
+
+DIM5 = {"n": 5, "a_prime": [[0.0, 0.0], [0.0, 1.0]], "a_dblprime": [[2.0, 1.0]], "lattice": [[1.0, 0.0], [0.0, 1.0]]}
+DIM5_PARABOLA = {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[0.0, 0.0], [0.0, 1.0]], "C": [[4.0, 2.0], [2.0, 2.0]]}
+UNIT = {"A": [[1.0]], "B": [[0.0]], "C": [[1.0]]}
+# One successful invocation per subcommand: its flags and its payload
+# (None: the subcommand reads none).
+SAMPLES = {
+    "example": (["--name", "dim5", "--t", "2", "--r", "1"], None),
+    "validate-manifold": ([], DIM5),
+    "charpoly": ([], DIM5),
+    "signature": ([], DIM5),
+    "simple-form": ([], DIM5),
+    "validate-parabola": (["--n", "5"], DIM5_PARABOLA),
+    "realize": (["--n", "5"], DIM5_PARABOLA),
+    "reduce": ([], {"A": [[1.0, 0.0], [0.0, 2.0]], "B": [[0.0, 0.0], [0.0, 0.0]], "C": [[1.0, 0.0], [0.0, 0.0]]}),
+    "invariants": ([], DIM5_PARABOLA),
+    "compare": (["--n", "4"], {"P1": UNIT, "P2": {"A": [[4.0]], "B": [[2.0]], "C": [[2.0]]}}),
+    "certify": ([], {"P1": UNIT, "P2": UNIT, "certificate": {"X": [[1]], "alpha": 1.0, "beta": 0.0}}),
+    "search-cert": (["--bound", "2"], {"P1": UNIT, "P2": UNIT}),
+}
+
+
+class TestFlagRule:
+    """Every payload subcommand takes --input/--tol/--pretty; example
+    takes no payload."""
+
+    @staticmethod
+    def call(args, stdin_text, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        code = main(args)
+        return code, capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_input_and_pretty(self, command, tmp_path, monkeypatch, capsys):
+        flags, payload = SAMPLES[command]
+        text = "" if payload is None else json.dumps(payload)
+        code, plain = self.call([command, *flags, "--tol", "1e-9"], text, monkeypatch, capsys)
+        assert code == 0 and json.loads(plain)["ok"] is True
+        code, pretty = self.call([command, *flags, "--pretty"], text, monkeypatch, capsys)
+        assert code == 0 and pretty != plain and json.loads(pretty) == json.loads(plain)
+        path = tmp_path / "payload.json"
+        path.write_text(text, encoding="utf-8")
+        code, from_file = self.call([command, *flags, "--input", str(path)], "", monkeypatch, capsys)
+        if payload is None:
+            assert code == 2 and from_file == ""
+        else:
+            assert code == 0 and from_file == plain
+
+    @pytest.mark.parametrize("stages, stdin_text, line", README_PIPES)
+    def test_readme_pipelines(self, stages, stdin_text, line):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        assert f"# {line}\n" in readme
+        text = stdin_text
+        for args in stages:
+            proc = subprocess.run(CLI + args, input=text, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            text = proc.stdout
+        assert text == line + "\n"
+
+
 class TestExitCodes:
     def test_domain_error_is_one(self):
         payload = {
@@ -145,6 +227,26 @@ class TestExitCodes:
     def test_malformed_json_is_two(self):
         proc = subprocess.run(
             CLI + ["charpoly"], input="{not json", capture_output=True, text=True
+        )
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["code"] == "MalformedInput"
+
+    def test_undecodable_input_is_two(self, tmp_path):
+        path = tmp_path / "payload.json"
+        path.write_bytes(b'{"n": 4, "a_prime": [[\xd0\x00]]}')
+        code, body = run_cli(["charpoly", "--input", str(path)])
+        assert code == 2
+        assert body["error"]["code"] == "MalformedInput"
+        proc = subprocess.run(
+            CLI + ["charpoly"], input=b"\xff{}", capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+        )
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["code"] == "MalformedInput"
+
+    def test_deep_nesting_is_two(self):
+        proc = subprocess.run(
+            CLI + ["charpoly"], input="[" * 100000, capture_output=True, text=True
         )
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["error"]["code"] == "MalformedInput"

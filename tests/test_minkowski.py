@@ -107,8 +107,10 @@ class TestProjection:
 
 class TestFrameValidation:
     def test_rejects_small_dimension(self):
+        # m + r + 2 <= n with m >= 1 is the only floor: n = 3 holds (3, 1, 0).
+        assert LorentzFrame(3, 1, 0).dim_euclidean == 0
         with pytest.raises(SignatureInconsistent):
-            LorentzFrame(3, 1, 0)
+            LorentzFrame(2, 1, 0)
 
     def test_rejects_overfull_split(self):
         with pytest.raises(SignatureInconsistent):
