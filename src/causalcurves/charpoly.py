@@ -75,10 +75,8 @@ class MatrixParabola:
         return self.A + 2.0 * s * self.B + s * s * self.C
 
     def coeff_scale(self):
-        """1 + largest absolute entry across the three coefficients."""
-        return 1.0 + max(
-            symmat.max_norm(self.A), symmat.max_norm(self.B), symmat.max_norm(self.C)
-        )
+        """Largest absolute entry across the three coefficients."""
+        return max(symmat.max_norm(self.A), symmat.max_norm(self.B), symmat.max_norm(self.C))
 
     def close_to(self, other, tol=DEFAULT_TOL):
         """Coefficient-wise comparison at tol relative to this parabola."""
@@ -206,7 +204,7 @@ class ParabolaAnalysis:
         if not kernel.any():
             return None
         U = self.c_eig.vectors[:, kernel]
-        if symmat.max_norm(P.B @ U) > tol * (1.0 + symmat.max_norm(P.B)):
+        if symmat.max_norm(P.B @ U) > tol * symmat.max_norm(P.B):
             raise InvalidCharacteristic(
                 "B does not vanish on ker C; no manifold produces this parabola"
             )
@@ -228,18 +226,23 @@ class ParabolaAnalysis:
 
         Equivalent to Q(0) = A being definite together with Q(s) never
         becoming singular for real s (eigenvalues move continuously in
-        s).  Q(1/mu) is singular exactly when mu is an eigenvalue of the
+        s).  Q(s) is congruent to Q~(s) = I + 2s B~ + s^2 C~, which is
+        singular at s = 1/mu exactly when mu is an eigenvalue of the
         2m x 2m linearization [[0, I], [-C~, -2B~]].  One batched
-        eigvalsh over the stacked Q(1/Re mu) then requires
-        lambda_min(Q(1/Re mu)) > tol * (1 + max|Q(1/Re mu)|) for every
-        mu with |Re mu| > tol * max|mu|; smaller mu are singular points
-        at s = infinity.  The floor scales like mu, by alpha under
-        s -> alpha s, so no reparametrization moves a genuine singular
-        point across it.  A tangency, where rounding splits a real double
-        eigenvalue into a complex pair, is still caught because every
-        real part is tested, and testing extra points is safe since the
-        check only ever evaluates Q.  Verdicts inside the band resolve
-        to False (strictness preserved).
+        eigvalsh over the stacked Q~(1/Re mu) then requires
+        lambda_min(Q~(s)) > tol * max(1, 2|s| max|B~|, s^2 max|C~|),
+        the largest of its three terms (1 = max|I|), for every mu with
+        |Re mu| > tol * max|mu|; smaller mu are singular points at
+        s = infinity.  Reading Q~ rather than Q keeps the band on the
+        terms Q~ is summed from, so a tangency (Q~(s) ~ 0) is measured
+        against them and not against its own small value, and no entry
+        overflows for finite input.  The s = infinity floor scales like
+        mu, by alpha under s -> alpha s, so no reparametrization moves a
+        genuine singular point across it.  A tangency, where rounding
+        splits a real double eigenvalue into a complex pair, is still
+        caught because every real part is tested, and testing extra
+        points is safe since the check only ever evaluates Q~.  Verdicts
+        inside the band resolve to False (strictness preserved).
         """
         if self.inv_root is None:
             return False
@@ -248,9 +251,11 @@ class ParabolaAnalysis:
         mu = np.linalg.eigvals(companion)
         floor = self.tol * np.max(np.abs(mu), initial=0.0)
         mu = mu.real[mu.imag >= 0.0]  # one of each conjugate pair
-        q = self.P(1.0 / mu[np.abs(mu) > floor, None, None])
-        band = self.tol * (1.0 + np.max(np.abs(q), axis=(1, 2), initial=0.0))
-        return bool(np.all(np.linalg.eigvalsh(q) > band[:, None]))
+        s = 1.0 / mu[np.abs(mu) > floor, None, None]
+        q = np.eye(m) + 2.0 * s * B + s * s * C
+        terms = np.maximum(2.0 * np.abs(s) * symmat.max_norm(B), s * s * symmat.max_norm(C))
+        band = self.tol * np.maximum(1.0, terms)
+        return bool(np.all(np.linalg.eigvalsh(q) > band[:, 0]))
 
     @cached_property
     def schur(self) -> SchurResult:
@@ -311,20 +316,19 @@ def reduce_degenerate(P: MatrixParabola, tol=DEFAULT_TOL) -> ReductionResult:
 
 
 def _verify_reduction(P, result, tol):
-    """Check X^T Q(s) X against the blocks at five points, stacked."""
+    """Check X^T S X against blockdiag(constant block, reduced S) for
+    S = A, and blockdiag(0, reduced S) for S = B, C, each at
+    tol * max|S|: Q(s) is block diagonal for every s exactly when its
+    three coefficients are."""
     k = result.constant_block.shape[0]
-    s = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])[:, None, None]
-    full = result.X.T @ P(s) @ result.X
-    full = 0.5 * (full + full.transpose(0, 2, 1))
-    expect = np.zeros_like(full)
-    expect[:, :k, :k] = result.constant_block
-    expect[:, k:, k:] = result.reduced(s)
-    bound = tol * (1.0 + np.max(np.abs(full), axis=(1, 2), initial=0.0))
-    bad = np.max(np.abs(full - expect), axis=(1, 2), initial=0.0) > bound
+    coeffs = np.stack([P.A, P.B, P.C])
+    expect = np.zeros_like(coeffs)
+    expect[0, :k, :k] = result.constant_block
+    expect[:, k:, k:] = (result.reduced.A, result.reduced.B, result.reduced.C)
+    error = np.max(np.abs(result.X.T @ coeffs @ result.X - expect), axis=(1, 2), initial=0.0)
+    bad = error > tol * np.max(np.abs(coeffs), axis=(1, 2), initial=0.0)
     if bad.any():
-        raise InvalidCharacteristic(
-            f"reduction is not block-diagonal at s={s[bad.argmax(), 0, 0]:g}"
-        )
+        raise InvalidCharacteristic(f"reduction is not block-diagonal in {'ABC'[bad.argmax()]}")
 
 
 def _decide(analysis, n):

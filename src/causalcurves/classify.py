@@ -49,6 +49,11 @@ from .symmat import DEFAULT_TOL
 #: Comparison tolerance for canonicalized spectra and normal forms;
 #: looser than DEFAULT_TOL because canonicalization divides by spreads.
 SPECTRUM_TOL = 1e-7
+#: The relative part of the normal-form comparisons (numpy's default,
+#: made explicit): it, not SPECTRUM_TOL, decides entries above about
+#: 0.01.  It absorbs the digits that the aligned copy of the second
+#: parabola loses to cancellation in A + 2 beta B + beta^2 C.
+_SPECTRUM_RTOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -160,7 +165,7 @@ class AffineSpectrum:
         """Equality of canonical forms."""
         if self.degenerate != other.degenerate or self.values.size != other.values.size:
             return False
-        return bool(np.allclose(self.values, other.values, atol=tol))
+        return bool(np.allclose(self.values, other.values, rtol=_SPECTRUM_RTOL, atol=tol))
 
 
 def affine_spectrum(P: MatrixParabola, tol=DEFAULT_TOL) -> AffineSpectrum:
@@ -183,8 +188,7 @@ def _affine_spectrum(analysis):
         raise CSingular("C must be positive definite for the affine spectrum")
     mu, _ = symmat.sym_eig(symmat.congruence(P.B, c_vectors / np.sqrt(c_values)))
     spread = float(mu[-1] - mu[0])
-    scale = 1.0 + float(np.max(np.abs(mu)))
-    if spread <= tol * scale:
+    if spread <= tol * symmat.max_norm(mu):
         return AffineSpectrum(np.zeros_like(mu), True, mu)
     return AffineSpectrum((mu - mu[0]) / spread, False, mu)
 
@@ -247,11 +251,11 @@ class SimpleSpectrumForm:
     def matches(self, other, tol=SPECTRUM_TOL):
         if self.eigenvalues.size != other.eigenvalues.size:
             return False
-        scale = 1.0 + float(np.max(np.abs(self.eigenvalues)))
-        if not np.allclose(self.eigenvalues, other.eigenvalues, atol=tol * scale):
+        atol = tol * symmat.max_norm(self.eigenvalues)
+        if not np.allclose(self.eigenvalues, other.eigenvalues, rtol=_SPECTRUM_RTOL, atol=atol):
             return False
-        gscale = 1.0 + symmat.max_norm(self.gram)
-        return bool(np.allclose(self.gram, other.gram, atol=tol * gscale))
+        atol = tol * symmat.max_norm(self.gram)
+        return bool(np.allclose(self.gram, other.gram, rtol=_SPECTRUM_RTOL, atol=atol))
 
 
 def simple_spectrum_form(M: ManifoldData, tol=DEFAULT_TOL) -> SimpleSpectrumForm:
@@ -268,14 +272,13 @@ def simple_spectrum_form(M: ManifoldData, tol=DEFAULT_TOL) -> SimpleSpectrumForm
 def _simple_spectrum(a_prime, a_dblprime, tol):
     """:func:`simple_spectrum_form` of the arrays a' and a''."""
     values, vectors = symmat.sym_eig(a_prime)
-    scale = 1.0 + float(np.max(np.abs(values)))
-    if np.any(np.diff(values) <= tol * scale):
+    if np.any(np.diff(values) <= tol * symmat.max_norm(values)):
         raise NotSimpleSpectrum("a_prime has a repeated eigenvalue at this tolerance")
     images = a_dblprime @ vectors
     gram = symmat.symmetrize(images.T @ images)
     m = values.size
     signs = np.ones(m)
-    gbound = tol * (1.0 + symmat.max_norm(gram))
+    gbound = tol * symmat.max_norm(gram)
     for i in range(1, m):
         for j in range(i):
             if abs(gram[i, j]) > gbound:

@@ -113,11 +113,10 @@ class ManifoldData:
 
 def _freeness_violation(a_prime, a_dblprime, tol=FREENESS_TOL):
     """First eigen-cluster of a' with nonzero eigenvalue on which a''
-    drops rank, or None.  Eigenvalues within tol*scale are clustered so
-    multiple eigenvalues are tested as one eigenspace."""
+    drops rank, or None.  Eigenvalues within tol * max|eigenvalue| are
+    clustered so multiple eigenvalues are tested as one eigenspace."""
     values, vectors = symmat.sym_eig(a_prime)
-    scale = 1.0 + float(np.max(np.abs(values))) if values.size else 1.0
-    band = tol * scale
+    band = tol * symmat.max_norm(values)
     i = 0
     m = values.size
     while i < m:
@@ -132,8 +131,7 @@ def _freeness_violation(a_prime, a_dblprime, tol=FREENESS_TOL):
                 if block.size
                 else 0.0
             )
-            a_scale = 1.0 + symmat.max_norm(a_dblprime)
-            if block.shape[0] < (j - i) or smin <= tol * a_scale:
+            if block.shape[0] < (j - i) or smin <= tol * symmat.max_norm(a_dblprime):
                 return t, vectors[:, i], smin
         i = j
     return None
@@ -171,7 +169,7 @@ def build(n, a_prime, a_dblprime, lattice, tol=DEFAULT_TOL):
     frame = LorentzFrame(n, m, r)
 
     skew = symmat.max_norm(a_prime - a_prime.T)
-    if skew > tol * (1.0 + symmat.max_norm(a_prime)):
+    if skew > tol * symmat.max_norm(a_prime):
         raise NotSymmetric(
             f"a_prime deviates from symmetry by {skew:.3e}; the structure map "
             "must be ell-symmetric"
@@ -179,7 +177,7 @@ def build(n, a_prime, a_dblprime, lattice, tol=DEFAULT_TOL):
     a_prime = symmat.symmetrize(a_prime)
 
     sv = np.linalg.svd(lattice, compute_uv=False)
-    if sv[-1] <= tol * (1.0 + sv[0]):
+    if sv[-1] <= tol * sv[0]:
         raise NotPositiveDefinite(
             "lattice generators are linearly dependent; their Gram matrix is "
             "not positive definite"
@@ -187,7 +185,7 @@ def build(n, a_prime, a_dblprime, lattice, tol=DEFAULT_TOL):
 
     if r > 0:
         dsv = np.linalg.svd(a_dbl, compute_uv=False)
-        if int(np.sum(dsv > tol * (1.0 + dsv[0]))) < r:
+        if int(np.sum(dsv > tol * dsv[0])) < r:
             raise RankDeficientR(
                 f"a_dblprime has rank below {r}; its rows do not span R"
             )
@@ -256,8 +254,7 @@ def signature_of(M: ManifoldData, tol=DEFAULT_TOL):
     """(n, m, r, k) with k = dim(ker a' intersect ker a'')."""
     stacked = np.vstack([M.a_prime, M.a_dblprime])
     sv = np.linalg.svd(stacked, compute_uv=False)
-    scale = 1.0 + (float(sv[0]) if sv.size else 0.0)
-    rank = int(np.sum(sv > tol * scale))
+    rank = int(np.sum(sv > tol * symmat.max_norm(sv)))
     return Signature(M.n, M.m, M.r, M.m - rank)
 
 
@@ -283,7 +280,7 @@ def recover_a_from_holonomy(frame: LorentzFrame, lambdas, tol=DEFAULT_TOL):
                 f"holonomy matrix {i} must be {frame.n}x{frame.n}, got {lam.shape}"
             )
         drift = float(np.max(np.abs(lam @ frame.v0 - frame.v0)))
-        if drift > tol * (1.0 + symmat.max_norm(lam)):
+        if drift > tol * symmat.max_norm(lam):
             raise InconsistentHolonomy(
                 f"holonomy matrix {i} moves v0 by {drift:.3e}"
             )
@@ -291,10 +288,10 @@ def recover_a_from_holonomy(frame: LorentzFrame, lambdas, tol=DEFAULT_TOL):
     a_prime = a_cols[:m, :]
     a_dbl = a_cols[m : m + frame.r, :]
     tail = a_cols[m + frame.r :, :]
-    if tail.size and symmat.max_norm(tail) > tol * (1.0 + symmat.max_norm(a_cols)):
+    if tail.size and symmat.max_norm(tail) > tol * symmat.max_norm(a_cols):
         raise InconsistentHolonomy("recovered map leaks into the Euclidean factor")
     skew = symmat.max_norm(a_prime - a_prime.T)
-    if skew > tol * (1.0 + symmat.max_norm(a_prime)):
+    if skew > tol * symmat.max_norm(a_prime):
         raise InconsistentHolonomy(
             f"recovered a_prime deviates from symmetry by {skew:.3e}"
         )

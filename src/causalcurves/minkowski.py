@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SignatureInconsistent
-from .symmat import DEFAULT_TOL
+from .symmat import DEFAULT_TOL, max_norm
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,12 @@ class LorentzFrame:
     def in_cone(self, v, tol=DEFAULT_TOL):
         """Membership in the chosen closed cone nappe.
 
-        Requires ell(v, v) >= -tol together with the orientation
-        functional z_{n-1} + z_n >= 0, which is positive on the open
-        nappe containing both v0 and v1.
+        Requires ell(v, v) >= -tol * max|v|^2 together with the
+        orientation functional z_{n-1} + z_n >= 0, which is positive on
+        the open nappe containing both v0 and v1.
         """
         v = self._check(v)
-        return bool(self.ell(v, v) >= -tol and v[-2] + v[-1] >= 0.0)
+        return bool(self.ell(v, v) >= -tol * max_norm(v) ** 2 and v[-2] + v[-1] >= 0.0)
 
     def proj_N(self, v):
         """Orthogonal projection onto N: zero the last two coordinates."""

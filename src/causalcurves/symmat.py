@@ -52,15 +52,16 @@ def as_square(S, name="matrix"):
 
 
 def symmetrize(S):
-    """Exactly symmetric copy of a square matrix: (S + S^T)/2."""
-    S = as_square(S)
-    return 0.5 * (S + S.T)
+    """Exactly symmetric copy of a square matrix: S/2 + S^T/2, halved
+    before adding so that no finite entry overflows."""
+    half = 0.5 * as_square(S)
+    return half + half.T
 
 
 def max_norm(S):
     """Largest absolute entry; the scale used by relative tolerances."""
     S = np.asarray(S, dtype=float)
-    return 0.0 if S.size == 0 else float(np.max(np.abs(S)))
+    return 0.0 if S.size == 0 else float(np.abs(S).max())
 
 
 def require_finite(S, name="matrix"):
@@ -78,7 +79,7 @@ def sym_eig(S):
 
 
 def is_pd(S, tol=DEFAULT_TOL):
-    """Strict positive definiteness: min eigenvalue > tol * (1 + max|S|).
+    """Strict positive definiteness: min eigenvalue > tol * max|S|.
 
     Verdicts inside the tolerance band resolve to False; boundary cases
     never count as definite.
@@ -87,18 +88,18 @@ def is_pd(S, tol=DEFAULT_TOL):
     if S.size == 0:
         return True
     values, _ = sym_eig(S)
-    return bool(values[0] > tol * (1.0 + max_norm(S)))
+    return bool(values[0] > tol * max_norm(S))
 
 
 def psd_sqrt(S, tol=DEFAULT_TOL):
     """Nonnegative square root of a PSD matrix.
 
-    Eigenvalues in [-tol*scale, 0) are clamped to zero; anything more
+    Eigenvalues in [-tol * max|S|, 0) are clamped to zero; anything more
     negative raises :class:`NotPSD`.
     """
     S = symmetrize(S)
     values, vectors = sym_eig(S)
-    floor = -tol * (1.0 + max_norm(S))
+    floor = -tol * max_norm(S)
     if values[0] < floor:
         raise NotPSD(
             f"matrix has negative eigenvalue {values[0]:.3e} beyond tolerance"
@@ -111,12 +112,12 @@ def pd_inv_sqrt(S, tol=DEFAULT_TOL):
     """Inverse square root of a positive definite matrix.
 
     Returns None unless S is positive definite in the sense of
-    :func:`is_pd` (min eigenvalue > tol * (1 + max|S|)); callers
+    :func:`is_pd` (min eigenvalue > tol * max|S|); callers
     translate None into their own error (SingularA, CSingular, ...).
     """
     S = symmetrize(S)
     values, vectors = sym_eig(S)
-    if np.any(values <= tol * (1.0 + max_norm(S))):
+    if np.any(values <= tol * max_norm(S)):
         return None
     return symmetrize(vectors @ np.diag(values ** -0.5) @ vectors.T)
 
@@ -129,8 +130,7 @@ def congruence(S, X):
         raise DimensionMismatch(
             f"congruence needs X with {S.shape[0]} rows, got shape {X.shape}"
         )
-    out = X.T @ S @ X
-    return 0.5 * (out + out.T)
+    return symmetrize(X.T @ S @ X)
 
 
 def trim_poly(coeffs, rel_tol=_COEFF_TRIM_REL):

@@ -292,13 +292,16 @@ class TestIsCharacteristic:
         unimodular=st.booleans(),
         log_alpha=st.floats(-3.0, 3.0),
         beta=st.floats(-50.0, 50.0),
+        scale=st.sampled_from([1.0, 1e-12, 1e-9, 1e9]),
     )
     def test_verdict_invariant_under_wide_certificates(
-        self, seed, order, member, unimodular, log_alpha, beta
+        self, seed, order, member, unimodular, log_alpha, beta, scale
     ):
         # Members and freeness-violating non-members keep their verdict
-        # and signature under X^T Q(alpha s + beta) X with alpha in
-        # [1e-3, 1e3], at orders 1-3 (order None) and at orders 5 and 8.
+        # and signature under scale * X^T Q(alpha s + beta) X with alpha
+        # in [1e-3, 1e3], at orders 1-3 (order None) and at orders 5 and
+        # 8.  A band with an absolute term rejects every member at
+        # scale 1e-12.
         rng = np.random.default_rng(seed)
         if member:
             M = random_manifold(rng, m=order)
@@ -307,6 +310,7 @@ class TestIsCharacteristic:
         P = char_polynomial(M)
         X = random_unimodular(rng, P.dim) if unimodular else random_real_invertible(rng, P.dim)
         Q = apply_certificate(P, EquivalenceCertificate(X, 10.0**log_alpha, beta))
+        Q = MatrixParabola(scale * Q.A, scale * Q.B, scale * Q.C)
         n = 2 * P.dim + 2
         assert is_characteristic(Q, n) == is_characteristic(P, n)
         assert check_positive_all_s(Q) == check_positive_all_s(P)
@@ -329,8 +333,10 @@ class TestIsCharacteristic:
     def test_contraction_and_expansion_scan(self, alpha):
         # s -> alpha s scales C by alpha^2 and the linearization
         # eigenvalues by alpha: members keep their signature (a small C
-        # is no elliptic point) and killed-eigenvector non-members stay
-        # rejected (the s = infinity floor scales with them).
+        # is no elliptic point), and killed-eigenvector non-members (the
+        # s = infinity floor scales with them) and non-members whose B
+        # does not vanish on ker C (B U is read relative to max|B|) stay
+        # rejected.
         rng = np.random.default_rng(8)
         for m in range(1, 9):
             for k in (0, 1) if m > 1 else (0,):
@@ -341,6 +347,11 @@ class TestIsCharacteristic:
                 assert is_characteristic(reparametrize(P, alpha, 0.0), n) == verdict
             if m > 1:
                 P = char_polynomial(unvalidated_manifold(*random_violating_arrays(rng, m=m)))
+                assert not is_characteristic(reparametrize(P, alpha, 0.0), 2 * m + 2)[0]
+                P = char_polynomial(random_manifold(rng, m=m, r=1, k=1))
+                u = np.linalg.eigh(P.C)[1][:, 0]  # C is PSD: its kernel comes first
+                w = rng.standard_normal(m)
+                P = MatrixParabola(P.A, P.B + 1e-2 * (np.outer(u, w) + np.outer(w, u)), P.C)
                 assert not is_characteristic(reparametrize(P, alpha, 0.0), 2 * m + 2)[0]
 
     def test_contracted_member_is_not_elliptic(self):

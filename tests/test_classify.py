@@ -379,6 +379,22 @@ class TestAlmostEquivalent:
         assert verdict.is_yes
         assert verify_equivalence(P, P2, verdict.certificate, 1e-7)
 
+    @pytest.mark.parametrize("m, k", [(1, 0), (2, 0), (3, 0), (5, 0), (3, 1)])
+    @pytest.mark.parametrize("copy", ["scaled", "expanded"])
+    def test_scaled_and_expanded_copies(self, m, k, copy):
+        # 1e-12 Q and Q(1e9 s) are equivalent to Q.  Bands with an
+        # absolute term rejected the first as a non-member and found the
+        # affine spectrum of the second degenerate.
+        rng = np.random.default_rng(30)
+        P = char_polynomial(random_manifold(rng, m=m, r=1, k=k, zero_eigs=0))
+        if copy == "scaled":
+            P2 = MatrixParabola(1e-12 * P.A, 1e-12 * P.B, 1e-12 * P.C)
+        else:
+            P2 = reparametrize(P, 1e9, 0.0)
+        verdict = almost_equivalent(P, P2)
+        assert verdict.is_yes
+        assert verify_equivalence(P, P2, verdict.certificate, 1e-7)
+
     def test_contracted_member_is_equivalent(self):
         # A member contracted by s -> 1e-6 s is no elliptic point.
         P = char_polynomial(random_manifold(np.random.default_rng(7), m=2, r=1, k=0, zero_eigs=0))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,26 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["error"]["code"] == "MalformedInput"
+
+    @pytest.mark.parametrize("A, B, C", [
+        ([[1.0]], [[0.0]], [[1.0]]),
+        ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.1]], [[1.0, 0.0], [0.0, 1.0]]),
+        ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]),
+    ])
+    def test_largest_finite_entries(self, A, B, C, tmp_path, capsys):
+        # Entries near 1e308 decide like the same parabola at 1e300,
+        # without overflow warnings.
+        bodies = []
+        for scale in (1e308, 1e300):
+            path = tmp_path / "payload.json"
+            path.write_text(json.dumps({key: (scale * np.array(S)).tolist()
+                                        for key, S in zip("ABC", (A, B, C))}))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(["validate-parabola", "--n", "6", "--input", str(path)]) == 0
+            bodies.append(json.loads(capsys.readouterr().out))
+        assert bodies[0] == bodies[1]
+        assert bodies[0]["result"]["characteristic"] is True
 
     def test_nan_rejected(self):
         proc = subprocess.run(

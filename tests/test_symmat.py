@@ -83,7 +83,7 @@ class TestPredicates:
     def test_strictness_near_boundary(self):
         # Min eigenvalue sits exactly at the tolerance threshold: false.
         eps = 1e-9
-        assert not symmat.is_pd(np.diag([2.0 * eps, 1.0]), tol=eps)
+        assert not symmat.is_pd(np.diag([eps, 1.0]), tol=eps)
 
 
 class TestPsdSqrt:
