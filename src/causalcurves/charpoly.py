@@ -19,19 +19,31 @@ elliptic point B = C = 0 is no separate case: all of its directions
 are kernel directions, and the moving part left is the 0 x 0 parabola.
 
 Every criterion reads one :class:`ParabolaAnalysis` per parabola and
-tolerance: A^{-1/2}, the gauged coefficients B~ and C~, the eigenpairs
-of G = C~ - B~^2 and of C, each computed once, and the reduction of a
-degenerate C built from those eigenpairs.  ``is_characteristic``
-returns that analysis with its verdict, so ``realize``,
-``almost_equivalent`` and the CLI read it instead of decomposing again;
-``check_positive_all_s``, ``schur_condition`` and ``reduce_degenerate``
-are views of a fresh analysis.
+tolerance, whose attributes are each computed once.  Membership is
+decided in the C-gauge: from the eigenpairs of C (which also give the
+reduction of a degenerate C), of W^T B W and the eigenvalues of H,
+
+    F^T Q(s) F = (s + diag mu)^2 + H,   F^T C F = I.
+
+H has the inertia of the Schur complement C - B A^{-1} B (both are
+Schur complements of [[A, B], [B, C]]), and given H >= 0 the parabola
+is positive for all s iff H is definite on every eigenspace of diag mu
+(the Popov-Belevitch-Hautus test, i.e. freeness).  A k = 0 member thus
+costs three symmetric eigendecompositions, plus one per repeated
+eigenvalue of mu.  The A-gauge (A^{-1/2}, B~, C~ and the eigenpairs of
+G = C~ - B~^2) serves ``realize`` and the diagnostics on inputs the
+C-gauge cannot decide.  ``is_characteristic`` returns the analysis with
+its verdict, so ``realize``, ``almost_equivalent`` and the CLI read it
+instead of decomposing again; ``check_positive_all_s``,
+``schur_condition`` and ``reduce_degenerate`` are views of a fresh
+analysis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,6 +124,22 @@ class ReductionResult:
     reduced: MatrixParabola
 
 
+class CGauge(NamedTuple):
+    """The normal form F^T Q(s) F = (s + diag mu)^2 + H of a parabola
+    with C positive definite, where F^T C F = I.
+
+    ``h`` holds the eigenvalues of H in ascending order, and ``size``
+    is max(max|F^T A F|, max|mu|^2), the size of the operands
+    H = F^T A F - diag(mu^2) is computed from; its bands are tol * size.
+    """
+
+    F: np.ndarray
+    mu: np.ndarray
+    H: np.ndarray
+    h: np.ndarray
+    size: float
+
+
 def char_polynomial(M: ManifoldData) -> MatrixParabola:
     """Extract the characteristic parabola of manifold data."""
     L = M.lattice
@@ -141,16 +169,23 @@ def q_direct(M: ManifoldData, z, v):
 class ParabolaAnalysis:
     """The decompositions of one parabola that every criterion reads.
 
-    In the gauge of A^{-1/2} the parabola is a sum of squares
+    Membership and equivalence read the C-gauge (:class:`CGauge`): with
+    W = V lambda^{-1/2} from the eigenpairs (lambda, V) of C, the
+    eigenpairs (mu, U) of W^T B W and F = W U,
+
+        F^T Q(s) F = (s + diag mu)^2 + H,   H = F^T A F - diag(mu^2).
+
+    C is the leading coefficient, so the gauge does not move under
+    s -> s + beta, and H is the Schur complement of C in [[A, B], [B, C]]
+    (in the gauge), with the inertia of D = C - B A^{-1} B.  Inputs
+    the C-gauge cannot decide (C not positive definite, or H
+    indefinite) and ``realize`` read the A-gauge instead:
 
         Q(s) = A^{1/2} ((I + s B~)^2 + s^2 G) A^{1/2},   G = C~ - B~^2,
 
-    with B~ = A^{-1/2} B A^{-1/2} and C~ = A^{-1/2} C A^{-1/2}.
-    Positivity, the Schur condition, the reduction of a degenerate C,
-    realization and the equivalence invariants all read A^{-1/2}, B~,
-    C~, the eigenpairs of G and those of C.  Each attribute is computed
-    on first use and kept; the gauge attributes need A positive definite
-    (``inv_root`` not None).
+    with B~ = A^{-1/2} B A^{-1/2} and C~ = A^{-1/2} C A^{-1/2}.  Each
+    attribute is computed on first use and kept; the A-gauge attributes
+    need A positive definite (``inv_root`` not None).
     """
 
     def __init__(self, P: MatrixParabola, tol=DEFAULT_TOL):
@@ -190,6 +225,21 @@ class ParabolaAnalysis:
         return np.abs(self.c_eig.values) <= self.tol * symmat.max_norm(self.P.C)
 
     @cached_property
+    def c_gauge(self):
+        """The :class:`CGauge`, or None unless C is positive definite
+        beyond the ``kernel`` band."""
+        values, vectors = self.c_eig
+        if self.P.dim == 0 or self.kernel.any() or values[0] < 0.0:
+            return None
+        W = vectors / np.sqrt(values)
+        mu, U = symmat.sym_eig(symmat.congruence(self.P.B, W))
+        F = W @ U
+        A_hat = symmat.congruence(self.P.A, F)
+        H = A_hat - np.diag(mu * mu)
+        size = max(symmat.max_norm(A_hat), symmat.max_norm(mu) ** 2)
+        return CGauge(F, mu, H, np.linalg.eigvalsh(H), size)
+
+    @cached_property
     def reduction(self):
         """The :class:`ReductionResult` splitting off ker C, None when C
         has full rank.
@@ -224,10 +274,20 @@ class ParabolaAnalysis:
     def positive(self):
         """Whether Q(s) is positive definite for every real s.
 
-        Equivalent to Q(0) = A being definite together with Q(s) never
-        becoming singular for real s (eigenvalues move continuously in
-        s).  Q(s) is congruent to Q~(s) = I + 2s B~ + s^2 C~, which is
-        singular at s = 1/mu exactly when mu is an eigenvalue of the
+        In the C-gauge with H positive semidefinite,
+        v^T F^T Q(s) F v = |(s + diag mu) v|^2 + v^T H v, so Q(s) is
+        singular for some real s exactly when an eigenvector of diag mu
+        lies in ker H: the Popov-Belevitch-Hautus test, which is the
+        freeness condition.  The mu are clustered at tol * max|mu|, and
+        on each cluster lambda_min of the H-block (its diagonal entry
+        for a simple eigenvalue) must clear the band tol * max(max|F^T A F|,
+        max|mu|^2).
+
+        Otherwise (no C-gauge, or H indefinite) the A-gauge decides:
+        Q(0) = A must be definite, and Q(s) must never become singular
+        for real s (eigenvalues move continuously in s).  Q(s) is
+        congruent to Q~(s) = I + 2s B~ + s^2 C~, which is singular at
+        s = 1/mu exactly when mu is an eigenvalue of the
         2m x 2m linearization [[0, I], [-C~, -2B~]].  One batched
         eigvalsh over the stacked Q~(1/Re mu) then requires
         lambda_min(Q~(s)) > tol * max(1, 2|s| max|B~|, s^2 max|C~|),
@@ -244,6 +304,10 @@ class ParabolaAnalysis:
         points is safe since the check only ever evaluates Q~.  Verdicts
         inside the band resolve to False (strictness preserved).
         """
+        g = self.c_gauge
+        if g is not None and self.inertia[0]:
+            cells = symmat.clusters(g.mu, self.tol * symmat.max_norm(g.mu))
+            return all(_lambda_min(g.H[c, c]) > self.tol * g.size for c in cells)
         if self.inv_root is None:
             return False
         B, C, m = self.B_t, self.C_t, self.P.dim
@@ -258,24 +322,39 @@ class ParabolaAnalysis:
         return bool(np.all(np.linalg.eigvalsh(q) > band[:, 0]))
 
     @cached_property
-    def schur(self) -> SchurResult:
-        """D = C - B A^{-1} B with the PSD verdict and rank of G.
+    def inertia(self):
+        """(PSD, rank) of D = C - B A^{-1} B.
 
-        D = A^{1/2} G A^{1/2} is congruent to G, so both are read from
-        the eigenvalues of G, against the purely relative band
-        tol * max(max|C~|, max|B~|^2): both terms scale like G, by
-        alpha^2 under s -> alpha s, where a band with an absolute term
-        swallows genuine eigenvalues once alpha is small.  D is
-        formed as C - (A^{-1/2} B)^T (A^{-1/2} B).  Raises SingularA
-        unless A is positive definite.
+        D and H are the two Schur complements of [[A, B], [B, C]], so
+        with A and C definite they share their inertia: where the
+        C-gauge exists, both are read from the eigenvalues of H against
+        tol * size.  Otherwise they are read from G, to which
+        D = A^{1/2} G A^{1/2} is congruent, against
+        tol * max(max|C~|, max|B~|^2).
+        """
+        g = self.c_gauge
+        if g is not None:
+            values, band = g.h, self.tol * g.size
+        else:
+            values = self.g_eig.values
+            band = self.tol * max(symmat.max_norm(self.C_t), symmat.max_norm(self.B_t) ** 2)
+        return bool(np.all(values >= -band)), int(np.sum(np.abs(values) > band))
+
+    @cached_property
+    def schur(self) -> SchurResult:
+        """D = C - B A^{-1} B with its PSD verdict and rank
+        (:attr:`inertia`).  D is formed as C - (A^{-1/2} B)^T (A^{-1/2} B).
+        Raises SingularA unless A is positive definite.
         """
         if self.inv_root is None:
             raise SingularA("constant coefficient A is not positive definite at this tolerance")
-        values = self.g_eig.values
-        band = self.tol * max(symmat.max_norm(self.C_t), symmat.max_norm(self.B_t) ** 2)
         half = self.inv_root @ self.P.B
-        D = symmat.symmetrize(self.P.C - half.T @ half)
-        return SchurResult(D, bool(np.all(values >= -band)), int(np.sum(np.abs(values) > band)))
+        return SchurResult(symmat.symmetrize(self.P.C - half.T @ half), *self.inertia)
+
+
+def _lambda_min(S):
+    """Smallest eigenvalue of a symmetric block; a 1 x 1 block is its entry."""
+    return S[0, 0] if S.shape[0] == 1 else np.linalg.eigvalsh(S)[0]
 
 
 class MembershipVerdict(tuple):
@@ -353,10 +432,10 @@ def _decide(analysis, n):
         if not ok or sub.k != 0:
             return False, None
         return True, Signature(n, m, sub.r, k)
-    schur = analysis.schur if analysis.positive else None
-    if schur is None or not schur.psd or schur.rank == 0 or m + schur.rank + 2 > n:
+    psd, rank = (False, 0) if analysis.c_gauge is None else analysis.inertia
+    if not psd or rank == 0 or m + rank + 2 > n or not analysis.positive:
         return False, None
-    return True, Signature(n, m, schur.rank, 0)
+    return True, Signature(n, m, rank, 0)
 
 
 def is_characteristic(P: MatrixParabola, n, tol=DEFAULT_TOL):
@@ -371,7 +450,10 @@ def is_characteristic(P: MatrixParabola, n, tol=DEFAULT_TOL):
     The elliptic point is the reduction where ker C is everything
     (C = 0 exactly, not merely small), with signature (n, m, 0, m); the
     0 x 0 parabola is accepted at every n >= 2.  A parabola whose C has
-    full rank must report r >= 1.
+    full rank is decided in its C-gauge: C must be positive definite,
+    the rank r >= 1 and PSD-ness of the Schur complement are read from
+    the eigenvalues of H, and positivity by the Hautus test, all against
+    tol * max(max|F^T A F|, max|mu|^2).
     """
     analysis = ParabolaAnalysis(P, tol)
     return MembershipVerdict(*_decide(analysis, n), analysis)

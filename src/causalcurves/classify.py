@@ -11,19 +11,20 @@ up to the choice of lattice).  This module can
   ``verify_equivalence``),
 * compute the affine spectrum of B C^{-1}, an isometry invariant up to
   orientation-preserving affine maps of the parameter,
-* compute the simple-spectrum normal form (eigenvalues of the
-  self-adjoint part plus the Gram matrix of transverse images),
-* decide almost-equivalence where the invariants allow it
-  (``almost_equivalent``), and
+* compute the simple-spectrum normal form of manifold data (eigenvalues
+  of the self-adjoint part plus the Gram matrix of transverse images),
+* decide almost-equivalence (``almost_equivalent``) by the normal form
+  (s + diag mu)^2 + H of each member's C-gauge, and
 * exhaustively search tiny integer certificates (``search_certificate``).
 
-Realization and equivalence read the :class:`ParabolaAnalysis` of the
-membership verdict: a' = B~, a'' = the rank-r root of G and the lattice
-A^{1/2}.  ``almost_equivalent`` compares normal forms built from those
-arrays directly, so it validates no manifold data.  Constant directions
-(k > 0) take one path in both: the analysis's reduction splits them off
-as a constant block, and the moving part is handled as a k = 0 member.
-The elliptic point is the case k = m, whose moving part is 0 x 0.
+Realization reads the A-gauge of the membership verdict's
+:class:`ParabolaAnalysis`: a' = B~, a'' = the rank-r root of G and the
+lattice A^{1/2}.  ``almost_equivalent`` reads its C-gauge, so it
+validates no manifold data and analyses no parabola beyond the two
+membership decisions.  Constant directions (k > 0) take one path in
+both: the analysis's reduction splits them off as a constant block, and
+the moving part is handled as a k = 0 member.  The elliptic point is the
+case k = m, whose moving part is 0 x 0.
 """
 
 from __future__ import annotations
@@ -49,11 +50,6 @@ from .symmat import DEFAULT_TOL
 #: Comparison tolerance for canonicalized spectra and normal forms;
 #: looser than DEFAULT_TOL because canonicalization divides by spreads.
 SPECTRUM_TOL = 1e-7
-#: The relative part of the normal-form comparisons (numpy's default,
-#: made explicit): it, not SPECTRUM_TOL, decides entries above about
-#: 0.01.  It absorbs the digits that the aligned copy of the second
-#: parabola loses to cancellation in A + 2 beta B + beta^2 C.
-_SPECTRUM_RTOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -122,9 +118,12 @@ def apply_certificate(P: MatrixParabola, cert: EquivalenceCertificate) -> Matrix
     )
 
 
-def _common_signature_n(P: MatrixParabola):
-    # r <= m always, so 2m + 2 accommodates every signature of order m.
-    return 2 * P.dim + 2
+def _common_n(P1, P2, n):
+    """The ambient dimension of a pair of equal order m: ``n``, or
+    2m + 2, which accommodates every signature of order m (r <= m)."""
+    if P1.dim != P2.dim:
+        raise DimensionMismatch(f"parabolas have different orders {P1.dim} and {P2.dim}")
+    return 2 * P1.dim + 2 if n is None else n
 
 
 def verify_equivalence(P1, P2, cert, tol=DEFAULT_TOL, n=None):
@@ -134,12 +133,7 @@ def verify_equivalence(P1, P2, cert, tol=DEFAULT_TOL, n=None):
     dimension with equal signatures and P1 agrees coefficient-wise with
     the certificate applied to P2 at tol relative to P1's scale.
     """
-    if P1.dim != P2.dim:
-        raise DimensionMismatch(
-            f"parabolas have different orders {P1.dim} and {P2.dim}"
-        )
-    if n is None:
-        n = _common_signature_n(P1)
+    n = _common_n(P1, P2, n)
     ok1, sig1 = is_characteristic(P1, n, tol)
     ok2, sig2 = is_characteristic(P2, n, tol)
     if not (ok1 and ok2) or sig1 != sig2:
@@ -161,11 +155,18 @@ class AffineSpectrum:
     degenerate: bool
     raw: np.ndarray
 
+    @property
+    def size(self):
+        """max|raw| / spread, the size of the operands of the canonical
+        values (1 for a degenerate spectrum)."""
+        return 1.0 if self.degenerate else symmat.max_norm(self.raw) / np.ptp(self.raw)
+
     def matches(self, other, tol=SPECTRUM_TOL):
-        """Equality of canonical forms."""
+        """Equality of canonical forms at tol times the larger size."""
         if self.degenerate != other.degenerate or self.values.size != other.values.size:
             return False
-        return bool(np.allclose(self.values, other.values, rtol=_SPECTRUM_RTOL, atol=tol))
+        band = tol * max(self.size, other.size)
+        return bool(np.all(np.abs(self.values - other.values) <= band))
 
 
 def affine_spectrum(P: MatrixParabola, tol=DEFAULT_TOL) -> AffineSpectrum:
@@ -178,19 +179,17 @@ def affine_spectrum(P: MatrixParabola, tol=DEFAULT_TOL) -> AffineSpectrum:
 
 
 def _affine_spectrum(analysis):
-    """:func:`affine_spectrum` from the eigenpairs (lambda, V) of C held
-    by ``analysis``: C^{-1/2} B C^{-1/2} is orthogonally similar to the
-    congruence of B by V lambda^{-1/2}.  C counts as singular on the
+    """:func:`affine_spectrum` from the C-gauge of ``analysis``:
+    C^{-1/2} B C^{-1/2} is orthogonally similar to W^T B W, whose
+    eigenvalues the gauge holds.  C counts as singular on the
     analysis's ker C band, the rule membership uses."""
-    P, tol = analysis.P, analysis.tol
-    c_values, c_vectors = analysis.c_eig
-    if P.dim == 0 or analysis.kernel.any() or c_values[0] < 0.0:
+    g = analysis.c_gauge
+    if g is None:
         raise CSingular("C must be positive definite for the affine spectrum")
-    mu, _ = symmat.sym_eig(symmat.congruence(P.B, c_vectors / np.sqrt(c_values)))
-    spread = float(mu[-1] - mu[0])
-    if spread <= tol * symmat.max_norm(mu):
-        return AffineSpectrum(np.zeros_like(mu), True, mu)
-    return AffineSpectrum((mu - mu[0]) / spread, False, mu)
+    spread = float(g.mu[-1] - g.mu[0])
+    if spread <= analysis.tol * symmat.max_norm(g.mu):
+        return AffineSpectrum(np.zeros_like(g.mu), True, g.mu)
+    return AffineSpectrum((g.mu - g.mu[0]) / spread, False, g.mu)
 
 
 def realize(P: MatrixParabola, n, tol=DEFAULT_TOL) -> ManifoldData:
@@ -248,46 +247,70 @@ class SimpleSpectrumForm:
     gram: np.ndarray
     frame: np.ndarray = field(compare=False, repr=False)
 
-    def matches(self, other, tol=SPECTRUM_TOL):
-        if self.eigenvalues.size != other.eigenvalues.size:
-            return False
-        atol = tol * symmat.max_norm(self.eigenvalues)
-        if not np.allclose(self.eigenvalues, other.eigenvalues, rtol=_SPECTRUM_RTOL, atol=atol):
-            return False
-        atol = tol * symmat.max_norm(self.gram)
-        return bool(np.allclose(self.gram, other.gram, rtol=_SPECTRUM_RTOL, atol=atol))
-
 
 def simple_spectrum_form(M: ManifoldData, tol=DEFAULT_TOL) -> SimpleSpectrumForm:
     """Normal form of manifolds whose a' has pairwise distinct eigenvalues.
 
     The Gram matrix is determined up to conjugation by diagonal signs
-    (eigenvectors are defined up to sign); the greedy canonicalization
-    makes the first usable entry of each row positive, scanning earlier
-    columns in order.
+    (eigenvectors are defined up to sign); :func:`_signs` fixes them.
     """
-    return _simple_spectrum(M.a_prime, M.a_dblprime, tol)
-
-
-def _simple_spectrum(a_prime, a_dblprime, tol):
-    """:func:`simple_spectrum_form` of the arrays a' and a''."""
-    values, vectors = symmat.sym_eig(a_prime)
+    values, vectors = symmat.sym_eig(M.a_prime)
     if np.any(np.diff(values) <= tol * symmat.max_norm(values)):
         raise NotSimpleSpectrum("a_prime has a repeated eigenvalue at this tolerance")
-    images = a_dblprime @ vectors
+    images = M.a_dblprime @ vectors
     gram = symmat.symmetrize(images.T @ images)
-    m = values.size
-    signs = np.ones(m)
-    gbound = tol * symmat.max_norm(gram)
-    for i in range(1, m):
-        for j in range(i):
-            if abs(gram[i, j]) > gbound:
-                if gram[i, j] < 0.0:
-                    gram[i, :] *= -1.0
-                    gram[:, i] *= -1.0
-                    signs[i] = -1.0
-                break
-    return SimpleSpectrumForm(values, gram, vectors * signs)
+    signs = _signs(gram, tol * symmat.max_norm(gram))
+    return SimpleSpectrumForm(values, gram * np.outer(signs, signs), vectors * signs)
+
+
+def _signs(S, band):
+    """Signs d with d_i S_ij d_j > 0 along a breadth-first forest of the
+    entries |S_ij| > band: each tree grows from its smallest index, with
+    sign +1, through all of its rows' entries in index order.  The forest
+    depends only on which entries clear the band, so d S d is the same
+    for every sign-conjugate of S."""
+    signs = np.zeros(S.shape[0])
+    for root in range(signs.size):
+        if signs[root] == 0.0:
+            signs[root] = 1.0
+            queue = [root]
+            for i in queue:
+                for j in np.flatnonzero((np.abs(S[i]) > band) & (signs == 0.0)):
+                    signs[j] = signs[i] * np.sign(S[i, j])
+                    queue.append(j)
+    return signs
+
+
+def _normal_form(analysis, spectrum):
+    """(H, band, G, scale) of a k = 0 member with affine spectrum
+    ``spectrum``, before its signs are fixed: G^T C G = I and
+    G^T Q(s) G = (s + diag mu)^2 + scale^2 H, and ``band`` is the
+    resolution of H.
+
+    The orthogonal maps that keep diag mu fixed are block diagonal over
+    the clusters of the canonical spectrum (at SPECTRUM_TOL times its
+    size, the band of :meth:`AffineSpectrum.matches`); on each
+    proper cluster the frame F of the C-gauge is rotated by the
+    eigenbasis of H's block.  The scale is the spread of mu, or
+    sqrt(max|eigenvalue of H|) when the spectrum is degenerate.  The
+    band is SPECTRUM_TOL times the gauge's operand size over scale^2,
+    plus the error that dividing by scale^2 carries: twice the
+    spectrum's band (the relative error of the spread) times max|H|.
+    Raises NotSimpleSpectrum when a proper cluster's H-block has a
+    repeated eigenvalue at SPECTRUM_TOL times the operand size: the
+    block's eigenbasis is then not unique.
+    """
+    g = analysis.c_gauge
+    R = np.eye(g.mu.size)
+    for c in symmat.clusters(spectrum.values, SPECTRUM_TOL * spectrum.size):
+        if c.stop - c.start > 1:
+            w, R[c, c] = symmat.sym_eig(g.H[c, c])
+            if np.any(np.diff(w) <= SPECTRUM_TOL * g.size):
+                raise NotSimpleSpectrum(f"H repeats an eigenvalue on a {c.stop - c.start}-fold cluster")
+    scale2 = symmat.max_norm(g.h) if spectrum.degenerate else float(g.mu[-1] - g.mu[0]) ** 2
+    H = symmat.congruence(g.H, R) / scale2
+    band = SPECTRUM_TOL * (g.size / scale2 + 2.0 * spectrum.size * symmat.max_norm(H))
+    return H, band, g.F @ R, np.sqrt(scale2)
 
 
 @dataclass(frozen=True)
@@ -313,11 +336,8 @@ def _yes(P1, P2, X, alpha, beta, tol):
     cert = EquivalenceCertificate(X, alpha, beta)
     if P1.close_to(apply_certificate(P2, cert), max(tol, SPECTRUM_TOL)):
         return AlmostVerdict("yes", cert, "verified witness")
-    return AlmostVerdict(
-        "unknown",
-        None,
-        "invariants match but the assembled witness failed verification",
-    )
+    reason = "invariants match but the assembled witness failed verification"
+    return AlmostVerdict("unknown", None, reason)
 
 
 def _chol_congruence(K1, K2):
@@ -327,48 +347,32 @@ def _chol_congruence(K1, K2):
     return np.linalg.solve(L2.T, L1.T)
 
 
-def _almost_equivalent_m1(P1, P2, tol):
-    """Closed form for order one: any two nonelliptic members match.
-
-    Matching the quadratic, linear and constant coefficients of
-    x^2 Q2(alpha s + beta) = Q1(s) gives x^2 = disc1/disc2 with
-    disc = A - B^2/C, then alpha and beta explicitly.
-    """
-    a1, b1, c1 = float(P1.A[0, 0]), float(P1.B[0, 0]), float(P1.C[0, 0])
-    a2, b2, c2 = float(P2.A[0, 0]), float(P2.B[0, 0]), float(P2.C[0, 0])
-    disc1 = a1 - b1 * b1 / c1
-    disc2 = a2 - b2 * b2 / c2
-    y = disc1 / disc2
-    alpha = float(np.sqrt(c1 / (y * c2)))
-    beta = (b1 / (y * alpha) - b2) / c2
-    return _yes(P1, P2, np.array([[np.sqrt(y)]]), alpha, beta, tol)
-
-
 def almost_equivalent(P1, P2, tol=DEFAULT_TOL, n=None) -> AlmostVerdict:
     """Decide whether two parabolas differ only by a real congruence and
     an orientation-preserving affine reparametrization.
 
-    Procedure: signatures must agree, then affine spectra; when both
-    spectra are nondegenerate the alignment (alpha, beta) is pinned by
-    their endpoints and the simple-spectrum forms of (a', a'') =
-    (B~, rank-r root of G) are compared, assembling an explicit witness
-    from the eigenvector frames and the A^{1/2} factors.  A signature
-    with k > 0 compares the moving parts and matches the constant
-    blocks by Cholesky factors; for the elliptic point (k = m) the
-    moving parts are 0 x 0 and always match.  Degenerate or non-simple
-    spectra return unknown (except order one, decided in closed form);
-    every yes is re-verified numerically.
-    Membership is decided once per parabola, and its analysis supplies
-    the affine spectra, P1's normal form and the reductions of a
-    degenerate signature; only the aligned copy of P2 is analysed anew.
-    No manifold data is built.
+    Procedure: signatures must agree, then the affine spectra (the
+    eigenvalues mu of the C-gauge, canonicalized), then the normal
+    forms: in the C-gauge F^T Q(s) F = (s + diag mu)^2 + H, and under
+    s -> alpha s + beta the pair (mu, H) becomes ((mu + beta) / alpha,
+    H / alpha^2) up to an orthogonal change of frame that fixes diag mu.
+    Each member's frame is refined by the eigenbases of H on the
+    clusters of its spectrum, H is divided by the square of the spread
+    of mu (of sqrt(max|eigenvalue of H|) on a degenerate spectrum, order
+    one included), and signs are fixed breadth-first; the forms must
+    agree within the larger of the two bands.  The witness is
+    X = G2 G1^{-1} / alpha from the two refined frames, with alpha the
+    ratio of the scales and beta = alpha mu1_min - mu2_min.  A
+    signature with k > 0 compares the moving parts and matches the
+    constant blocks by Cholesky factors; for the elliptic point (k = m)
+    the moving parts are 0 x 0 and always match.  The answer is unknown
+    when a proper cluster's H-block has a repeated eigenvalue, and every
+    yes is re-verified numerically.  Membership is decided once per
+    parabola, and its analysis (with its reduction, on a degenerate
+    signature) supplies everything else; no parabola is analysed anew
+    and no manifold data is built.
     """
-    if P1.dim != P2.dim:
-        raise DimensionMismatch(
-            f"parabolas have different orders {P1.dim} and {P2.dim}"
-        )
-    if n is None:
-        n = _common_signature_n(P1)
+    n = _common_n(P1, P2, n)
     ok1, sig1 = first = is_characteristic(P1, n, tol)
     if not ok1:
         raise NotCharacteristic("first parabola is not characteristic")
@@ -391,31 +395,24 @@ def _almost_equivalent_members(a1, a2, sig):
         return _yes(P1, P2, np.zeros((0, 0)), 1.0, 0.0, tol)
     if sig.k > 0:
         return _almost_equivalent_degenerate(a1, a2, sig)
-    if P1.dim == 1:
-        return _almost_equivalent_m1(P1, P2, tol)
-    sp1 = _affine_spectrum(a1)
-    sp2 = _affine_spectrum(a2)
+    sp1, sp2 = _affine_spectrum(a1), _affine_spectrum(a2)
     if not sp1.matches(sp2):
         return AlmostVerdict("no", None, "affine spectra differ")
-    if sp1.degenerate:
-        return AlmostVerdict(
-            "unknown", None, "affine spectrum is degenerate; no decision procedure"
-        )
-    spread1 = float(sp1.raw[-1] - sp1.raw[0])
-    spread2 = float(sp2.raw[-1] - sp2.raw[0])
-    alpha = spread2 / spread1
-    beta = alpha * float(sp1.raw[0]) - float(sp2.raw[0])
-    aligned = ParabolaAnalysis(reparametrize(P2, alpha, beta), tol)
     try:
-        f1 = _simple_spectrum(a1.B_t, _transverse_root(a1, sig.r), tol)
-        f2 = _simple_spectrum(aligned.B_t, _transverse_root(aligned, sig.r), tol)
-    except NotSimpleSpectrum:
-        return AlmostVerdict(
-            "unknown", None, "self-adjoint part has repeated eigenvalues"
-        )
-    if not f1.matches(f2):
-        return AlmostVerdict("no", None, "simple-spectrum forms differ")
-    X = np.linalg.solve(aligned.root, f2.frame @ f1.frame.T @ a1.root)
+        H1, band1, G1, scale1 = _normal_form(a1, sp1)
+        H2, band2, G2, scale2 = _normal_form(a2, sp2)
+    except NotSimpleSpectrum as exc:
+        return AlmostVerdict("unknown", None, str(exc))
+    # Entries within half the band count as zero for the signs, so that
+    # their signs cannot move the comparison past the band.
+    band = max(band1, band2)
+    d1, d2 = _signs(H1, band / 2), _signs(H2, band / 2)
+    if symmat.max_norm(H1 * np.outer(d1, d1) - H2 * np.outer(d2, d2)) > band:
+        return AlmostVerdict("no", None, "normal forms differ")
+    alpha = scale2 / scale1
+    beta = alpha * float(sp1.raw[0]) - float(sp2.raw[0])
+    # (G1 d1)^{-1} = (G1 d1)^T C1, since G1^T C1 G1 = I.
+    X = (G2 * d2) @ (G1 * d1).T @ P1.C / alpha
     return _yes(P1, P2, X, alpha, beta, tol)
 
 

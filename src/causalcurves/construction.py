@@ -117,23 +117,13 @@ def _freeness_violation(a_prime, a_dblprime, tol=FREENESS_TOL):
     clustered so multiple eigenvalues are tested as one eigenspace."""
     values, vectors = symmat.sym_eig(a_prime)
     band = tol * symmat.max_norm(values)
-    i = 0
-    m = values.size
-    while i < m:
-        j = i + 1
-        while j < m and values[j] - values[j - 1] <= band:
-            j += 1
-        t = float(np.mean(values[i:j]))
+    for c in symmat.clusters(values, band):
+        t = float(np.mean(values[c]))
         if abs(t) > band:
-            block = a_dblprime @ vectors[:, i:j]
-            smin = (
-                float(np.linalg.svd(block, compute_uv=False)[-1])
-                if block.size
-                else 0.0
-            )
-            if block.shape[0] < (j - i) or smin <= tol * symmat.max_norm(a_dblprime):
-                return t, vectors[:, i], smin
-        i = j
+            block = a_dblprime @ vectors[:, c]
+            smin = float(np.linalg.svd(block, compute_uv=False)[-1]) if block.size else 0.0
+            if block.shape[0] < block.shape[1] or smin <= tol * symmat.max_norm(a_dblprime):
+                return t, vectors[:, c.start], smin
     return None
 
 

@@ -88,8 +88,9 @@ class CSingular(CausalCurvesError):
 
 
 class NotSimpleSpectrum(CausalCurvesError):
-    """The self-adjoint part has a repeated eigenvalue, so the
-    simple-spectrum normal form is undefined."""
+    """A repeated eigenvalue leaves a normal form's frame undetermined:
+    that of the self-adjoint part for the simple-spectrum form, or that
+    of H on a cluster of the affine spectrum for ``almost_equivalent``."""
 
 
 class BadCertificate(CausalCurvesError):

@@ -122,6 +122,14 @@ def pd_inv_sqrt(S, tol=DEFAULT_TOL):
     return symmetrize(vectors @ np.diag(values ** -0.5) @ vectors.T)
 
 
+def clusters(values, band):
+    """Slices of the runs of ascending ``values`` whose neighbours lie
+    within ``band`` of each other (single linkage): the eigenvalue
+    clusters that are tested or rotated as one eigenspace."""
+    cuts = [0, *(np.flatnonzero(np.diff(values) > band) + 1), len(values)]
+    return [slice(i, j) for i, j in zip(cuts[:-1], cuts[1:])]
+
+
 def congruence(S, X):
     """X^T S X, re-symmetrized.  X may be rectangular (m x p)."""
     S = symmetrize(S)

@@ -315,6 +315,36 @@ class TestIsCharacteristic:
         assert is_characteristic(Q, n) == is_characteristic(P, n)
         assert check_positive_all_s(Q) == check_positive_all_s(P)
 
+    def test_signature_kept_under_wide_shifts(self):
+        # Members at orders 5 and 8 under X^T Q(alpha s + beta) X with
+        # beta up to +-500: A = Q(beta) grows like beta^2 and its
+        # condition number with it, while C, which the membership gauge
+        # is taken from, does not move under the shift.  An A^{-1/2}
+        # gauge misread seeds 1 and 35 (r = 2 for r = 1, and a rejection).
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            m = (5, 8)[seed % 2]
+            P = char_polynomial(random_manifold(rng, m=m))
+            unimodular = rng.random() < 0.5
+            X = random_unimodular(rng, m, ops=12) if unimodular else random_real_invertible(rng, m)
+            alpha, beta = 10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(-500.0, 500.0)
+            Q = apply_certificate(P, EquivalenceCertificate(X, alpha, beta))
+            assert is_characteristic(Q, 2 * m + 2) == is_characteristic(P, 2 * m + 2)
+
+    def test_ill_conditioned_a_member(self):
+        # An order-8 member under a real map with alpha = 0.331 and
+        # beta = -28.1, where cond(A) = 4.9e8: an A^{-1/2} gauge rounds
+        # zero eigenvalues of G to -1.7e-13 against a band of 1.4e-13 and
+        # rejects it.
+        rng = np.random.default_rng(75)
+        P = char_polynomial(random_manifold(rng, m=8))
+        rng.random()
+        X = random_real_invertible(rng, 8)
+        alpha, beta = 10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(-50.0, 50.0)
+        Q = apply_certificate(P, EquivalenceCertificate(X, alpha, beta))
+        assert np.linalg.cond(Q.A) > 1e8
+        assert is_characteristic(Q, 18) == is_characteristic(P, 18) == (True, Signature(18, 8, 2, 0))
+
     @pytest.mark.parametrize("seed", [92, 205, 462, 874])
     def test_schur_rank_kept_under_small_alpha(self, seed):
         # Order-2 members of rank r = 2 under certificates with alpha in

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalcurves import (
     BadCertificate,
@@ -40,7 +42,9 @@ from causalcurves import charpoly, classify, cli, symmat
 from conftest import (
     random_characteristic_parabola,
     random_elliptic,
+    random_lattice,
     random_manifold,
+    random_orthogonal,
     random_real_invertible,
     random_unimodular,
 )
@@ -55,6 +59,20 @@ def random_certificate(rng, m, integral=None):
     alpha = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
     beta = float(rng.uniform(-5.0, 5.0))
     return EquivalenceCertificate(x, alpha, beta)
+
+
+def proportional_b_members(rng, m):
+    """Eigenvalues t and a maker of members with B = b C (b > 0), whose
+    affine spectrum is degenerate: a' = W diag(t) W^T with 0 < t < 1/b
+    and a''^T a'' = a'/b - a'^2, for one draw of b, W and the lattice."""
+    b = rng.uniform(0.3, 2.0)
+    W, L = random_orthogonal(rng, m), random_lattice(rng, m)
+
+    def member(t):
+        a_dbl = np.diag(np.sqrt(t / b - t * t)) @ W.T
+        return char_polynomial(build(2 * m + 2, W @ np.diag(t) @ W.T, a_dbl, L))
+
+    return np.sort(rng.uniform(0.1, 0.9, m)) / b, member
 
 
 class TestRealize:
@@ -405,8 +423,9 @@ class TestAlmostEquivalent:
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_witness_matches_realized_route(self, rng, m):
-        # The witness from the analyses equals the one assembled from the
-        # realized manifold data of P1 and of the aligned P2.
+        # The witness from the C-gauge normal forms equals the one
+        # assembled from the realized manifold data of P1 and of the
+        # aligned P2, up to the automorphism -I of the parabola.
         for _ in range(5):
             P1 = char_polynomial(random_manifold(rng, m=m, zero_eigs=0))
             P2 = apply_certificate(P1, random_certificate(rng, m).inverse())
@@ -416,7 +435,71 @@ class TestAlmostEquivalent:
             M2 = realize(reparametrize(P2, cert.alpha, cert.beta), n)
             f1, f2 = simple_spectrum_form(M1), simple_spectrum_form(M2)
             X = np.linalg.solve(M2.lattice, f2.frame @ f1.frame.T @ M1.lattice)
-            assert np.array_equal(X, cert.X)
+            gap = min(symmat.max_norm(cert.X - X), symmat.max_norm(cert.X + X))
+            assert gap <= 1e-9 * symmat.max_norm(X)
+
+    def test_proportional_b_pairs(self):
+        # B = b C makes the affine spectrum degenerate: the normal form
+        # divides H by its largest eigenvalue instead of the spread, and
+        # order one is this case.  Such pairs used to be "unknown".
+        rng = np.random.default_rng(77)
+        for m in [1, 2, 3, 5, 8] * 3:
+            t, member = proportional_b_members(rng, m)
+            P = member(t)
+            assert affine_spectrum(P).degenerate
+            alpha, beta = 10.0 ** rng.uniform(-2.0, 2.0), rng.uniform(-20.0, 20.0)
+            cert = EquivalenceCertificate(random_real_invertible(rng, m), alpha, beta)
+            Q = apply_certificate(P, cert)
+            verdict = almost_equivalent(P, Q)
+            assert verdict.is_yes
+            assert verify_equivalence(P, Q, verdict.certificate, 1e-6)
+            if m > 1:
+                t[0] *= 0.7
+                verdict = almost_equivalent(P, apply_certificate(member(t), cert))
+                assert verdict.verdict == "no"
+                assert verdict.reason == "normal forms differ"
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.sampled_from([3, 5, 8]),
+        unimodular=st.booleans(),
+        log_alpha=st.floats(-1.0, 1.0),
+        beta=st.floats(-5.0, 5.0),
+    )
+    def test_repeated_spectrum_is_order_independent(self, seed, m, unimodular, log_alpha, beta):
+        # a' with a double zero eigenvalue: both arguments see the same
+        # cluster in the C-gauge, so the verdict does not depend on their
+        # order, and each witness inverts to one for the other order.
+        rng = np.random.default_rng(seed)
+        P = char_polynomial(random_manifold(rng, m=m, r=2, zero_eigs=2))
+        X = random_unimodular(rng, m) if unimodular else random_real_invertible(rng, m)
+        Q = apply_certificate(P, EquivalenceCertificate(X, 10.0**log_alpha, beta))
+        forward, backward = almost_equivalent(P, Q), almost_equivalent(Q, P)
+        assert forward.verdict == backward.verdict
+        for first, second, verdict in ((P, Q, forward), (Q, P, backward)):
+            if verdict.is_yes:
+                assert verify_equivalence(second, first, verdict.certificate.inverse(), 1e-6)
+
+    def test_repeated_eigenvalue_of_h_is_unknown(self):
+        # B = 0 and A = C = I: mu = (0, 0) is one cluster on which H = I
+        # has no unique eigenbasis, so refinement stalls.
+        P = char_polynomial(build(6, np.zeros((2, 2)), np.eye(2), np.eye(2)))
+        verdict = almost_equivalent(P, P)
+        assert verdict.verdict == "unknown"
+        assert verdict.reason == "H repeats an eigenvalue on a 2-fold cluster"
+
+    def test_nearby_spectra_differ(self):
+        # Order-3 members whose a' differ by 1e-6 in one eigenvalue: the
+        # canonical affine spectra differ by more than their band, which
+        # a relative tolerance of 1e-5 used to swallow ("unknown").
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            M = random_manifold(rng, m=3, r=2, zero_eigs=0)
+            values, W = np.linalg.eigh(M.a_prime)
+            values[int(rng.integers(3))] += 1e-6
+            M2 = build(7, W @ np.diag(values) @ W.T, M.a_dblprime, M.lattice)
+            assert almost_equivalent(char_polynomial(M), char_polynomial(M2)).verdict == "no"
 
 
 def _rebind(monkeypatch, name, replacement):
@@ -507,6 +590,38 @@ class TestMembershipDecidedOnce:
         assert almost_equivalent(P, P2).is_yes
 
 
+    @pytest.mark.parametrize("m, r, k", [(3, 2, 0), (3, 1, 1)])
+    def test_decision_path_is_c_gauge(self, monkeypatch, rng, m, r, k):
+        # Membership reads no A-gauge (no A^{-1/2}, no linearization), and
+        # equivalence analyses no aligned copy: the only reparametrization
+        # is the one that verifies the witness.
+        def refused(*args, **kwargs):
+            raise AssertionError("A-gauge on the decision path")
+
+        def reparametrize_in_verification(P, alpha, beta):
+            assert sys._getframe(1).f_code.co_name == "apply_certificate"
+            return reparametrize(P, alpha, beta)
+
+        analyses = []
+        original = charpoly.ParabolaAnalysis.__init__
+
+        def counting(self, P, tol=symmat.DEFAULT_TOL):
+            analyses.append(P.dim)
+            original(self, P, tol)
+
+        P = char_polynomial(random_manifold(rng, m=m, r=r, k=k, zero_eigs=0))
+        P2 = apply_certificate(P, random_certificate(rng, m).inverse())
+        monkeypatch.setattr(np.linalg, "eigvals", refused)
+        monkeypatch.setattr(symmat, "pd_inv_sqrt", refused)
+        monkeypatch.setattr(classify, "reparametrize", reparametrize_in_verification)
+        monkeypatch.setattr(charpoly.ParabolaAnalysis, "__init__", counting)
+        assert is_characteristic(P, 2 * m + 2)[0]
+        analyses.clear()
+        assert almost_equivalent(P, P2).is_yes
+        # The two inputs, and their reduced parabolas when k > 0.
+        assert sorted(analyses) == sorted([m, m] + [m - k, m - k] * (k > 0))
+
+
 class TestEigensolverCounts:
     """Eigendecompositions per top-level call on k = 0 members."""
 
@@ -532,18 +647,20 @@ class TestEigensolverCounts:
     def test_membership_realize_and_validate(self, eig_calls, monkeypatch, capsys, rng, m):
         M = random_manifold(rng, m=m, zero_eigs=0)
         P = char_polynomial(M)
-        assert self._count(eig_calls, lambda: charpoly.is_characteristic(P, M.n)) <= 5
+        # C, W^T B W and H; realize adds A^{-1/2}, G and build's freeness
+        # test, and validate-parabola adds A^{-1/2} for the Schur matrix.
+        assert self._count(eig_calls, lambda: charpoly.is_characteristic(P, M.n)) <= 3
         assert self._count(eig_calls, lambda: realize(P, M.n)) <= 6
-        assert self._count(eig_calls, lambda: _validate_parabola(monkeypatch, P, M.n)) <= 5
+        assert self._count(eig_calls, lambda: _validate_parabola(monkeypatch, P, M.n)) <= 4
         assert json.loads(capsys.readouterr().out)["result"]["characteristic"]
 
     def test_membership_degenerate(self, eig_calls, rng):
         # C of the full parabola, then the definiteness of the constant
-        # block, then C, A, linearization, batched evaluation and G of the
-        # reduced parabola; the reduction reuses the eigenpairs of C.
+        # block, then C, W^T B W and H of the reduced parabola; the
+        # reduction reuses the eigenpairs of C.
         M = random_manifold(rng, m=3, r=1, k=1, zero_eigs=0)
         P = char_polynomial(M)
-        assert self._count(eig_calls, lambda: charpoly.is_characteristic(P, M.n)) <= 7
+        assert self._count(eig_calls, lambda: charpoly.is_characteristic(P, M.n)) <= 5
 
     @pytest.mark.parametrize("m", [1, 3, 8])
     def test_membership_elliptic(self, eig_calls, rng, m):
@@ -558,7 +675,27 @@ class TestEigensolverCounts:
         P2 = apply_certificate(P, random_certificate(rng, 8).inverse())
         eig_calls.clear()
         assert almost_equivalent(P, P2).is_yes
-        assert len(eig_calls) <= 16
+        # Three per membership decision; a simple spectrum needs no
+        # refinement.
+        assert len(eig_calls) <= 6
+
+    def test_almost_equivalent_constant_direction(self, eig_calls, rng):
+        P = char_polynomial(random_manifold(rng, m=3, r=1, k=1, zero_eigs=0))
+        P2 = apply_certificate(P, random_certificate(rng, 3).inverse())
+        eig_calls.clear()
+        assert almost_equivalent(P, P2).is_yes
+        assert len(eig_calls) <= 10
+
+    def test_almost_equivalent_degenerate_spectrum(self, eig_calls):
+        # B = b C: each membership decision adds lambda_min of H on the
+        # one cluster of mu, and each normal form the eigenbasis of H.
+        rng = np.random.default_rng(5)
+        t, member = proportional_b_members(rng, 3)
+        P = member(t)
+        P2 = apply_certificate(P, random_certificate(rng, 3).inverse())
+        eig_calls.clear()
+        assert almost_equivalent(P, P2).is_yes
+        assert len(eig_calls) <= 10
 
 
 class TestSearchCertificate:

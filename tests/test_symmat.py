@@ -86,6 +86,17 @@ class TestPredicates:
         assert not symmat.is_pd(np.diag([eps, 1.0]), tol=eps)
 
 
+class TestClusters:
+    def test_runs_within_band(self):
+        # Single linkage: 0, 0.8e-9 and 1.6e-9 chain into one run although
+        # the ends are more than the band apart.
+        values = np.array([0.0, 0.8e-9, 1.6e-9, 1.0, 2.0, 2.0])
+        assert symmat.clusters(values, 1e-9) == [slice(0, 3), slice(3, 4), slice(4, 6)]
+
+    def test_empty_band_splits_distinct_values(self):
+        assert symmat.clusters(np.array([1.0, 1.0, 3.0]), 0.0) == [slice(0, 2), slice(2, 3)]
+
+
 class TestPsdSqrt:
     def test_identity(self):
         np.testing.assert_allclose(symmat.psd_sqrt(np.eye(3)), np.eye(3), atol=1e-12)
