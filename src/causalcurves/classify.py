@@ -15,7 +15,9 @@ up to the choice of lattice).  This module can
   of the self-adjoint part plus the Gram matrix of transverse images),
 * decide almost-equivalence (``almost_equivalent``) by the normal form
   (s + diag mu)^2 + H of each member's C-gauge, and
-* exhaustively search tiny integer certificates (``search_certificate``).
+* exhaustively search tiny integer certificates (``search_certificate``):
+  every bounded unimodular X is screened in one array pass, and the first
+  survivor is re-verified by ``apply_certificate`` before it is returned.
 
 Realization reads the A-gauge of the membership verdict's
 :class:`ParabolaAnalysis`: a' = B~, a'' = the rank-r root of G and the
@@ -29,7 +31,7 @@ case k = m, whose moving part is 0 x 0.
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,12 +98,15 @@ def identity_certificate(m):
     return EquivalenceCertificate(np.eye(m), 1.0, 0.0)
 
 
+def _reparametrized(A, B, C, alpha, beta):
+    """Coefficients of s -> Q(alpha s + beta); alpha and beta may be
+    arrays broadcasting against a stack of coefficients."""
+    return A + 2.0 * beta * B + beta * beta * C, alpha * (B + beta * C), alpha * alpha * C
+
+
 def reparametrize(P: MatrixParabola, alpha, beta) -> MatrixParabola:
     """The parabola s -> Q(alpha s + beta) (no congruence)."""
-    A = P.A + 2.0 * beta * P.B + beta * beta * P.C
-    B = alpha * (P.B + beta * P.C)
-    C = alpha * alpha * P.C
-    return MatrixParabola(A, B, C)
+    return MatrixParabola(*_reparametrized(P.A, P.B, P.C, alpha, beta))
 
 
 def apply_certificate(P: MatrixParabola, cert: EquivalenceCertificate) -> MatrixParabola:
@@ -436,53 +441,78 @@ def _almost_equivalent_degenerate(a1, a2, sig):
     return _yes(a1.P, a2.P, X, sub.certificate.alpha, sub.certificate.beta, a1.tol)
 
 
-def _int_det(X):
-    m = X.shape[0]
+def _unimodular_stack(m, bound):
+    """Every integer m x m matrix (m <= 2) with entries in [-bound, bound]
+    and determinant +-1, stacked in the lexicographic order of its
+    row-major entries."""
     if m == 1:
-        return int(X[0, 0])
-    return int(X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0])
+        return np.array([[[-1.0]], [[1.0]]])
+    span = np.arange(-bound, bound + 1, dtype=float)
+    rows = np.stack(np.meshgrid(span, span, indexing="ij"), axis=-1).reshape(-1, 2)
+    det = np.outer(rows[:, 0], rows[:, 1]) - np.outer(rows[:, 1], rows[:, 0])
+    first, second = np.nonzero(np.abs(det) == 1)
+    return np.stack([rows[first], rows[second]], axis=1)
+
+
+def _congruences(S, Xs):
+    """X^T S X for each X of a stack (S one matrix or a stack of them),
+    re-symmetrized and multiplied in the order of symmat.congruence."""
+    M = Xs.transpose(0, 2, 1) @ S @ Xs
+    half = 0.5 * M
+    return half + half.transpose(0, 2, 1)
 
 
 def search_certificate(P1, P2, entry_bound=3, tol=DEFAULT_TOL):
     """Exhaustive integer certificate search for orders one and two.
 
-    Enumerates unimodular X with entries bounded by ``entry_bound`` in
-    lexicographic order; alpha and beta are forced by trace identities
-    (tr C1 = alpha^2 tr X^T C2 X, then the trace of the linear
-    coefficient) and each candidate is verified coefficient-wise.
-    Returns the first verified certificate, or None.  The search is
-    complete only within the bound.
+    Stacks every unimodular X with entries bounded by ``entry_bound`` in
+    lexicographic order and screens them in one array pass: alpha and
+    beta are forced by trace identities (tr C1 = alpha^2 tr X^T C2 X,
+    then the trace of the linear coefficient), and X^T Q2(alpha s + beta) X
+    is compared coefficient-wise with P1 at tol relative to P1's scale,
+    with the arithmetic of ``apply_certificate``.  The survivors are
+    walked in order and the first that also passes the scalar check
+    ``P1.close_to(apply_certificate(P2, cert), tol)`` is returned, or
+    None.  The search is complete only within the bound.
     """
     m = P1.dim
     if P2.dim != m:
         raise DimensionMismatch(
             f"parabolas have different orders {m} and {P2.dim}"
         )
-    if m > 2:
-        raise UnsupportedDimension(f"exhaustive search only covers m <= 2, got m={m}")
+    if not 1 <= m <= 2:
+        raise UnsupportedDimension(f"exhaustive search only covers m in 1..2, got m={m}")
+    try:
+        entry_bound = operator.index(entry_bound)
+    except TypeError:
+        raise UnsupportedDimension(
+            f"entry bound must be an integer, got {entry_bound!r}"
+        ) from None
     if not 1 <= entry_bound <= 5:
         raise UnsupportedDimension(
             f"entry bound must lie in 1..5, got {entry_bound}"
         )
     tr_b1 = float(np.trace(P1.B))
     tr_c1 = float(np.trace(P1.C))
-    scale = P1.coeff_scale()
-    tiny = tol * scale
-    span = range(-entry_bound, entry_bound + 1)
-    for entries in itertools.product(span, repeat=m * m):
-        X = np.array(entries, dtype=float).reshape(m, m)
-        if abs(_int_det(X)) != 1:
-            continue
-        tr_c2x = float(np.trace(symmat.congruence(P2.C, X)))
-        if tr_c1 <= tiny and tr_c2x <= tiny:
-            alpha, beta = 1.0, 0.0
-        elif tr_c1 <= tiny or tr_c2x <= tiny:
-            continue
-        else:
-            alpha = float(np.sqrt(tr_c1 / tr_c2x))
-            tr_b2x = float(np.trace(symmat.congruence(P2.B, X)))
-            beta = (tr_b1 / alpha - tr_b2x) / tr_c2x
-        cert = EquivalenceCertificate(X, alpha, beta)
+    band = tol * P1.coeff_scale()
+    Xs = _unimodular_stack(m, entry_bound)
+    tr_c2x = np.trace(_congruences(P2.C, Xs), axis1=1, axis2=2)
+    # Both traces tiny force alpha = 1, beta = 0; exactly one tiny rules X out.
+    if tr_c1 <= band:
+        Xs = Xs[tr_c2x <= band]
+        alpha, beta = np.ones(len(Xs)), np.zeros(len(Xs))
+    else:
+        wide = tr_c2x > band
+        Xs, tr_c2x = Xs[wide], tr_c2x[wide]
+        alpha = np.sqrt(tr_c1 / tr_c2x)
+        tr_b2x = np.trace(_congruences(P2.B, Xs), axis1=1, axis2=2)
+        beta = (tr_b1 / alpha - tr_b2x) / tr_c2x
+    images = _reparametrized(P2.A, P2.B, P2.C, alpha[:, None, None], beta[:, None, None])
+    close = np.ones(len(Xs), dtype=bool)
+    for coeff, image in zip((P1.A, P1.B, P1.C), images):
+        close &= np.abs(coeff - _congruences(image, Xs)).max(axis=(1, 2)) <= band
+    for i in np.flatnonzero(close):
+        cert = EquivalenceCertificate(Xs[i].copy(), alpha[i], beta[i])
         if P1.close_to(apply_certificate(P2, cert), tol):
             return cert
     return None

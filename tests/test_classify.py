@@ -2,6 +2,7 @@
 
 import functools
 import io
+import itertools
 import json
 import sys
 
@@ -698,6 +699,41 @@ class TestEigensolverCounts:
         assert len(eig_calls) <= 10
 
 
+def scalar_search(P1, P2, entry_bound, tol=symmat.DEFAULT_TOL):
+    """Reference for search_certificate: one candidate X at a time, in
+    lexicographic order, with alpha and beta forced by the traces."""
+    m = P1.dim
+    tr_b1, tr_c1 = float(np.trace(P1.B)), float(np.trace(P1.C))
+    tiny = tol * P1.coeff_scale()
+    for entries in itertools.product(range(-entry_bound, entry_bound + 1), repeat=m * m):
+        det = entries[0] if m == 1 else entries[0] * entries[3] - entries[1] * entries[2]
+        if abs(det) != 1:
+            continue
+        X = np.array(entries, dtype=float).reshape(m, m)
+        tr_c2x = float(np.trace(symmat.congruence(P2.C, X)))
+        if tr_c1 <= tiny and tr_c2x <= tiny:
+            alpha, beta = 1.0, 0.0
+        elif tr_c1 <= tiny or tr_c2x <= tiny:
+            continue
+        else:
+            alpha = float(np.sqrt(tr_c1 / tr_c2x))
+            tr_b2x = float(np.trace(symmat.congruence(P2.B, X)))
+            beta = (tr_b1 / alpha - tr_b2x) / tr_c2x
+        cert = EquivalenceCertificate(X, alpha, beta)
+        if P1.close_to(apply_certificate(P2, cert), tol):
+            return cert
+    return None
+
+
+def assert_same_search(found, reference):
+    """Same verdict and, when found, the same X, alpha and beta bit for bit:
+    the batched search repeats the reference's arithmetic."""
+    assert (found is None) == (reference is None)
+    if found is not None:
+        np.testing.assert_array_equal(found.X, reference.X)
+        assert (found.alpha, found.beta) == (reference.alpha, reference.beta)
+
+
 class TestSearchCertificate:
     def test_planted_swap(self):
         P = char_polynomial(example_5d(1, 2))
@@ -729,6 +765,9 @@ class TestSearchCertificate:
             search_certificate(P, P)
         with pytest.raises(UnsupportedDimension):
             search_certificate(P_UNIT, P_UNIT, entry_bound=6)
+        empty = MatrixParabola(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)))
+        with pytest.raises(UnsupportedDimension):
+            search_certificate(empty, empty)
 
     def test_random_planted_certificates(self, rng):
         for _ in range(15):
@@ -741,3 +780,61 @@ class TestSearchCertificate:
             found = search_certificate(P, P2, entry_bound=3, tol=1e-7)
             assert found is not None
             assert verify_equivalence(P, P2, found, 1e-6)
+
+    def test_entry_bound_must_be_integral(self):
+        for bound in (2.5, 3.0, "3", None):
+            with pytest.raises(UnsupportedDimension):
+                search_certificate(P_UNIT, P_UNIT, entry_bound=bound)
+        assert search_certificate(P_UNIT, P_UNIT, entry_bound=np.int64(2)) is not None
+
+    @staticmethod
+    def _pairs(rng, m, count):
+        """Planted pairs P1 = X^T P2(alpha s + beta) X, each followed by
+        its scaled copy c P1 (c in {2, 3}), which no certificate reaches."""
+        for _ in range(count):
+            P = random_characteristic_parabola(rng, m=m)
+            if m == 1:
+                x = [[float(rng.choice([-1.0, 1.0]))]]
+            else:
+                x = random_unimodular(rng, 2, ops=int(rng.integers(1, 5)))
+            cert = EquivalenceCertificate(
+                x, float(rng.uniform(0.5, 2.0)), float(rng.uniform(-1.0, 1.0))
+            )
+            P2 = apply_certificate(P, cert.inverse())
+            c = float(rng.choice([2.0, 3.0]))
+            yield P, P2
+            yield MatrixParabola(c * P.A, c * P.B, c * P.C), P2
+
+    def test_matches_scalar_reference(self, rng):
+        found = 0
+        for m, bound in itertools.product((1, 2), range(1, 6)):
+            for P1, P2 in self._pairs(rng, m, 2):
+                batched = search_certificate(P1, P2, bound, tol=1e-7)
+                assert_same_search(batched, scalar_search(P1, P2, bound, tol=1e-7))
+                found += batched is not None
+        assert found >= 10
+        x = np.array([[2.0, 1.0], [1.0, 1.0]])
+        zero = np.zeros((2, 2))
+        # Both traces tiny: alpha = 1, beta = 0.
+        elliptic = (MatrixParabola(np.eye(2), zero, zero), MatrixParabola(x.T @ x, zero, zero))
+        # C1 = 0 but C2 != 0: exactly one tiny trace rules every X out.
+        mixed = (MatrixParabola(np.eye(2), zero, zero), MatrixParabola(np.eye(2), zero, np.eye(2)))
+        for (P1, P2), expected in ((elliptic, True), (mixed, False)):
+            for bound in range(1, 6):
+                batched = search_certificate(P1, P2, bound)
+                assert (batched is not None) == (expected and bound >= 2)
+                assert_same_search(batched, scalar_search(P1, P2, bound))
+
+    def test_scalar_check_runs_on_the_witness_alone(self, rng, monkeypatch):
+        calls = []
+
+        def counting(P, cert):
+            calls.append(cert)
+            return apply_certificate(P, cert)
+
+        monkeypatch.setattr(classify, "apply_certificate", counting)
+        planted, scaled = self._pairs(rng, 2, 1)
+        assert search_certificate(*scaled, entry_bound=5, tol=1e-7) is None
+        assert calls == []
+        assert search_certificate(*planted, entry_bound=5, tol=1e-7) is not None
+        assert len(calls) == 1
