@@ -14,9 +14,10 @@ C = L^T (a'^2 + a''^T a'') L with L the lattice matrix.
 A parabola is characteristic for some manifold of ambient dimension n
 iff Q(s) > 0 for all real s, the Schur complement C - B A^{-1} B is
 positive semidefinite of rank r, and m + r + 2 <= n; kernel directions
-of C (which must also kill B) split off as an s-independent block.  The
-elliptic point B = C = 0 is no separate case: all of its directions
-are kernel directions, and the moving part left is the 0 x 0 parabola.
+of C (which must also kill B) split off as an s-independent block, so
+every member reads X^T Q(s) X = blockdiag(K, Q_moving(s)) with k = dim
+ker C from 0 (the empty reduction, X = I) to m (the elliptic point
+B = C = 0, whose moving part is the 0 x 0 parabola).
 
 Every criterion reads one :class:`ParabolaAnalysis` per parabola and
 tolerance, whose attributes are each computed once.  Membership is
@@ -241,18 +242,19 @@ class ParabolaAnalysis:
 
     @cached_property
     def reduction(self):
-        """The :class:`ReductionResult` splitting off ker C, None when C
-        has full rank.
+        """The :class:`ReductionResult` splitting off ker C.
 
-        The congruence is X = [U | V] with U the eigenvectors of C on
-        the ``kernel`` mask and V a basis of the A-orthogonal complement
-        {w : U^T A w = 0}; a parabola that comes from a manifold has
-        ker C inside ker B (those directions act by pure translations),
-        so B U must vanish, else InvalidCharacteristic.
+        When C has full rank this is the empty reduction: X = I, a 0 x 0
+        constant block and P itself.  Otherwise the congruence is
+        X = [U | V] with U the eigenvectors of C on the ``kernel`` mask
+        and V a basis of the A-orthogonal complement {w : U^T A w = 0};
+        a parabola that comes from a manifold has ker C inside ker B
+        (those directions act by pure translations), so B U must
+        vanish, else InvalidCharacteristic.
         """
         P, tol, kernel = self.P, self.tol, self.kernel
         if not kernel.any():
-            return None
+            return ReductionResult(np.eye(P.dim), np.zeros((0, 0)), P)
         U = self.c_eig.vectors[:, kernel]
         if symmat.max_norm(P.B @ U) > tol * symmat.max_norm(P.B):
             raise InvalidCharacteristic(
@@ -265,9 +267,15 @@ class ParabolaAnalysis:
         _verify_reduction(P, result, tol)
         return result
 
-    @cached_property
+    @property
     def reduced(self):
-        """The analysis of the reduced parabola."""
+        """The analysis of the moving part: ``self`` when C has full rank
+        (returned, not stored: an analysis that referred to itself would
+        be freed only by the cycle collector)."""
+        return self if self.reduction.reduced is self.P else self._moving
+
+    @cached_property
+    def _moving(self):
         return ParabolaAnalysis(self.reduction.reduced, self.tol)
 
     @cached_property
@@ -386,10 +394,10 @@ def schur_condition(P: MatrixParabola, tol=DEFAULT_TOL) -> SchurResult:
 def reduce_degenerate(P: MatrixParabola, tol=DEFAULT_TOL) -> ReductionResult:
     """Split off the kernel of C as an s-independent diagonal block
     (:attr:`ParabolaAnalysis.reduction`); raises NotDegenerate when C
-    has full rank and InvalidCharacteristic when B does not vanish on
-    ker C."""
+    has full rank (the empty reduction) and InvalidCharacteristic when B
+    does not vanish on ker C."""
     result = ParabolaAnalysis(P, tol).reduction
-    if result is None:
+    if result.constant_block.shape[0] == 0:
         raise NotDegenerate("C has full rank; nothing to reduce")
     return result
 
@@ -413,29 +421,26 @@ def _verify_reduction(P, result, tol):
 def _decide(analysis, n):
     """(ok, signature) of the membership criteria, read from ``analysis``.
 
-    The constant directions (ker C) split off first; the elliptic point
-    is the case where they are all of T, leaving the 0 x 0 parabola.
+    One sequence for every k: the reduction splits off the constant
+    directions (ker C, empty when C has full rank), whose block must be
+    positive definite; a 0 x 0 moving part (the elliptic point) needs
+    only n >= m + 2, and any other is decided in its C-gauge.
     """
     m = analysis.P.dim
-    if m == 0:
-        return (True, Signature(n, 0, 0, 0)) if n >= 2 else (False, None)
     try:
         red = analysis.reduction
     except InvalidCharacteristic:
         return False, None
-    if red is not None:
-        k = red.constant_block.shape[0]
-        if not symmat.is_pd(red.constant_block, analysis.tol):
-            return False, None
-        # The reduced parabola is tested at n - k, which enforces m + r + 2 <= n.
-        ok, sub = _decide(analysis.reduced, n - k)
-        if not ok or sub.k != 0:
-            return False, None
-        return True, Signature(n, m, sub.r, k)
-    psd, rank = (False, 0) if analysis.c_gauge is None else analysis.inertia
-    if not psd or rank == 0 or m + rank + 2 > n or not analysis.positive:
+    k = red.constant_block.shape[0]
+    if k and not symmat.is_pd(red.constant_block, analysis.tol):
         return False, None
-    return True, Signature(n, m, rank, 0)
+    moving = analysis.reduced
+    if moving.P.dim == 0:
+        return (True, Signature(n, m, 0, k)) if n >= m + 2 else (False, None)
+    psd, rank = (False, 0) if moving.c_gauge is None else moving.inertia
+    if not psd or rank == 0 or m + rank + 2 > n or not moving.positive:
+        return False, None
+    return True, Signature(n, m, rank, k)
 
 
 def is_characteristic(P: MatrixParabola, n, tol=DEFAULT_TOL):
@@ -443,17 +448,16 @@ def is_characteristic(P: MatrixParabola, n, tol=DEFAULT_TOL):
 
     Returns a :class:`MembershipVerdict` (ok, signature); the signature
     is None on rejection, and ``.analysis`` holds the parabola's
-    :class:`ParabolaAnalysis` (with the reduction and the reduced
-    parabola's analysis on degenerate input).  Degenerate C is reduced
-    first, on the band tol * max|C|: its kernel contributes
-    k = m - rank C and must carry a positive definite constant block.
-    The elliptic point is the reduction where ker C is everything
-    (C = 0 exactly, not merely small), with signature (n, m, 0, m); the
-    0 x 0 parabola is accepted at every n >= 2.  A parabola whose C has
-    full rank is decided in its C-gauge: C must be positive definite,
-    the rank r >= 1 and PSD-ness of the Schur complement are read from
-    the eigenvalues of H, and positivity by the Hautus test, all against
-    tol * max(max|F^T A F|, max|mu|^2).
+    :class:`ParabolaAnalysis` (with its reduction and the moving part's
+    analysis).  One sequence decides every k: the reduction splits off
+    ker C on the band tol * max|C| (empty when C has full rank), k is
+    m - rank C, and the constant block must be positive definite.  A
+    0 x 0 moving part (the elliptic point, C = 0 exactly, not merely
+    small) gives (n, m, 0, m) at every n >= m + 2.  Any other is decided
+    in its C-gauge: its C must be positive definite, the rank r >= 1
+    and PSD-ness of the Schur complement are read from the eigenvalues
+    of H, and positivity by the Hautus test, all against
+    tol * max(max|F^T A F|, max|mu|^2), and m + r + 2 <= n.
     """
     analysis = ParabolaAnalysis(P, tol)
     return MembershipVerdict(*_decide(analysis, n), analysis)

@@ -23,10 +23,10 @@ Realization reads the A-gauge of the membership verdict's
 :class:`ParabolaAnalysis`: a' = B~, a'' = the rank-r root of G and the
 lattice A^{1/2}.  ``almost_equivalent`` reads its C-gauge, so it
 validates no manifold data and analyses no parabola beyond the two
-membership decisions.  Constant directions (k > 0) take one path in
-both: the analysis's reduction splits them off as a constant block, and
-the moving part is handled as a k = 0 member.  The elliptic point is the
-case k = m, whose moving part is 0 x 0.
+membership decisions.  Both read every member through its reduction
+X^T Q(s) X = blockdiag(K, Q_moving(s)): one assembly serves every k,
+from the empty reduction (X = I, Q itself) when C has full rank to the
+elliptic point k = m, whose moving part is 0 x 0.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import symmat
 from .charpoly import MatrixParabola, ParabolaAnalysis, is_characteristic
-from .construction import ManifoldData, Signature, build
+from .construction import ManifoldData, build
 from .errors import (
     BadCertificate,
     CSingular,
@@ -200,16 +200,13 @@ def _affine_spectrum(analysis):
 def realize(P: MatrixParabola, n, tol=DEFAULT_TOL) -> ManifoldData:
     """Manifold data whose characteristic parabola is P.
 
-    Normalizing by A^{-1/2} writes Q as a sum of squares
-    A^{1/2}((1 + s B~)^2 + s^2 (C~ - B~^2)) A^{1/2}; the self-adjoint
-    part is B~, the transverse part is any root of G = C~ - B~^2 of the
-    right rank, and the lattice matrix is A^{1/2}.  A member with k > 0
-    constant directions is realized as its constant block K plus its
-    moving part: with X^T Q(s) X = blockdiag(K, Q_red(s)) from the
-    reduction, a' = blockdiag(0, a'_red), a'' = [0 | a''_red] and the
-    lattice is blockdiag(K^{1/2}, L_red) X^{-1}.  The elliptic point is
-    the case k = m: X is an orthonormal eigenbasis of C = 0 (the
-    identity, as LAPACK returns it) and the lattice is X^T A^{1/2}.  The
+    With X^T Q(s) X = blockdiag(K, Q_moving(s)) from the reduction,
+    normalizing the moving part by A^{-1/2} writes it as a sum of squares
+    A^{1/2}((1 + s B~)^2 + s^2 (C~ - B~^2)) A^{1/2}: a' = blockdiag(0, B~),
+    a'' = [0 | a''_moving] with a''_moving any root of G = C~ - B~^2 of
+    the right rank, and the lattice is blockdiag(K^{1/2}, A^{1/2}) X^{-1}.
+    When C has full rank, X = I and K is 0 x 0, so the lattice is
+    A^{1/2}; at the elliptic point (k = m) the moving part is 0 x 0.  The
     composition with char_polynomial is the identity on parabolas up to
     roundoff.  Every factor comes from the membership verdict's analysis.
     """
@@ -219,15 +216,15 @@ def realize(P: MatrixParabola, n, tol=DEFAULT_TOL) -> ManifoldData:
             f"parabola fails the membership criteria at n={n}"
         )
     analysis, m, r, k = verdict.analysis, P.dim, sig.r, sig.k
-    if k == 0:
-        return build(sig.n, analysis.B_t, _transverse_root(analysis, r), analysis.root, tol)
     red, moving = analysis.reduction, analysis.reduced
     a_prime, a_dblprime, lattice = np.zeros((m, m)), np.zeros((r, m)), np.zeros((m, m))
     a_prime[k:, k:] = moving.B_t
     a_dblprime[:, k:] = _transverse_root(moving, r)
-    lattice[:k, :k] = symmat.psd_sqrt(red.constant_block, tol)
     lattice[k:, k:] = moving.root
-    return build(sig.n, a_prime, a_dblprime, lattice @ np.linalg.inv(red.X), tol)
+    if k:  # X = I and K is 0 x 0 when C has full rank.
+        lattice[:k, :k] = symmat.psd_sqrt(red.constant_block, tol)
+        lattice = lattice @ np.linalg.inv(red.X)
+    return build(sig.n, a_prime, a_dblprime, lattice, tol)
 
 
 def _transverse_root(analysis, r):
@@ -337,19 +334,25 @@ class AlmostVerdict:
 
 
 def _yes(P1, P2, X, alpha, beta, tol):
-    """Package a candidate witness, verifying it coefficient-wise."""
+    """Package a candidate witness, verifying it coefficient-wise.
+
+    Each coefficient of P1 must match that of X^T Q2(alpha s + beta) X
+    within max(tol, SPECTRUM_TOL) times the largest of its own entries
+    and the terms the image is summed from: X^T A2 X, 2 beta X^T B2 X and
+    beta^2 X^T C2 X for A; alpha X^T B2 X and alpha beta X^T C2 X for B;
+    alpha^2 X^T C2 X for C.
+    """
     cert = EquivalenceCertificate(X, alpha, beta)
-    if P1.close_to(apply_certificate(P2, cert), max(tol, SPECTRUM_TOL)):
-        return AlmostVerdict("yes", cert, "verified witness")
-    reason = "invariants match but the assembled witness failed verification"
-    return AlmostVerdict("unknown", None, reason)
-
-
-def _chol_congruence(K1, K2):
-    """Z with Z^T K2 Z = K1 for positive definite blocks."""
-    L1 = np.linalg.cholesky(K1)
-    L2 = np.linalg.cholesky(K2)
-    return np.linalg.solve(L2.T, L1.T)
+    image = apply_certificate(P2, cert)
+    a, b, c = np.abs(cert.X.T @ np.array((P2.A, P2.B, P2.C)) @ cert.X).max(axis=(1, 2), initial=0.0)
+    alpha, beta = cert.alpha, abs(cert.beta)
+    terms = (max(a, 2.0 * beta * b, beta * beta * c), alpha * max(b, beta * c), alpha * alpha * c)
+    tol = max(tol, SPECTRUM_TOL)
+    for coeff, mapped, term in zip((P1.A, P1.B, P1.C), (image.A, image.B, image.C), terms):
+        if symmat.max_norm(coeff - mapped) > tol * max(symmat.max_norm(coeff), term):
+            reason = "invariants match but the assembled witness failed verification"
+            return AlmostVerdict("unknown", None, reason)
+    return AlmostVerdict("yes", cert, "verified witness")
 
 
 def almost_equivalent(P1, P2, tol=DEFAULT_TOL, n=None) -> AlmostVerdict:
@@ -367,15 +370,16 @@ def almost_equivalent(P1, P2, tol=DEFAULT_TOL, n=None) -> AlmostVerdict:
     one included), and signs are fixed breadth-first; the forms must
     agree within the larger of the two bands.  The witness is
     X = G2 G1^{-1} / alpha from the two refined frames, with alpha the
-    ratio of the scales and beta = alpha mu1_min - mu2_min.  A
-    signature with k > 0 compares the moving parts and matches the
-    constant blocks by Cholesky factors; for the elliptic point (k = m)
-    the moving parts are 0 x 0 and always match.  The answer is unknown
-    when a proper cluster's H-block has a repeated eigenvalue, and every
-    yes is re-verified numerically.  Membership is decided once per
-    parabola, and its analysis (with its reduction, on a degenerate
-    signature) supplies everything else; no parabola is analysed anew
-    and no manifold data is built.
+    ratio of the scales and beta = alpha mu1_min - mu2_min.  All of this
+    reads the moving parts (X^T Q(s) X = blockdiag(K, Q_moving(s)) from
+    each reduction, Q itself when C has full rank, 0 x 0 and always
+    paired at the elliptic point); the constant blocks K, always
+    real-congruent, are matched by Cholesky factors, and the witness
+    assembled through both reductions is verified once.  The answer is
+    unknown when a proper cluster's H-block has a repeated eigenvalue or
+    the witness fails verification.  Membership is decided once per
+    parabola, and its analysis supplies everything else; no parabola is
+    analysed anew and no manifold data is built.
     """
     n = _common_n(P1, P2, n)
     ok1, sig1 = first = is_characteristic(P1, n, tol)
@@ -388,18 +392,29 @@ def almost_equivalent(P1, P2, tol=DEFAULT_TOL, n=None) -> AlmostVerdict:
         return AlmostVerdict(
             "no", None, f"signatures differ: {sig1.as_tuple()} vs {sig2.as_tuple()}"
         )
-    return _almost_equivalent_members(first.analysis, second.analysis, sig1)
+    a1, a2 = first.analysis, second.analysis
+    witness = _moving_witness(a1.reduced, a2.reduced)
+    if isinstance(witness, AlmostVerdict):
+        return witness
+    X, alpha, beta = witness
+    k = sig1.k
+    if k:  # X = I and K is 0 x 0 when C has full rank.
+        red1, red2 = a1.reduction, a2.reduction
+        L1, L2 = np.linalg.cholesky(red1.constant_block), np.linalg.cholesky(red2.constant_block)
+        inner = np.zeros((P1.dim, P1.dim))
+        inner[:k, :k] = np.linalg.solve(L2.T, L1.T)  # Z^T K2 Z = K1
+        inner[k:, k:] = X
+        X = red2.X @ inner @ np.linalg.inv(red1.X)
+    return _yes(P1, P2, X, alpha, beta, tol)
 
 
-def _almost_equivalent_members(a1, a2, sig):
-    """:func:`almost_equivalent` for two members of signature ``sig``,
-    given their analyses."""
-    P1, P2, tol = a1.P, a2.P, a1.tol
-    if P1.dim == 0:
-        # The moving part of the elliptic point.
-        return _yes(P1, P2, np.zeros((0, 0)), 1.0, 0.0, tol)
-    if sig.k > 0:
-        return _almost_equivalent_degenerate(a1, a2, sig)
+def _moving_witness(a1, a2):
+    """The unverified witness (X, alpha, beta) pairing the normal forms
+    of two moving parts of equal signature, or a "no" or "unknown"
+    :class:`AlmostVerdict`.  The 0 x 0 moving parts of the elliptic
+    point always pair."""
+    if a1.P.dim == 0:
+        return np.zeros((0, 0)), 1.0, 0.0
     sp1, sp2 = _affine_spectrum(a1), _affine_spectrum(a2)
     if not sp1.matches(sp2):
         return AlmostVerdict("no", None, "affine spectra differ")
@@ -417,28 +432,7 @@ def _almost_equivalent_members(a1, a2, sig):
     alpha = scale2 / scale1
     beta = alpha * float(sp1.raw[0]) - float(sp2.raw[0])
     # (G1 d1)^{-1} = (G1 d1)^T C1, since G1^T C1 G1 = I.
-    X = (G2 * d2) @ (G1 * d1).T @ P1.C / alpha
-    return _yes(P1, P2, X, alpha, beta, tol)
-
-
-def _almost_equivalent_degenerate(a1, a2, sig):
-    """Split off the constant blocks and compare the moving parts.
-
-    Constant positive blocks are always real-congruent, so the verdict
-    is that of the reduced parabolas; a yes witness is reassembled
-    through the two reduction congruences, which the analyses hold.
-    """
-    n, m, r, k = sig.as_tuple()
-    red1, red2 = a1.reduction, a2.reduction
-    sub = _almost_equivalent_members(a1.reduced, a2.reduced, Signature(n - k, m - k, r, 0))
-    if not sub.is_yes:
-        return sub
-    Z = _chol_congruence(red1.constant_block, red2.constant_block)
-    inner = np.zeros((m, m))
-    inner[:k, :k] = Z
-    inner[k:, k:] = sub.certificate.X
-    X = red2.X @ inner @ np.linalg.inv(red1.X)
-    return _yes(a1.P, a2.P, X, sub.certificate.alpha, sub.certificate.beta, a1.tol)
+    return (G2 * d2) @ (G1 * d1).T @ a1.P.C / alpha, alpha, beta
 
 
 def _unimodular_stack(m, bound):

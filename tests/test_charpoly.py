@@ -28,6 +28,7 @@ from causalcurves import (
     schur_condition,
     signature_of,
 )
+from causalcurves import charpoly
 from causalcurves.errors import DimensionMismatch
 from conftest import (
     random_characteristic_parabola,
@@ -477,6 +478,22 @@ class TestReduction:
         assert red.reduced.dim == 0
         for coeff in (red.reduced.A, red.reduced.B, red.reduced.C):
             assert coeff.shape == (0, 0)
+
+    def test_full_rank_is_the_empty_reduction(self, monkeypatch):
+        # X = I, a 0 x 0 constant block and P itself, with no SVD and no
+        # block check; the moving part's analysis is the analysis itself.
+        def refused(*args, **kwargs):
+            raise AssertionError("reduction computed for full-rank C")
+
+        monkeypatch.setattr(np.linalg, "svd", refused)
+        monkeypatch.setattr(charpoly, "_verify_reduction", refused)
+        P = MatrixParabola([[2.0, 0.5], [0.5, 1.0]], [[0.5, 0.0], [0.0, -0.25]], [[1.0, 0.25], [0.25, 0.5]])
+        analysis = charpoly.ParabolaAnalysis(P)
+        red = analysis.reduction
+        np.testing.assert_array_equal(red.X, np.eye(2))
+        assert red.constant_block.shape == (0, 0)
+        assert red.reduced is P
+        assert analysis.reduced is analysis
 
     def test_full_rank_rejected(self):
         with pytest.raises(NotDegenerate):

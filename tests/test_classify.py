@@ -502,6 +502,23 @@ class TestAlmostEquivalent:
             M2 = build(7, W @ np.diag(values) @ W.T, M.a_dblprime, M.lattice)
             assert almost_equivalent(char_polynomial(M), char_polynomial(M2)).verdict == "no"
 
+    @pytest.mark.parametrize("seed", [4, 75])
+    def test_wide_map_witness_checked_against_its_terms(self, seed):
+        # After a wide map (beta = 275 at m = 2, -169 at m = 8) the image
+        # X^T Q2(alpha s + beta) X is summed from terms far larger than P1,
+        # and a band on max|P1| alone rejected the witness ("unknown").
+        rng = np.random.default_rng(seed)
+        m = [2, 3, 5, 8][seed % 4]
+        P = char_polynomial(random_manifold(rng, m=m, zero_eigs=0))
+        cert = EquivalenceCertificate(
+            random_real_invertible(rng, m), 10 ** rng.uniform(-2, 2), rng.uniform(-300, 300)
+        )
+        verdict = almost_equivalent(P, apply_certificate(P, cert))
+        assert verdict.is_yes, verdict.reason
+        inverse = cert.inverse()
+        assert verdict.certificate.alpha == pytest.approx(inverse.alpha, rel=1e-6)
+        assert verdict.certificate.beta == pytest.approx(inverse.beta, rel=1e-6)
+
 
 def _rebind(monkeypatch, name, replacement):
     """Replace ``name`` in every module of the package that binds it."""
@@ -561,6 +578,23 @@ class TestMembershipDecidedOnce:
         P2 = apply_certificate(P, random_certificate(rng, 3).inverse())
         assert almost_equivalent(P, P2).is_yes
         assert reductions == [3, 3]
+
+    @pytest.mark.parametrize("m, r, k", [(3, 1, 1), (5, 2, 2), (3, 0, 3)])
+    def test_almost_equivalent_verifies_once(self, monkeypatch, rng, m, r, k):
+        # The moving parts' witness is assembled through the constant
+        # blocks and verified once, as a whole.
+        M = random_elliptic(rng, m=m) if k == m else random_manifold(rng, m=m, r=r, k=k, zero_eigs=0)
+        P = char_polynomial(M)
+        P2 = apply_certificate(P, random_certificate(rng, m).inverse())
+        calls = []
+
+        def counting(P, cert):
+            calls.append(P.dim)
+            return apply_certificate(P, cert)
+
+        monkeypatch.setattr(classify, "apply_certificate", counting)
+        assert almost_equivalent(P, P2).is_yes
+        assert calls == [m]
 
     def test_validate_parabola(self, monkeypatch, rng, capsys):
         calls = []
@@ -624,7 +658,7 @@ class TestMembershipDecidedOnce:
 
 
 class TestEigensolverCounts:
-    """Eigendecompositions per top-level call on k = 0 members."""
+    """Eigendecompositions per top-level call, for every k."""
 
     @pytest.fixture
     def eig_calls(self, monkeypatch):
@@ -671,6 +705,15 @@ class TestEigensolverCounts:
         P = char_polynomial(M)
         assert self._count(eig_calls, lambda: charpoly.is_characteristic(P, M.n)) <= 2
 
+    @pytest.mark.parametrize("m, r, k", [(3, 1, 1), (5, 2, 2)])
+    def test_realize_constant_directions(self, eig_calls, rng, m, r, k):
+        # The five of membership; realize adds A^{-1/2} and G of the
+        # moving part, the root of the constant block and build's
+        # freeness test.
+        M = random_manifold(rng, m=m, r=r, k=k, zero_eigs=0)
+        P = char_polynomial(M)
+        assert self._count(eig_calls, lambda: realize(P, M.n)) <= 9
+
     def test_almost_equivalent_order_eight(self, eig_calls, rng):
         P = char_polynomial(random_manifold(rng, m=8, zero_eigs=0))
         P2 = apply_certificate(P, random_certificate(rng, 8).inverse())
@@ -685,6 +728,14 @@ class TestEigensolverCounts:
         P2 = apply_certificate(P, random_certificate(rng, 3).inverse())
         eig_calls.clear()
         assert almost_equivalent(P, P2).is_yes
+        assert len(eig_calls) <= 10
+
+    def test_almost_equivalent_two_constant_directions(self, eig_calls, rng):
+        P = char_polynomial(random_manifold(rng, m=5, r=2, k=2, zero_eigs=0))
+        P2 = apply_certificate(P, random_certificate(rng, 5).inverse())
+        eig_calls.clear()
+        assert almost_equivalent(P, P2).is_yes
+        # Five per membership decision; the witness needs none.
         assert len(eig_calls) <= 10
 
     def test_almost_equivalent_degenerate_spectrum(self, eig_calls):

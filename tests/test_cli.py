@@ -207,6 +207,57 @@ class TestFlagRule:
         assert text == line + "\n"
 
 
+# Members of order two with k = 0, k = 1 and k = 2 (the elliptic point),
+# their images under X = [[1, 0], [1, 1]], alpha = 2, beta = 1, and the
+# exact bytes the realize -> charpoly pipe and compare print for them.
+STABLE_OUTPUT = {
+    "k0": (
+        {"A": [[2.0, 0.5], [0.5, 1.0]], "B": [[0.5, 0.0], [0.0, -0.25]], "C": [[1.0, 0.25], [0.25, 0.5]]},
+        6,
+        {"A": [[6.5, 1.75], [1.75, 1.0]], "B": [[4.5, 1.0], [1.0, 0.5]], "C": [[8.0, 3.0], [3.0, 2.0]]},
+        '{"error": null, "ok": true, "result": {"a_dblprime": [[0.0, 0.654653670708], [0.654653670708, 0.0]], "a_prime": [[0.266736677378, -0.0167366773785], [-0.0167366773785, -0.266736677378]], "lattice": [[1.39847020486, 0.210430715716], [0.210430715716, 0.977608773428]], "n": 6}}\n',
+        '{"error": null, "ok": true, "result": {"A": [[2.0, 0.499999999999], [0.499999999999, 1.0]], "B": [[0.499999999999, -1.81734931449e-13], [-1.81734931449e-13, -0.25]], "C": [[0.999999999999, 0.249999999999], [0.249999999999, 0.5]]}}\n',
+        '{"error": null, "ok": true, "result": {"certificate": {"X": [[-1.06904496765, -0.267261241912], [1.60356745147, 1.33630620956]], "alpha": 0.5, "beta": -0.5, "integral": false}, "reason": "verified witness", "verdict": "yes"}}\n',
+    ),
+    "k1": (
+        {"A": [[1.0, 1.0], [1.0, 3.0]], "B": [[0.5, 0.5], [0.5, 0.5]], "C": [[1.0, 1.0], [1.0, 1.0]]},
+        5,
+        {"A": [[14.0, 8.0], [8.0, 5.0]], "B": [[12.0, 6.0], [6.0, 3.0]], "C": [[16.0, 8.0], [8.0, 4.0]]},
+        '{"error": null, "ok": true, "result": {"a_dblprime": [[0.0, 0.866025403784]], "a_prime": [[0.0, 0.0], [0.0, 0.5]], "lattice": [[0.0, 1.41421356237], [-1.0, -1.0]], "n": 5}}\n',
+        '{"error": null, "ok": true, "result": {"A": [[1.0, 1.0], [1.0, 2.99999999999]], "B": [[0.5, 0.5], [0.5, 0.5]], "C": [[0.999999999999, 0.999999999999], [0.999999999999, 0.999999999999]]}}\n',
+        '{"error": null, "ok": true, "result": {"certificate": {"X": [[1, 2], [-1, -3]], "alpha": 0.5, "beta": -0.5, "integral": true}, "reason": "verified witness", "verdict": "yes"}}\n',
+    ),
+    "elliptic": (
+        {"A": [[2.0, 0.5], [0.5, 1.0]], "B": [[0.0, 0.0], [0.0, 0.0]], "C": [[0.0, 0.0], [0.0, 0.0]]},
+        4,
+        {"A": [[4.0, 1.5], [1.5, 1.0]], "B": [[0.0, 0.0], [0.0, 0.0]], "C": [[0.0, 0.0], [0.0, 0.0]]},
+        '{"error": null, "ok": true, "result": {"a_dblprime": [], "a_prime": [[0.0, 0.0], [0.0, 0.0]], "lattice": [[1.39847020486, 0.210430715716], [0.210430715716, 0.977608773428]], "n": 4}}\n',
+        '{"error": null, "ok": true, "result": {"A": [[2.0, 0.499999999999], [0.499999999999, 1.0]], "B": [[0.0, 0.0], [0.0, 0.0]], "C": [[0.0, 0.0], [0.0, 0.0]]}}\n',
+        '{"error": null, "ok": true, "result": {"certificate": {"X": [[0.707106781187, -0.353553390593], [0.0, 1.41421356237]], "alpha": 1.0, "beta": 0.0, "integral": false}, "reason": "verified witness", "verdict": "yes"}}\n',
+    ),
+}
+
+
+class TestStableOutput:
+    """realize, charpoly and compare print the same bytes for every k:
+    constant directions and full-rank C take one path."""
+
+    @staticmethod
+    def call(args, stdin_text, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        assert main(args) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", list(STABLE_OUTPUT))
+    def test_realize_charpoly_and_compare(self, kind, monkeypatch, capsys):
+        P1, n, P2, realized, extracted, compared = STABLE_OUTPUT[kind]
+        out = self.call(["realize", "--n", str(n)], json.dumps(P1), monkeypatch, capsys)
+        assert out == realized
+        assert self.call(["charpoly"], out, monkeypatch, capsys) == extracted
+        pair = json.dumps({"P1": P1, "P2": P2})
+        assert self.call(["compare"], pair, monkeypatch, capsys) == compared
+
+
 class TestExitCodes:
     def test_domain_error_is_one(self):
         payload = {
