@@ -42,6 +42,7 @@ analysis.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -54,6 +55,7 @@ from .errors import (
     DimensionMismatch,
     InvalidCharacteristic,
     NotDegenerate,
+    SignatureInconsistent,
     SingularA,
 )
 from .symmat import DEFAULT_TOL
@@ -142,14 +144,10 @@ class CGauge(NamedTuple):
 
 
 def char_polynomial(M: ManifoldData) -> MatrixParabola:
-    """Extract the characteristic parabola of manifold data."""
-    L = M.lattice
+    """Extract the characteristic parabola of manifold data: the
+    congruences of I, a' and a'^2 + a''^T a'' by the lattice matrix."""
     a_sq = M.a_prime @ M.a_prime + M.a_dblprime.T @ M.a_dblprime
-    return MatrixParabola(
-        L.T @ L,
-        L.T @ M.a_prime @ L,
-        L.T @ a_sq @ L,
-    )
+    return MatrixParabola(*symmat.congruence(np.stack((np.eye(M.m), M.a_prime, a_sq)), M.lattice))
 
 
 def q_direct(M: ManifoldData, z, v):
@@ -191,7 +189,7 @@ class ParabolaAnalysis:
 
     def __init__(self, P: MatrixParabola, tol=DEFAULT_TOL):
         self.P = P
-        self.tol = tol
+        self.tol = float(symmat.require_finite(tol, "tol"))
 
     @cached_property
     def inv_root(self):
@@ -250,7 +248,9 @@ class ParabolaAnalysis:
         and V a basis of the A-orthogonal complement {w : U^T A w = 0};
         a parabola that comes from a manifold has ker C inside ker B
         (those directions act by pure translations), so B U must
-        vanish, else InvalidCharacteristic.
+        vanish, else InvalidCharacteristic.  One stacked product
+        T = X^T [A, B, C] X gives both: the constant block is the k x k
+        corner of T_A and the reduced parabola the trailing blocks.
         """
         P, tol, kernel = self.P, self.tol, self.kernel
         if not kernel.any():
@@ -260,12 +260,12 @@ class ParabolaAnalysis:
             raise InvalidCharacteristic(
                 "B does not vanish on ker C; no manifold produces this parabola"
             )
+        k = U.shape[1]
         _, _, vh = np.linalg.svd(U.T @ P.A)
-        V = vh[U.shape[1] :].T
-        reduced = MatrixParabola(*(symmat.congruence(S, V) for S in (P.A, P.B, P.C)))
-        result = ReductionResult(np.hstack([U, V]), symmat.congruence(P.A, U), reduced)
-        _verify_reduction(P, result, tol)
-        return result
+        X = np.hstack([U, vh[k:].T])
+        T = symmat.congruence(np.stack((P.A, P.B, P.C)), X)
+        _verify_reduction(P, T, k, tol)
+        return ReductionResult(X, T[0, :k, :k], MatrixParabola(*T[:, k:, k:]))
 
     @property
     def reduced(self):
@@ -402,18 +402,15 @@ def reduce_degenerate(P: MatrixParabola, tol=DEFAULT_TOL) -> ReductionResult:
     return result
 
 
-def _verify_reduction(P, result, tol):
-    """Check X^T S X against blockdiag(constant block, reduced S) for
-    S = A, and blockdiag(0, reduced S) for S = B, C, each at
-    tol * max|S|: Q(s) is block diagonal for every s exactly when its
-    three coefficients are."""
-    k = result.constant_block.shape[0]
-    coeffs = np.stack([P.A, P.B, P.C])
-    expect = np.zeros_like(coeffs)
-    expect[0, :k, :k] = result.constant_block
-    expect[:, k:, k:] = (result.reduced.A, result.reduced.B, result.reduced.C)
-    error = np.max(np.abs(result.X.T @ coeffs @ result.X - expect), axis=(1, 2), initial=0.0)
-    bad = error > tol * np.max(np.abs(coeffs), axis=(1, 2), initial=0.0)
+def _verify_reduction(P, T, k, tol):
+    """Check that the blocks of T = X^T S X that must vanish do, for
+    S = A, B, C, each at tol * max|S|: the off-diagonal blocks of all
+    three, and the leading k x k block of B and C.  Q(s) is then
+    blockdiag(constant block, reduced Q(s)) for every s."""
+    vanish = np.ones(T.shape, dtype=bool)
+    vanish[0, :k, :k] = vanish[:, k:, k:] = False
+    error = np.max(np.abs(T) * vanish, axis=(1, 2), initial=0.0)
+    bad = error > tol * np.max(np.abs((P.A, P.B, P.C)), axis=(1, 2), initial=0.0)
     if bad.any():
         raise InvalidCharacteristic(f"reduction is not block-diagonal in {'ABC'[bad.argmax()]}")
 
@@ -457,8 +454,14 @@ def is_characteristic(P: MatrixParabola, n, tol=DEFAULT_TOL):
     in its C-gauge: its C must be positive definite, the rank r >= 1
     and PSD-ness of the Schur complement are read from the eigenvalues
     of H, and positivity by the Hautus test, all against
-    tol * max(max|F^T A F|, max|mu|^2), and m + r + 2 <= n.
+    tol * max(max|F^T A F|, max|mu|^2), and m + r + 2 <= n.  Raises
+    SignatureInconsistent unless n is an integer, and NonFiniteInput
+    unless tol is finite.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise SignatureInconsistent(f"ambient dimension must be an integer, got {n!r}") from None
     analysis = ParabolaAnalysis(P, tol)
     return MembershipVerdict(*_decide(analysis, n), analysis)
 

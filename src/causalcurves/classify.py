@@ -7,8 +7,8 @@ X instead gives the weaker notion of almost causal isometry (same data
 up to the choice of lattice).  This module can
 
 * rebuild manifold data realizing any member (``realize``),
-* apply and verify certificates (``apply_certificate``,
-  ``verify_equivalence``),
+* apply certificates, one stacked ``symmat.congruence`` of the
+  reparametrized (A, B, C), and verify them (``verify_equivalence``),
 * compute the affine spectrum of B C^{-1}, an isometry invariant up to
   orientation-preserving affine maps of the parameter,
 * compute the simple-spectrum normal form of manifold data (eigenvalues
@@ -16,8 +16,8 @@ up to the choice of lattice).  This module can
 * decide almost-equivalence (``almost_equivalent``) by the normal form
   (s + diag mu)^2 + H of each member's C-gauge, and
 * exhaustively search tiny integer certificates (``search_certificate``):
-  every bounded unimodular X is screened in one array pass, and the first
-  survivor is re-verified by ``apply_certificate`` before it is returned.
+  every bounded unimodular X is screened in one congruence of the
+  stack, and the first survivor is re-verified by ``apply_certificate``.
 
 Realization reads the A-gauge of the membership verdict's
 :class:`ParabolaAnalysis`: a' = B~, a'' = the rank-r root of G and the
@@ -110,17 +110,13 @@ def reparametrize(P: MatrixParabola, alpha, beta) -> MatrixParabola:
 
 
 def apply_certificate(P: MatrixParabola, cert: EquivalenceCertificate) -> MatrixParabola:
-    """Coefficients of X^T Q(alpha s + beta) X."""
+    """Coefficients of X^T Q(alpha s + beta) X: reparametrized, then congruent."""
     if cert.X.shape[0] != P.dim:
         raise DimensionMismatch(
             f"certificate is {cert.X.shape[0]}x{cert.X.shape[0]}, parabola has order {P.dim}"
         )
-    Q = reparametrize(P, cert.alpha, cert.beta)
-    return MatrixParabola(
-        symmat.congruence(Q.A, cert.X),
-        symmat.congruence(Q.B, cert.X),
-        symmat.congruence(Q.C, cert.X),
-    )
+    Q = np.stack(_reparametrized(P.A, P.B, P.C, cert.alpha, cert.beta))
+    return MatrixParabola(*symmat.congruence(Q, cert.X))
 
 
 def _common_n(P1, P2, n):
@@ -344,7 +340,7 @@ def _yes(P1, P2, X, alpha, beta, tol):
     """
     cert = EquivalenceCertificate(X, alpha, beta)
     image = apply_certificate(P2, cert)
-    a, b, c = np.abs(cert.X.T @ np.array((P2.A, P2.B, P2.C)) @ cert.X).max(axis=(1, 2), initial=0.0)
+    a, b, c = np.abs(symmat.congruence(np.stack((P2.A, P2.B, P2.C)), cert.X)).max(axis=(1, 2), initial=0.0)
     alpha, beta = cert.alpha, abs(cert.beta)
     terms = (max(a, 2.0 * beta * b, beta * beta * c), alpha * max(b, beta * c), alpha * alpha * c)
     tol = max(tol, SPECTRUM_TOL)
@@ -448,14 +444,6 @@ def _unimodular_stack(m, bound):
     return np.stack([rows[first], rows[second]], axis=1)
 
 
-def _congruences(S, Xs):
-    """X^T S X for each X of a stack (S one matrix or a stack of them),
-    re-symmetrized and multiplied in the order of symmat.congruence."""
-    M = Xs.transpose(0, 2, 1) @ S @ Xs
-    half = 0.5 * M
-    return half + half.transpose(0, 2, 1)
-
-
 def search_certificate(P1, P2, entry_bound=3, tol=DEFAULT_TOL):
     """Exhaustive integer certificate search for orders one and two.
 
@@ -464,10 +452,12 @@ def search_certificate(P1, P2, entry_bound=3, tol=DEFAULT_TOL):
     beta are forced by trace identities (tr C1 = alpha^2 tr X^T C2 X,
     then the trace of the linear coefficient), and X^T Q2(alpha s + beta) X
     is compared coefficient-wise with P1 at tol relative to P1's scale,
-    with the arithmetic of ``apply_certificate``.  The survivors are
+    with the arithmetic of ``apply_certificate``, traces and images each
+    one ``symmat.congruence`` of the candidate stack.  The survivors are
     walked in order and the first that also passes the scalar check
     ``P1.close_to(apply_certificate(P2, cert), tol)`` is returned, or
-    None.  The search is complete only within the bound.
+    None.  The search is complete only within the bound; a NaN or
+    infinite tol raises NonFiniteInput.
     """
     m = P1.dim
     if P2.dim != m:
@@ -486,11 +476,12 @@ def search_certificate(P1, P2, entry_bound=3, tol=DEFAULT_TOL):
         raise UnsupportedDimension(
             f"entry bound must lie in 1..5, got {entry_bound}"
         )
+    tol = float(symmat.require_finite(tol, "tol"))
     tr_b1 = float(np.trace(P1.B))
     tr_c1 = float(np.trace(P1.C))
     band = tol * P1.coeff_scale()
     Xs = _unimodular_stack(m, entry_bound)
-    tr_c2x = np.trace(_congruences(P2.C, Xs), axis1=1, axis2=2)
+    tr_c2x = np.trace(symmat.congruence(P2.C, Xs), axis1=1, axis2=2)
     # Both traces tiny force alpha = 1, beta = 0; exactly one tiny rules X out.
     if tr_c1 <= band:
         Xs = Xs[tr_c2x <= band]
@@ -499,12 +490,11 @@ def search_certificate(P1, P2, entry_bound=3, tol=DEFAULT_TOL):
         wide = tr_c2x > band
         Xs, tr_c2x = Xs[wide], tr_c2x[wide]
         alpha = np.sqrt(tr_c1 / tr_c2x)
-        tr_b2x = np.trace(_congruences(P2.B, Xs), axis1=1, axis2=2)
+        tr_b2x = np.trace(symmat.congruence(P2.B, Xs), axis1=1, axis2=2)
         beta = (tr_b1 / alpha - tr_b2x) / tr_c2x
-    images = _reparametrized(P2.A, P2.B, P2.C, alpha[:, None, None], beta[:, None, None])
-    close = np.ones(len(Xs), dtype=bool)
-    for coeff, image in zip((P1.A, P1.B, P1.C), images):
-        close &= np.abs(coeff - _congruences(image, Xs)).max(axis=(1, 2)) <= band
+    Q2 = np.stack(_reparametrized(P2.A, P2.B, P2.C, alpha[:, None, None], beta[:, None, None]))
+    error = np.abs(np.stack((P1.A, P1.B, P1.C))[:, None] - symmat.congruence(Q2, Xs))
+    close = np.all(error.max(axis=(2, 3)) <= band, axis=0)
     for i in np.flatnonzero(close):
         cert = EquivalenceCertificate(Xs[i].copy(), alpha[i], beta[i])
         if P1.close_to(apply_certificate(P2, cert), tol):

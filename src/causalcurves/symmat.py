@@ -7,9 +7,11 @@ arrays in ascending degree order (numpy's polynomial convention).
 
 There is one eigen kernel: :func:`sym_eig` is LAPACK's symmetric solver
 (``numpy.linalg.eigh``), and every predicate and square root here goes
-through it.  Real roots of scalar polynomials come from the
-eigenvalues of the companion matrix (``numpy.polynomial``), clustered so
-that a multiple root is reported once.
+through it.  There is one congruence kernel: :func:`congruence` forms
+every congruence X^T S X in the package, on one matrix or on stacks.
+Real roots of scalar polynomials come from the eigenvalues of the
+companion matrix (``numpy.polynomial``), clustered so that a multiple
+root is reported once.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def max_norm(S):
 def require_finite(S, name="matrix"):
     """Return ``S`` as a float array, raising NonFiniteInput on NaN or inf."""
     S = np.asarray(S, dtype=float)
-    if not np.all(np.isfinite(S)):
+    if not np.isfinite(S).all():
         raise NonFiniteInput(f"{name} has non-finite entries")
     return S
 
@@ -105,7 +107,7 @@ def psd_sqrt(S, tol=DEFAULT_TOL):
             f"matrix has negative eigenvalue {values[0]:.3e} beyond tolerance"
         )
     clamped = np.clip(values, 0.0, None)
-    return symmetrize(vectors @ np.diag(np.sqrt(clamped)) @ vectors.T)
+    return congruence(np.diag(np.sqrt(clamped)), vectors.T)
 
 
 def pd_inv_sqrt(S, tol=DEFAULT_TOL):
@@ -119,7 +121,7 @@ def pd_inv_sqrt(S, tol=DEFAULT_TOL):
     values, vectors = sym_eig(S)
     if np.any(values <= tol * max_norm(S)):
         return None
-    return symmetrize(vectors @ np.diag(values ** -0.5) @ vectors.T)
+    return congruence(np.diag(values ** -0.5), vectors.T)
 
 
 def clusters(values, band):
@@ -131,14 +133,17 @@ def clusters(values, band):
 
 
 def congruence(S, X):
-    """X^T S X, re-symmetrized.  X may be rectangular (m x p)."""
-    S = symmetrize(S)
+    """X^T S X, re-symmetrized: the one place the package forms it.
+
+    X may be rectangular (m x p), and S and X may be stacks on their
+    leading axes, which broadcast; the last two axes are the matrices.
+    A symmetric S is used as given (an antisymmetric part cancels)."""
+    S = np.asarray(S, dtype=float)
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != S.shape[0]:
-        raise DimensionMismatch(
-            f"congruence needs X with {S.shape[0]} rows, got shape {X.shape}"
-        )
-    return symmetrize(X.T @ S @ X)
+    if S.ndim < 2 or X.ndim < 2 or not S.shape[-1] == S.shape[-2] == X.shape[-2]:
+        raise DimensionMismatch(f"congruence needs square S and X with as many rows: {S.shape}, {X.shape}")
+    half = 0.5 * (np.swapaxes(X, -1, -2) @ S @ X)
+    return half + np.swapaxes(half, -1, -2)
 
 
 def trim_poly(coeffs, rel_tol=_COEFF_TRIM_REL):

@@ -14,6 +14,7 @@ from causalcurves import (
     NonFiniteInput,
     NotDegenerate,
     Signature,
+    SignatureInconsistent,
     SingularA,
     apply_certificate,
     char_polynomial,
@@ -399,6 +400,35 @@ class TestIsCharacteristic:
             band = 1e-8 * (1.0 + np.max(np.abs(P.C)))
             assert P.dim - sig.k == np.sum(np.abs(np.linalg.eigvalsh(P.C)) > band)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "view",
+        [
+            lambda P, tol: is_characteristic(P, 6, tol),
+            check_positive_all_s,
+            schur_condition,
+            lambda P, tol: reduce_degenerate(MatrixParabola(P.A, P.B, np.diag([1.0, 0.0])), tol),
+        ],
+        ids=["is_characteristic", "check_positive_all_s", "schur_condition", "reduce_degenerate"],
+    )
+    def test_non_finite_tol_rejected(self, view, tol):
+        # A member, so no verdict may come back silently at a NaN band.
+        P = MatrixParabola([[2.0, 0.0], [0.0, 1.0]], np.zeros((2, 2)), I2)
+        with pytest.raises(NonFiniteInput):
+            view(P, tol)
+
+    @pytest.mark.parametrize("n", [4.5, 6.0, "6", None])
+    def test_non_integral_n_rejected(self, n):
+        P = MatrixParabola([[2.0, 0.0], [0.0, 1.0]], np.zeros((2, 2)), I2)
+        with pytest.raises(SignatureInconsistent):
+            is_characteristic(P, n)
+
+    def test_numpy_integer_n_accepted(self):
+        P = MatrixParabola([[2.0, 0.0], [0.0, 1.0]], np.zeros((2, 2)), I2)
+        ok, sig = is_characteristic(P, np.int64(6))
+        assert ok and sig.as_tuple() == (6, 2, 2, 0)
+        assert type(sig.n) is int
+
     @pytest.mark.parametrize("tol", [1e-9, 1e-7, 1e-6])
     def test_reduction_check_follows_tol(self, tol):
         # C has an eigenvalue near 1e-8 whose eigenvector B kills to 1e-8:
@@ -502,6 +532,20 @@ class TestReduction:
     def test_linear_on_kernel_required(self):
         with pytest.raises(InvalidCharacteristic):
             reduce_degenerate(MatrixParabola(I2, I2, np.zeros((2, 2))))
+
+    def test_off_diagonal_block_checked(self):
+        # ker C = span(e4), and B e4 = 0.9e-9 per entry passes the B U
+        # band (tol * max|B| = 1e-9), but the A-orthogonal complement V
+        # leans on e1..e3, so an entry of U^T B V exceeds the band.
+        A = 3.0 * np.eye(4)
+        A[:3, 3] = A[3, :3] = 1.0
+        B = np.zeros((4, 4))
+        B[0, 0] = 1.0
+        B[:3, 3] = B[3, :3] = 0.9e-9
+        P = MatrixParabola(A, B, np.diag([1.0, 1.0, 1.0, 0.0]))
+        with pytest.raises(InvalidCharacteristic, match="in B"):
+            reduce_degenerate(P)
+        assert is_characteristic(P, 10) == (False, None)
 
 
 class TestParabolaType:

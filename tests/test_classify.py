@@ -838,6 +838,23 @@ class TestSearchCertificate:
                 search_certificate(P_UNIT, P_UNIT, entry_bound=bound)
         assert search_certificate(P_UNIT, P_UNIT, entry_bound=np.int64(2)) is not None
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda tol: search_certificate(P_UNIT, P_UNIT, tol=tol),
+            lambda tol: almost_equivalent(P_UNIT, P_UNIT, tol),
+            lambda tol: verify_equivalence(P_UNIT, P_UNIT, identity_certificate(1), tol),
+            lambda tol: realize(P_UNIT, 3, tol),
+        ],
+        ids=["search_certificate", "almost_equivalent", "verify_equivalence", "realize"],
+    )
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tol_rejected(self, call, tol):
+        # P_UNIT is equivalent to itself: a NaN band must not answer None,
+        # "no" or NotCharacteristic for it.
+        with pytest.raises(NonFiniteInput):
+            call(tol)
+
     @staticmethod
     def _pairs(rng, m, count):
         """Planted pairs P1 = X^T P2(alpha s + beta) X, each followed by

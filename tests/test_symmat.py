@@ -176,6 +176,33 @@ class TestRankAndCongruence:
         with pytest.raises(DimensionMismatch):
             symmat.congruence(np.eye(2), np.eye(3))
 
+    def test_congruence_of_stacks(self, rng):
+        # A stack of S, a stack of X, or both broadcast on the leading
+        # axes, each product bit for bit the one-matrix congruence.
+        for m, p in ((1, 1), (3, 3), (5, 2)):
+            S = rng.standard_normal((3, m, m))
+            Xs = rng.standard_normal((4, m, p))
+            for i in range(3):
+                for j in range(4):
+                    one = symmat.congruence(S[i], Xs[j])
+                    np.testing.assert_array_equal(symmat.congruence(S, Xs[j])[i], one)
+                    np.testing.assert_array_equal(symmat.congruence(S[i], Xs)[j], one)
+                    np.testing.assert_array_equal(symmat.congruence(S[:, None], Xs)[i, j], one)
+
+    @pytest.mark.parametrize(
+        "S, X",
+        [
+            (np.zeros((3, 2, 3)), np.eye(2)),  # non-square stack
+            (np.zeros(3), np.eye(3)),  # not a matrix
+            (np.zeros((3, 2, 2)), np.eye(3)),  # wrong row count
+            (np.eye(2), np.zeros((4, 3, 2))),  # wrong row count in a stack of X
+            (np.eye(2), np.ones(2)),  # X not a matrix
+        ],
+    )
+    def test_congruence_stack_dim_mismatch(self, S, X):
+        with pytest.raises(DimensionMismatch):
+            symmat.congruence(S, X)
+
     def test_rank_congruence_invariance(self, rng):
         for _ in range(40):
             m = int(rng.integers(1, 6))
