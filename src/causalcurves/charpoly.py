@@ -42,8 +42,9 @@ analysis.
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -54,6 +55,7 @@ from .construction import ManifoldData, Signature, gamma_apply
 from .errors import (
     DimensionMismatch,
     InvalidCharacteristic,
+    NonFiniteInput,
     NotDegenerate,
     SignatureInconsistent,
     SingularA,
@@ -63,23 +65,23 @@ from .symmat import DEFAULT_TOL
 
 @dataclass(frozen=True)
 class MatrixParabola:
-    """Coefficient triple (A, B, C) of equal order, symmetrized on entry."""
+    """Coefficient triple (A, B, C) of equal order: the rows of one (3, m, m)
+    stack ``coeffs``, checked finite and symmetrized on entry."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
+    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A = symmat.symmetrize(symmat.require_finite(self.A, "A"))
-        B = symmat.symmetrize(symmat.require_finite(self.B, "B"))
-        C = symmat.symmetrize(symmat.require_finite(self.C, "C"))
-        if B.shape != A.shape or C.shape != A.shape:
-            raise DimensionMismatch(
-                f"coefficient shapes differ: {A.shape}, {B.shape}, {C.shape}"
-            )
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
+        A = symmat.as_square(self.A, "A")
+        if np.shape(self.B) != A.shape or np.shape(self.C) != A.shape:
+            raise DimensionMismatch(f"coefficient shapes differ: {A.shape}, {np.shape(self.B)}, {np.shape(self.C)}")
+        coeffs = np.array((A, self.B, self.C), dtype=float)
+        if not (finite := np.isfinite(coeffs).all(axis=(1, 2))).all():
+            raise NonFiniteInput(f"{'ABC'[finite.argmin()]} has non-finite entries")
+        coeffs = symmat.symmetrize(coeffs)
+        vars(self).update(coeffs=coeffs, A=coeffs[0], B=coeffs[1], C=coeffs[2])
 
     @property
     def dim(self):
@@ -91,18 +93,11 @@ class MatrixParabola:
 
     def coeff_scale(self):
         """Largest absolute entry across the three coefficients."""
-        return max(symmat.max_norm(self.A), symmat.max_norm(self.B), symmat.max_norm(self.C))
+        return symmat.max_norm(self.coeffs)
 
     def close_to(self, other, tol=DEFAULT_TOL):
         """Coefficient-wise comparison at tol relative to this parabola."""
-        if other.dim != self.dim:
-            return False
-        bound = tol * self.coeff_scale()
-        return (
-            symmat.max_norm(self.A - other.A) <= bound
-            and symmat.max_norm(self.B - other.B) <= bound
-            and symmat.max_norm(self.C - other.C) <= bound
-        )
+        return other.dim == self.dim and symmat.max_norm(self.coeffs - other.coeffs) <= tol * self.coeff_scale()
 
 
 @dataclass(frozen=True)
@@ -188,8 +183,9 @@ class ParabolaAnalysis:
     """
 
     def __init__(self, P: MatrixParabola, tol=DEFAULT_TOL):
-        self.P = P
-        self.tol = float(symmat.require_finite(tol, "tol"))
+        self.P, self.tol = P, float(tol)
+        if not math.isfinite(self.tol):
+            raise NonFiniteInput(f"tol must be finite, got {self.tol}")
 
     @cached_property
     def inv_root(self):
@@ -263,7 +259,7 @@ class ParabolaAnalysis:
         k = U.shape[1]
         _, _, vh = np.linalg.svd(U.T @ P.A)
         X = np.hstack([U, vh[k:].T])
-        T = symmat.congruence(np.stack((P.A, P.B, P.C)), X)
+        T = symmat.congruence(P.coeffs, X)
         _verify_reduction(P, T, k, tol)
         return ReductionResult(X, T[0, :k, :k], MatrixParabola(*T[:, k:, k:]))
 
@@ -409,8 +405,8 @@ def _verify_reduction(P, T, k, tol):
     blockdiag(constant block, reduced Q(s)) for every s."""
     vanish = np.ones(T.shape, dtype=bool)
     vanish[0, :k, :k] = vanish[:, k:, k:] = False
-    error = np.max(np.abs(T) * vanish, axis=(1, 2), initial=0.0)
-    bad = error > tol * np.max(np.abs((P.A, P.B, P.C)), axis=(1, 2), initial=0.0)
+    error, size = np.abs((T * vanish, P.coeffs)).max(axis=(2, 3), initial=0.0)
+    bad = error > tol * size
     if bad.any():
         raise InvalidCharacteristic(f"reduction is not block-diagonal in {'ABC'[bad.argmax()]}")
 

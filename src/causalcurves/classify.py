@@ -31,6 +31,7 @@ elliptic point k = m, whose moving part is 0 x 0.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -43,6 +44,7 @@ from .errors import (
     BadCertificate,
     CSingular,
     DimensionMismatch,
+    NonFiniteInput,
     NotCharacteristic,
     NotSimpleSpectrum,
     UnsupportedDimension,
@@ -98,15 +100,16 @@ def identity_certificate(m):
     return EquivalenceCertificate(np.eye(m), 1.0, 0.0)
 
 
-def _reparametrized(A, B, C, alpha, beta):
-    """Coefficients of s -> Q(alpha s + beta); alpha and beta may be
-    arrays broadcasting against a stack of coefficients."""
-    return A + 2.0 * beta * B + beta * beta * C, alpha * (B + beta * C), alpha * alpha * C
+def _reparametrized(coeffs, alpha, beta):
+    """The stack (A, B, C) of s -> Q(alpha s + beta); alpha and beta may
+    be arrays broadcasting against a stack of coefficients."""
+    A, B, C = coeffs
+    return np.stack((A + 2.0 * beta * B + beta * beta * C, alpha * (B + beta * C), alpha * alpha * C))
 
 
 def reparametrize(P: MatrixParabola, alpha, beta) -> MatrixParabola:
     """The parabola s -> Q(alpha s + beta) (no congruence)."""
-    return MatrixParabola(*_reparametrized(P.A, P.B, P.C, alpha, beta))
+    return MatrixParabola(*_reparametrized(P.coeffs, alpha, beta))
 
 
 def apply_certificate(P: MatrixParabola, cert: EquivalenceCertificate) -> MatrixParabola:
@@ -115,8 +118,7 @@ def apply_certificate(P: MatrixParabola, cert: EquivalenceCertificate) -> Matrix
         raise DimensionMismatch(
             f"certificate is {cert.X.shape[0]}x{cert.X.shape[0]}, parabola has order {P.dim}"
         )
-    Q = np.stack(_reparametrized(P.A, P.B, P.C, cert.alpha, cert.beta))
-    return MatrixParabola(*symmat.congruence(Q, cert.X))
+    return MatrixParabola(*symmat.congruence(_reparametrized(P.coeffs, cert.alpha, cert.beta), cert.X))
 
 
 def _common_n(P1, P2, n):
@@ -336,18 +338,16 @@ def _yes(P1, P2, X, alpha, beta, tol):
     within max(tol, SPECTRUM_TOL) times the largest of its own entries
     and the terms the image is summed from: X^T A2 X, 2 beta X^T B2 X and
     beta^2 X^T C2 X for A; alpha X^T B2 X and alpha beta X^T C2 X for B;
-    alpha^2 X^T C2 X for C.
+    alpha^2 X^T C2 X for C, all three compared in one vector expression.
     """
     cert = EquivalenceCertificate(X, alpha, beta)
     image = apply_certificate(P2, cert)
-    a, b, c = np.abs(symmat.congruence(np.stack((P2.A, P2.B, P2.C)), cert.X)).max(axis=(1, 2), initial=0.0)
+    a, b, c = np.abs(symmat.congruence(P2.coeffs, cert.X)).max(axis=(1, 2), initial=0.0)
     alpha, beta = cert.alpha, abs(cert.beta)
     terms = (max(a, 2.0 * beta * b, beta * beta * c), alpha * max(b, beta * c), alpha * alpha * c)
-    tol = max(tol, SPECTRUM_TOL)
-    for coeff, mapped, term in zip((P1.A, P1.B, P1.C), (image.A, image.B, image.C), terms):
-        if symmat.max_norm(coeff - mapped) > tol * max(symmat.max_norm(coeff), term):
-            reason = "invariants match but the assembled witness failed verification"
-            return AlmostVerdict("unknown", None, reason)
+    size, error = np.abs((P1.coeffs, P1.coeffs - image.coeffs)).max(axis=(2, 3), initial=0.0)
+    if np.any(error > max(tol, SPECTRUM_TOL) * np.maximum(size, terms)):
+        return AlmostVerdict("unknown", None, "invariants match but the assembled witness failed verification")
     return AlmostVerdict("yes", cert, "verified witness")
 
 
@@ -476,24 +476,23 @@ def search_certificate(P1, P2, entry_bound=3, tol=DEFAULT_TOL):
         raise UnsupportedDimension(
             f"entry bound must lie in 1..5, got {entry_bound}"
         )
-    tol = float(symmat.require_finite(tol, "tol"))
-    tr_b1 = float(np.trace(P1.B))
-    tr_c1 = float(np.trace(P1.C))
+    if not math.isfinite(tol := float(tol)):
+        raise NonFiniteInput(f"tol must be finite, got {tol}")
+    tr_b1, tr_c1 = np.trace(P1.coeffs[1:], axis1=1, axis2=2)
     band = tol * P1.coeff_scale()
     Xs = _unimodular_stack(m, entry_bound)
-    tr_c2x = np.trace(symmat.congruence(P2.C, Xs), axis1=1, axis2=2)
+    tr_b2x, tr_c2x = np.trace(symmat.congruence(P2.coeffs[1:, None], Xs), axis1=2, axis2=3)
     # Both traces tiny force alpha = 1, beta = 0; exactly one tiny rules X out.
     if tr_c1 <= band:
         Xs = Xs[tr_c2x <= band]
         alpha, beta = np.ones(len(Xs)), np.zeros(len(Xs))
     else:
         wide = tr_c2x > band
-        Xs, tr_c2x = Xs[wide], tr_c2x[wide]
+        Xs, tr_b2x, tr_c2x = Xs[wide], tr_b2x[wide], tr_c2x[wide]
         alpha = np.sqrt(tr_c1 / tr_c2x)
-        tr_b2x = np.trace(symmat.congruence(P2.B, Xs), axis1=1, axis2=2)
         beta = (tr_b1 / alpha - tr_b2x) / tr_c2x
-    Q2 = np.stack(_reparametrized(P2.A, P2.B, P2.C, alpha[:, None, None], beta[:, None, None]))
-    error = np.abs(np.stack((P1.A, P1.B, P1.C))[:, None] - symmat.congruence(Q2, Xs))
+    Q2 = _reparametrized(P2.coeffs, alpha[:, None, None], beta[:, None, None])
+    error = np.abs(P1.coeffs[:, None] - symmat.congruence(Q2, Xs))
     close = np.all(error.max(axis=(2, 3)) <= band, axis=0)
     for i in np.flatnonzero(close):
         cert = EquivalenceCertificate(Xs[i].copy(), alpha[i], beta[i])

@@ -8,10 +8,10 @@ arrays in ascending degree order (numpy's polynomial convention).
 There is one eigen kernel: :func:`sym_eig` is LAPACK's symmetric solver
 (``numpy.linalg.eigh``), and every predicate and square root here goes
 through it.  There is one congruence kernel: :func:`congruence` forms
-every congruence X^T S X in the package, on one matrix or on stacks.
-Real roots of scalar polynomials come from the eigenvalues of the
-companion matrix (``numpy.polynomial``), clustered so that a multiple
-root is reported once.
+every X^T S X in the package; it and :func:`symmetrize` take one matrix
+or stacks.  Real roots of scalar polynomials come from the eigenvalues
+of the companion matrix (``numpy.polynomial``, imported on first use: no
+verdict reads them), clustered so that a multiple root is reported once.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .errors import (
     DimensionMismatch,
@@ -54,10 +53,13 @@ def as_square(S, name="matrix"):
 
 
 def symmetrize(S):
-    """Exactly symmetric copy of a square matrix: S/2 + S^T/2, halved
-    before adding so that no finite entry overflows."""
-    half = 0.5 * as_square(S)
-    return half + half.T
+    """Exactly symmetric copy of a square matrix, or of a stack of them
+    on the leading axes: S/2 + S^T/2, halved before adding so that no
+    finite entry overflows."""
+    half = 0.5 * np.asarray(S, dtype=float)
+    if half.ndim < 2 or half.shape[-1] != half.shape[-2]:
+        raise DimensionMismatch(f"matrix must be square, got shape {half.shape}")
+    return half + half.swapaxes(-1, -2)
 
 
 def max_norm(S):
@@ -133,7 +135,7 @@ def clusters(values, band):
 
 
 def congruence(S, X):
-    """X^T S X, re-symmetrized: the one place the package forms it.
+    """symmetrize(X^T S X): the one place the package forms X^T S X.
 
     X may be rectangular (m x p), and S and X may be stacks on their
     leading axes, which broadcast; the last two axes are the matrices.
@@ -142,8 +144,7 @@ def congruence(S, X):
     X = np.asarray(X, dtype=float)
     if S.ndim < 2 or X.ndim < 2 or not S.shape[-1] == S.shape[-2] == X.shape[-2]:
         raise DimensionMismatch(f"congruence needs square S and X with as many rows: {S.shape}, {X.shape}")
-    half = 0.5 * (np.swapaxes(X, -1, -2) @ S @ X)
-    return half + np.swapaxes(half, -1, -2)
+    return symmetrize(X.swapaxes(-1, -2) @ S @ X)
 
 
 def trim_poly(coeffs, rel_tol=_COEFF_TRIM_REL):
@@ -178,6 +179,7 @@ def det_poly(A, B, C):
     divided differences; coefficients are then trimmed at
     1e-10 * max|coeff|.
     """
+    import numpy.polynomial.polynomial as npoly
     A = symmetrize(A)
     B = np.asarray(B, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -202,6 +204,7 @@ def det_poly(A, B, C):
 
 
 def poly_eval(coeffs, x):
+    import numpy.polynomial.polynomial as npoly
     return npoly.polyval(x, np.asarray(coeffs, dtype=float))
 
 
@@ -215,6 +218,7 @@ def real_roots(coeffs):
     comes back once, and more accurately than any of its scattered
     copies.
     """
+    import numpy.polynomial.polynomial as npoly
     p = trim_poly(coeffs)
     if is_zero_poly(p):
         raise ZeroPolynomial("cannot find roots of the zero polynomial")

@@ -29,7 +29,7 @@ from causalcurves import (
     schur_condition,
     signature_of,
 )
-from causalcurves import charpoly
+from causalcurves import charpoly, symmat
 from causalcurves.errors import DimensionMismatch
 from conftest import (
     random_characteristic_parabola,
@@ -563,4 +563,37 @@ class TestParabolaType:
         coeffs = [np.eye(2), np.zeros((2, 2)), np.eye(2)]
         coeffs[which][0, 1] = bad
         with pytest.raises(NonFiniteInput):
+            MatrixParabola(*coeffs)
+
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_one_stack(self, rng, m):
+        # The triple is held once: A, B and C are the rows of ``coeffs``,
+        # each bit for bit the 2-D symmetrization of its input.
+        raw = rng.standard_normal((3, m, m))
+        P = MatrixParabola(*raw)
+        assert P.coeffs.shape == (3, m, m)
+        for row, coeff, given in zip(P.coeffs, (P.A, P.B, P.C), raw):
+            assert np.shares_memory(coeff, P.coeffs)
+            np.testing.assert_array_equal(coeff, row)
+            np.testing.assert_array_equal(coeff, symmat.symmetrize(given))
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (np.ones(2), np.ones(2), np.ones(2)),  # 1-D
+            (np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3))),  # non-square
+            (np.eye(2), np.eye(2), np.eye(3)),  # mixed orders
+        ],
+        ids=["1-D", "non-square", "mixed-order"],
+    )
+    def test_shape_rejected(self, coeffs):
+        with pytest.raises(DimensionMismatch):
+            MatrixParabola(*coeffs)
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_non_finite_names_the_coefficient(self, which):
+        coeffs = [np.eye(2), np.zeros((2, 2)), np.eye(2)]
+        coeffs[which][1, 0] = np.nan
+        coeffs[2][0, 1] = np.inf
+        with pytest.raises(NonFiniteInput, match=f"^{'ABC'[which]} "):
             MatrixParabola(*coeffs)

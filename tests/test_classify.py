@@ -633,9 +633,11 @@ class TestMembershipDecidedOnce:
         def refused(*args, **kwargs):
             raise AssertionError("A-gauge on the decision path")
 
-        def reparametrize_in_verification(P, alpha, beta):
+        reparametrized = classify._reparametrized
+
+        def reparametrize_in_verification(*args):
             assert sys._getframe(1).f_code.co_name == "apply_certificate"
-            return reparametrize(P, alpha, beta)
+            return reparametrized(*args)
 
         analyses = []
         original = charpoly.ParabolaAnalysis.__init__
@@ -648,7 +650,7 @@ class TestMembershipDecidedOnce:
         P2 = apply_certificate(P, random_certificate(rng, m).inverse())
         monkeypatch.setattr(np.linalg, "eigvals", refused)
         monkeypatch.setattr(symmat, "pd_inv_sqrt", refused)
-        monkeypatch.setattr(classify, "reparametrize", reparametrize_in_verification)
+        monkeypatch.setattr(classify, "_reparametrized", reparametrize_in_verification)
         monkeypatch.setattr(charpoly.ParabolaAnalysis, "__init__", counting)
         assert is_characteristic(P, 2 * m + 2)[0]
         analyses.clear()

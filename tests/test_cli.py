@@ -381,6 +381,16 @@ class TestExitCodes:
         assert body["error"]["code"] == "NotCharacteristic"
 
 
+class TestImports:
+    def test_cli_leaves_numpy_polynomial_unimported(self):
+        # No verdict reads the polynomial routines, so no CLI process
+        # should pay for importing numpy.polynomial.
+        code = "import sys, causalcurves.cli; print('numpy.polynomial' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
 class TestDeterminism:
     def test_idempotent_reemission(self):
         first = subprocess.run(

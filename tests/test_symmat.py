@@ -189,6 +189,19 @@ class TestRankAndCongruence:
                     np.testing.assert_array_equal(symmat.congruence(S[i], Xs)[j], one)
                     np.testing.assert_array_equal(symmat.congruence(S[:, None], Xs)[i, j], one)
 
+    def test_symmetrize_of_stacks(self, rng):
+        # A stack is symmetrized matrix by matrix, bit for bit.
+        for shape in ((3, 1, 1), (3, 4, 4), (2, 3, 5, 5)):
+            S = rng.standard_normal(shape)
+            stacked = symmat.symmetrize(S)
+            for index in np.ndindex(shape[:-2]):
+                np.testing.assert_array_equal(stacked[index], symmat.symmetrize(S[index]))
+
+    @pytest.mark.parametrize("S", [np.zeros((3, 2, 3)), np.zeros(3)], ids=["non-square stack", "1-D"])
+    def test_symmetrize_dim_mismatch(self, S):
+        with pytest.raises(DimensionMismatch):
+            symmat.symmetrize(S)
+
     @pytest.mark.parametrize(
         "S, X",
         [
