@@ -78,8 +78,8 @@ class MatrixParabola:
         if np.shape(self.B) != A.shape or np.shape(self.C) != A.shape:
             raise DimensionMismatch(f"coefficient shapes differ: {A.shape}, {np.shape(self.B)}, {np.shape(self.C)}")
         coeffs = np.array((A, self.B, self.C), dtype=float)
-        if not (finite := np.isfinite(coeffs).all(axis=(1, 2))).all():
-            raise NonFiniteInput(f"{'ABC'[finite.argmin()]} has non-finite entries")
+        if not np.isfinite(coeffs).all():
+            raise NonFiniteInput(f"{'ABC'[np.isfinite(coeffs).all(axis=(1, 2)).argmin()]} has non-finite entries")
         coeffs = symmat.symmetrize(coeffs)
         vars(self).update(coeffs=coeffs, A=coeffs[0], B=coeffs[1], C=coeffs[2])
 
@@ -208,7 +208,7 @@ class ParabolaAnalysis:
     @cached_property
     def g_eig(self):
         """Eigenpairs of G = C~ - B~^2."""
-        return symmat.sym_eig(self.C_t - self.B_t @ self.B_t)
+        return symmat.sym_eig(symmat.symmetrize(self.C_t - self.B_t @ self.B_t))
 
     @cached_property
     def c_eig(self):
@@ -231,7 +231,7 @@ class ParabolaAnalysis:
         F = W @ U
         A_hat = symmat.congruence(self.P.A, F)
         H = A_hat - np.diag(mu * mu)
-        size = max(symmat.max_norm(A_hat), symmat.max_norm(mu) ** 2)
+        size = max(float(np.abs(A_hat).max()), max(-mu[0], mu[-1]) ** 2)
         return CGauge(F, mu, H, np.linalg.eigvalsh(H), size)
 
     @cached_property
@@ -265,10 +265,10 @@ class ParabolaAnalysis:
 
     @property
     def reduced(self):
-        """The analysis of the moving part: ``self`` when C has full rank
-        (returned, not stored: an analysis that referred to itself would
-        be freed only by the cycle collector)."""
-        return self if self.reduction.reduced is self.P else self._moving
+        """The analysis of the moving part: ``self`` when the ``kernel``
+        mask is empty (returned, not stored: an analysis that referred to
+        itself would be freed only by the cycle collector)."""
+        return self._moving if self.kernel.any() else self
 
     @cached_property
     def _moving(self):
@@ -283,9 +283,10 @@ class ParabolaAnalysis:
         singular for some real s exactly when an eigenvector of diag mu
         lies in ker H: the Popov-Belevitch-Hautus test, which is the
         freeness condition.  The mu are clustered at tol * max|mu|, and
-        on each cluster lambda_min of the H-block (its diagonal entry
-        for a simple eigenvalue) must clear the band tol * max(max|F^T A F|,
-        max|mu|^2).
+        on each cluster lambda_min of the H-block must clear the band
+        tol * max(max|F^T A F|, max|mu|^2).  When mu is simple (every
+        gap clears tol * max|mu|) the blocks are the diagonal entries of
+        H, so the test is one comparison of diag H with the band.
 
         Otherwise (no C-gauge, or H indefinite) the A-gauge decides:
         Q(0) = A must be definite, and Q(s) must never become singular
@@ -310,7 +311,10 @@ class ParabolaAnalysis:
         """
         g = self.c_gauge
         if g is not None and self.inertia[0]:
-            cells = symmat.clusters(g.mu, self.tol * symmat.max_norm(g.mu))
+            band = self.tol * max(-g.mu[0], g.mu[-1])
+            if (np.diff(g.mu) > band).all():
+                return bool((np.diag(g.H) > self.tol * g.size).all())
+            cells = symmat.clusters(g.mu, band)
             return all(_lambda_min(g.H[c, c]) > self.tol * g.size for c in cells)
         if self.inv_root is None:
             return False
@@ -401,12 +405,12 @@ def reduce_degenerate(P: MatrixParabola, tol=DEFAULT_TOL) -> ReductionResult:
 def _verify_reduction(P, T, k, tol):
     """Check that the blocks of T = X^T S X that must vanish do, for
     S = A, B, C, each at tol * max|S|: the off-diagonal blocks of all
-    three, and the leading k x k block of B and C.  Q(s) is then
+    three (T is exactly symmetric, so the upper one stands for both),
+    and the leading k x k block of B and C.  Q(s) is then
     blockdiag(constant block, reduced Q(s)) for every s."""
-    vanish = np.ones(T.shape, dtype=bool)
-    vanish[0, :k, :k] = vanish[:, k:, k:] = False
-    error, size = np.abs((T * vanish, P.coeffs)).max(axis=(2, 3), initial=0.0)
-    bad = error > tol * size
+    error = np.abs(T[:, :k, k:]).max(axis=(1, 2), initial=0.0)
+    error[1:] = np.maximum(error[1:], np.abs(T[1:, :k, :k]).max(axis=(1, 2)))
+    bad = error > tol * np.abs(P.coeffs).max(axis=(1, 2))
     if bad.any():
         raise InvalidCharacteristic(f"reduction is not block-diagonal in {'ABC'[bad.argmax()]}")
 
@@ -421,13 +425,12 @@ def _decide(analysis, n):
     """
     m = analysis.P.dim
     try:
-        red = analysis.reduction
+        moving = analysis.reduced
     except InvalidCharacteristic:
         return False, None
-    k = red.constant_block.shape[0]
-    if k and not symmat.is_pd(red.constant_block, analysis.tol):
+    k = m - moving.P.dim
+    if k and not symmat.is_pd(analysis.reduction.constant_block, analysis.tol):
         return False, None
-    moving = analysis.reduced
     if moving.P.dim == 0:
         return (True, Signature(n, m, 0, k)) if n >= m + 2 else (False, None)
     psd, rank = (False, 0) if moving.c_gauge is None else moving.inertia

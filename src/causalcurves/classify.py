@@ -73,8 +73,10 @@ class EquivalenceCertificate:
     def __post_init__(self):
         X = symmat.as_square(symmat.require_finite(self.X, "certificate X"), "certificate X")
         object.__setattr__(self, "X", X)
-        object.__setattr__(self, "alpha", float(symmat.require_finite(self.alpha, "alpha")))
-        object.__setattr__(self, "beta", float(symmat.require_finite(self.beta, "beta")))
+        for name in ("alpha", "beta"):
+            if not math.isfinite(value := float(getattr(self, name))):
+                raise NonFiniteInput(f"{name} has non-finite entries")
+            object.__setattr__(self, name, value)
         if not self.alpha > 0.0:
             raise BadCertificate(f"alpha must be positive, got {self.alpha}")
         sv = np.linalg.svd(X, compute_uv=False)
@@ -214,12 +216,13 @@ def realize(P: MatrixParabola, n, tol=DEFAULT_TOL) -> ManifoldData:
             f"parabola fails the membership criteria at n={n}"
         )
     analysis, m, r, k = verdict.analysis, P.dim, sig.r, sig.k
-    red, moving = analysis.reduction, analysis.reduced
+    moving = analysis.reduced
     a_prime, a_dblprime, lattice = np.zeros((m, m)), np.zeros((r, m)), np.zeros((m, m))
     a_prime[k:, k:] = moving.B_t
     a_dblprime[:, k:] = _transverse_root(moving, r)
     lattice[k:, k:] = moving.root
     if k:  # X = I and K is 0 x 0 when C has full rank.
+        red = analysis.reduction
         lattice[:k, :k] = symmat.psd_sqrt(red.constant_block, tol)
         lattice = lattice @ np.linalg.inv(red.X)
     return build(sig.n, a_prime, a_dblprime, lattice, tol)
@@ -254,7 +257,7 @@ def simple_spectrum_form(M: ManifoldData, tol=DEFAULT_TOL) -> SimpleSpectrumForm
     The Gram matrix is determined up to conjugation by diagonal signs
     (eigenvectors are defined up to sign); :func:`_signs` fixes them.
     """
-    values, vectors = symmat.sym_eig(M.a_prime)
+    values, vectors = symmat.sym_eig(symmat.symmetrize(M.a_prime))
     if np.any(np.diff(values) <= tol * symmat.max_norm(values)):
         raise NotSimpleSpectrum("a_prime has a repeated eigenvalue at this tolerance")
     images = M.a_dblprime @ vectors

@@ -114,7 +114,8 @@ class ManifoldData:
 def _freeness_violation(a_prime, a_dblprime, tol=FREENESS_TOL):
     """First eigen-cluster of a' with nonzero eigenvalue on which a''
     drops rank, or None.  Eigenvalues within tol * max|eigenvalue| are
-    clustered so multiple eigenvalues are tested as one eigenspace."""
+    clustered so multiple eigenvalues are tested as one eigenspace.
+    a_prime must be exactly symmetric."""
     values, vectors = symmat.sym_eig(a_prime)
     band = tol * symmat.max_norm(values)
     for c in symmat.clusters(values, band):
@@ -133,7 +134,7 @@ def check_free(M: ManifoldData, tol=FREENESS_TOL):
     True iff a'' is injective on every eigenspace of a' whose eigenvalue
     is nonzero beyond tolerance.
     """
-    return _freeness_violation(M.a_prime, M.a_dblprime, tol) is None
+    return _freeness_violation(symmat.symmetrize(M.a_prime), M.a_dblprime, tol) is None
 
 
 def build(n, a_prime, a_dblprime, lattice, tol=DEFAULT_TOL):

@@ -7,11 +7,13 @@ arrays in ascending degree order (numpy's polynomial convention).
 
 There is one eigen kernel: :func:`sym_eig` is LAPACK's symmetric solver
 (``numpy.linalg.eigh``), and every predicate and square root here goes
-through it.  There is one congruence kernel: :func:`congruence` forms
-every X^T S X in the package; it and :func:`symmetrize` take one matrix
-or stacks.  Real roots of scalar polynomials come from the eigenvalues
-of the companion matrix (``numpy.polynomial``, imported on first use: no
-verdict reads them), clustered so that a multiple root is reported once.
+through it, reading S as given: each matrix is symmetrized once, where
+it is formed.  There is one congruence kernel: :func:`congruence` forms
+every X^T S X in the package, exactly symmetric; it and
+:func:`symmetrize` take one matrix or stacks.  Real roots of scalar
+polynomials come from the eigenvalues of the companion matrix
+(``numpy.polynomial``, imported on first use: no verdict reads them),
+clustered so that a multiple root is reported once.
 """
 
 from __future__ import annotations
@@ -77,8 +79,10 @@ def require_finite(S, name="matrix"):
 
 
 def sym_eig(S):
-    """Eigendecomposition of a symmetric matrix by LAPACK (``eigh``)."""
-    values, vectors = np.linalg.eigh(symmetrize(S))
+    """Eigendecomposition of a symmetric matrix by LAPACK (``eigh``), which
+    reads S as given (its lower triangle): pass symmetrize(S) for a
+    computed S that rounding may leave asymmetric."""
+    values, vectors = np.linalg.eigh(S)
     return EigenDecomposition(values, vectors)
 
 
@@ -144,7 +148,8 @@ def congruence(S, X):
     X = np.asarray(X, dtype=float)
     if S.ndim < 2 or X.ndim < 2 or not S.shape[-1] == S.shape[-2] == X.shape[-2]:
         raise DimensionMismatch(f"congruence needs square S and X with as many rows: {S.shape}, {X.shape}")
-    return symmetrize(X.swapaxes(-1, -2) @ S @ X)
+    half = 0.5 * (X.swapaxes(-1, -2) @ S @ X)
+    return half + half.swapaxes(-1, -2)
 
 
 def trim_poly(coeffs, rel_tol=_COEFF_TRIM_REL):

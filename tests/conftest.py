@@ -121,6 +121,16 @@ def unvalidated_manifold(a_prime, a_dblprime, lattice=None, extra_dim=0):
     return ManifoldData(frame, a_prime, a_dblprime, lattice)
 
 
+def rounding_asymmetric(S):
+    """Copy of a symmetric S whose strict lower triangle is off by 8 ulps
+    (relative), as a computed product may leave it; symmetrize() of it
+    differs from S and from it below the diagonal wherever S is nonzero."""
+    S = np.array(S, dtype=float)
+    below = np.tril_indices(S.shape[0], -1)
+    S[below] *= 1.0 + 8.0 * np.finfo(float).eps
+    return S
+
+
 def random_characteristic_parabola(rng, m=None, r=None, simple=False):
     """Characteristic parabola with C positive definite (k = 0).
 

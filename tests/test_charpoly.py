@@ -24,6 +24,7 @@ from causalcurves import (
     example_5d,
     is_characteristic,
     q_direct,
+    realize,
     reduce_degenerate,
     reparametrize,
     schur_condition,
@@ -33,11 +34,13 @@ from causalcurves import charpoly, symmat
 from causalcurves.errors import DimensionMismatch
 from conftest import (
     random_characteristic_parabola,
+    random_free_arrays,
     random_elliptic,
     random_manifold,
     random_real_invertible,
     random_unimodular,
     random_violating_arrays,
+    rounding_asymmetric,
     unvalidated_manifold,
 )
 
@@ -186,6 +189,61 @@ class TestPositivity:
             elif grid_min < -band:
                 assert not check_positive_all_s(P)
 
+    @pytest.fixture
+    def lambda_mins(self, monkeypatch):
+        """Orders of the H-blocks the Hautus test decomposes."""
+        calls = []
+        lambda_min = charpoly._lambda_min
+        monkeypatch.setattr(charpoly, "_lambda_min", lambda S: calls.append(S.shape[0]) or lambda_min(S))
+        return calls
+
+    def test_simple_mu_matches_the_cluster_loop(self, rng):
+        # Reference: the loop over singleton clusters that the one
+        # comparison of diag H replaces, on members and on non-free data.
+        seen = set()
+        for _ in range(80):
+            arrays = random_free_arrays(rng, zero_eigs=0) if rng.random() < 0.5 else random_violating_arrays(rng)
+            analysis = charpoly.ParabolaAnalysis(char_polynomial(unvalidated_manifold(*arrays)))
+            g = analysis.c_gauge
+            if g is None or not analysis.inertia[0]:
+                continue
+            cells = symmat.clusters(g.mu, analysis.tol * np.abs(g.mu).max())
+            if len(cells) == g.mu.size:
+                loop = all(charpoly._lambda_min(g.H[c, c]) > analysis.tol * g.size for c in cells)
+                assert analysis.positive == loop
+                seen.add(loop)
+        assert seen == {True, False}
+
+    def test_repeated_mu_takes_the_cluster_route(self, lambda_mins):
+        # C = I and B = I: the C-gauge frame is the identity, mu = (1, 1)
+        # and H = A - I = [[1, 1], [1, 1]], so Q(-1) = H is singular.
+        # Each diagonal entry of H clears the band; lambda_min of the
+        # block does not.
+        P = MatrixParabola([[2.0, 1.0], [1.0, 2.0]], I2, I2)
+        analysis = charpoly.ParabolaAnalysis(P)
+        g = analysis.c_gauge
+        assert np.all(np.diag(g.H) > analysis.tol * g.size)
+        assert analysis.inertia == (True, 1)
+        assert not analysis.positive
+        assert lambda_mins == [2]
+        assert not is_characteristic(P, 5)[0]
+
+    def test_simple_mu_on_the_band_resolves_to_false(self, lambda_mins):
+        # C = I and B = diag(0, 1): mu = (0, 1), H = diag(h, 1) and
+        # size = max|F^T A F| = 2, so h = tol * size puts H[0, 0] exactly
+        # on the band of the one-comparison Hautus test.
+        h = symmat.DEFAULT_TOL * 2.0
+        on_band = MatrixParabola(np.diag([h, 2.0]), np.diag([0.0, 1.0]), I2)
+        analysis = charpoly.ParabolaAnalysis(on_band)
+        g = analysis.c_gauge
+        assert g.size == 2.0 and g.H[0, 0] == analysis.tol * g.size
+        assert analysis.inertia == (True, 1)
+        assert not analysis.positive
+        assert not is_characteristic(on_band, 6)[0]
+        above = MatrixParabola(np.diag([np.nextafter(h, 1.0), 2.0]), np.diag([0.0, 1.0]), I2)
+        assert is_characteristic(above, 6) == (True, Signature(6, 2, 2, 0))
+        assert lambda_mins == []
+
 
 class TestSchur:
     def test_pair_one(self, pair_one):
@@ -209,6 +267,20 @@ class TestSchur:
     def test_singular_a(self):
         with pytest.raises(SingularA):
             schur_condition(MatrixParabola(np.diag([1.0, 0.0]), I2, I2))
+
+    def test_g_reads_as_its_symmetrized_copy(self, rng):
+        # G = C~ - B~^2 is computed, and BLAS does not promise that B~^2
+        # comes out exactly symmetric; here C~ is made asymmetric by
+        # rounding, and the eigenpairs of G are still those of its
+        # symmetrized copy.
+        for m in (2, 3, 5, 8):
+            analysis = charpoly.ParabolaAnalysis(random_characteristic_parabola(rng, m=m))
+            vars(analysis)["C_t"] = rounding_asymmetric(analysis.C_t)
+            G = analysis.C_t - analysis.B_t @ analysis.B_t
+            assert not np.array_equal(G, G.T)
+            want = np.linalg.eigh(symmat.symmetrize(G))
+            np.testing.assert_array_equal(analysis.g_eig.values, want.eigenvalues)
+            np.testing.assert_array_equal(analysis.g_eig.vectors, want.eigenvectors)
 
 
 class TestIsCharacteristic:
@@ -447,6 +519,19 @@ class TestIsCharacteristic:
 
 
 class TestReduction:
+    def test_full_rank_builds_no_empty_reduction(self, monkeypatch, rng):
+        # The moving part of a full-rank C is the analysis itself, read
+        # from the kernel mask; neither membership nor realize asks for
+        # the empty reduction X = I.
+        def built(*args):
+            raise AssertionError("empty reduction built")
+
+        monkeypatch.setattr(charpoly, "ReductionResult", built)
+        P = random_characteristic_parabola(rng, m=3)
+        verdict = is_characteristic(P, 2 * P.dim + 2)
+        assert verdict[0] and verdict.analysis.reduced is verdict.analysis
+        assert char_polynomial(realize(P, 2 * P.dim + 2)).close_to(P, 1e-8)
+
     def test_already_block(self):
         # diag(1 + s^2, 2): constant block [2], moving block 1 + s^2.
         P = MatrixParabola(np.diag([1.0, 2.0]), np.zeros((2, 2)), np.diag([1.0, 0.0]))

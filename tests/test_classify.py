@@ -48,6 +48,8 @@ from conftest import (
     random_orthogonal,
     random_real_invertible,
     random_unimodular,
+    rounding_asymmetric,
+    unvalidated_manifold,
 )
 
 P_UNIT = MatrixParabola([[1.0]], [[0.0]], [[1.0]])
@@ -214,7 +216,7 @@ class TestCertificates:
         assert not EquivalenceCertificate([[0.5]], 1.0, 0.0).integral
         assert not EquivalenceCertificate([[2.0]], 1.0, 0.0).integral
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(NonFiniteInput):
             EquivalenceCertificate([[1.0, bad], [0.0, 1.0]], 1.0, 0.0)
@@ -329,6 +331,17 @@ class TestSimpleSpectrumForm:
             for i, value in enumerate(form.eigenvalues):
                 if abs(value) > 1e-6:
                     assert form.gram[i, i] > 0.0
+
+    def test_rounding_asymmetry_reads_as_its_symmetrized_copy(self, rng):
+        for m in (2, 3, 5):
+            M = random_manifold(rng, m=m, zero_eigs=0)
+            a_prime = rounding_asymmetric(M.a_prime)
+            forms = [
+                simple_spectrum_form(unvalidated_manifold(a, M.a_dblprime, M.lattice))
+                for a in (a_prime, symmetrize(a_prime))
+            ]
+            for field in ("eigenvalues", "gram", "frame"):
+                np.testing.assert_array_equal(getattr(forms[0], field), getattr(forms[1], field))
 
 
 class TestAlmostEquivalent:
@@ -750,6 +763,25 @@ class TestEigensolverCounts:
         eig_calls.clear()
         assert almost_equivalent(P, P2).is_yes
         assert len(eig_calls) <= 10
+
+
+class TestSymmetrizeCounts:
+    """Symmetrizations per top-level call.  Each matrix is symmetrized
+    once, where it is formed: sym_eig reads its input as given and
+    congruence returns X^T S X exactly symmetric, so a k = 0 decision
+    calls symmetrize no more.  When sym_eig and congruence still called
+    it, the count was 4 at every m (C and W^T B W in sym_eig, W^T B W and
+    F^T A F in congruence)."""
+
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_membership_full_rank(self, monkeypatch, rng, m):
+        calls = []
+        symmetrize = symmat.symmetrize
+        M = random_manifold(rng, m=m, zero_eigs=0)
+        P = char_polynomial(M)
+        monkeypatch.setattr(symmat, "symmetrize", lambda S: calls.append(np.shape(S)) or symmetrize(S))
+        assert charpoly.is_characteristic(P, M.n)[0]
+        assert len(calls) <= 0
 
 
 def scalar_search(P1, P2, entry_bound, tol=symmat.DEFAULT_TOL):

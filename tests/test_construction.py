@@ -25,9 +25,12 @@ from causalcurves import (
     signature_of,
     tau_of,
 )
+from causalcurves import symmat
 from conftest import (
+    random_free_arrays,
     random_manifold,
     random_violating_arrays,
+    rounding_asymmetric,
     unvalidated_manifold,
 )
 
@@ -264,6 +267,20 @@ class TestFreeness:
             a_prime, a_dbl = random_violating_arrays(rng)
             M = unvalidated_manifold(a_prime, a_dbl)
             assert not check_free(M)
+
+    def test_rounding_asymmetry_reads_as_its_symmetrized_copy(self, monkeypatch, rng):
+        # Direct ManifoldData is not symmetrized; check_free symmetrizes
+        # a' once, so the eigen kernel sees the same bits either way.
+        seen = []
+        sym_eig = symmat.sym_eig
+        monkeypatch.setattr(symmat, "sym_eig", lambda S: seen.append(S.copy()) or sym_eig(S))
+        for draw in (random_free_arrays, random_violating_arrays) * 5:
+            arrays = draw(rng, m=3)
+            a_prime = rounding_asymmetric(arrays[0])
+            seen.clear()
+            verdicts = [check_free(unvalidated_manifold(a, arrays[1])) for a in (a_prime, symmat.symmetrize(a_prime))]
+            assert verdicts[0] == verdicts[1]
+            np.testing.assert_array_equal(seen[0], seen[1])
 
 
 class TestSignature:

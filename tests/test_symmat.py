@@ -33,6 +33,14 @@ class TestSymEig:
         values, _ = symmat.sym_eig([[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-12)
 
+    def test_symmetric_input_is_eigh_bit_for_bit(self, rng):
+        # S is read as given: no second symmetrization moves a bit.
+        for m in range(1, 9):
+            S = symmat.symmetrize(rng.standard_normal((m, m)))
+            ours, theirs = symmat.sym_eig(S), np.linalg.eigh(S)
+            np.testing.assert_array_equal(ours.values, theirs.eigenvalues)
+            np.testing.assert_array_equal(ours.vectors, theirs.eigenvectors)
+
     def test_matches_lapack(self, rng):
         for _ in range(30):
             m = int(rng.integers(1, 9))
