@@ -396,10 +396,10 @@ def reduce_degenerate(P: MatrixParabola, tol=DEFAULT_TOL) -> ReductionResult:
     (:attr:`ParabolaAnalysis.reduction`); raises NotDegenerate when C
     has full rank (the empty reduction) and InvalidCharacteristic when B
     does not vanish on ker C."""
-    result = ParabolaAnalysis(P, tol).reduction
-    if result.constant_block.shape[0] == 0:
+    analysis = ParabolaAnalysis(P, tol)
+    if not analysis.kernel.any():
         raise NotDegenerate("C has full rank; nothing to reduce")
-    return result
+    return analysis.reduction
 
 
 def _verify_reduction(P, T, k, tol):

@@ -8,7 +8,8 @@ up to the choice of lattice).  This module can
 
 * rebuild manifold data realizing any member (``realize``),
 * apply certificates, one stacked ``symmat.congruence`` of the
-  reparametrized (A, B, C), and verify them (``verify_equivalence``),
+  reparametrized (A, B, C), and verify them (``verify_equivalence``)
+  with the one check every witness passes (``_fits``),
 * compute the affine spectrum of B C^{-1}, an isometry invariant up to
   orientation-preserving affine maps of the parameter,
 * compute the simple-spectrum normal form of manifold data (eigenvalues
@@ -16,8 +17,8 @@ up to the choice of lattice).  This module can
 * decide almost-equivalence (``almost_equivalent``) by the normal form
   (s + diag mu)^2 + H of each member's C-gauge, and
 * exhaustively search tiny integer certificates (``search_certificate``):
-  every bounded unimodular X is screened in one congruence of the
-  stack, and the first survivor is re-verified by ``apply_certificate``.
+  every bounded unimodular X is checked in one congruence of the
+  stack, and the first that fits is returned.
 
 Realization reads the A-gauge of the membership verdict's
 :class:`ParabolaAnalysis`: a' = B~, a'' = the rank-r root of G and the
@@ -123,6 +124,22 @@ def apply_certificate(P: MatrixParabola, cert: EquivalenceCertificate) -> Matrix
     return MatrixParabola(*symmat.congruence(_reparametrized(P.coeffs, cert.alpha, cert.beta), cert.X))
 
 
+def _fits(coeffs1, T, alpha, beta, tol):
+    """The one check of every certificate: whether ``coeffs1`` = (A1, B1, C1)
+    is X^T Q2(alpha s + beta) X, one bool per X, from T = X^T [A2, B2, C2] X
+    for one X or a stack (``coeffs1``, alpha and beta then broadcast
+    against it).  The image, T reparametrized, is summed from the terms
+    T_A, 2 beta T_B and beta^2 T_C (A), alpha T_B and alpha beta T_C (B)
+    and alpha^2 T_C (C); each coefficient must match within tol times the
+    largest of its own entries in P1 and its terms."""
+    size, error, (a, b, c) = (np.abs(D).max(axis=(-2, -1), keepdims=True, initial=0.0)
+                              for D in (coeffs1, coeffs1 - _reparametrized(T, alpha, beta), T))
+    shift = np.abs(beta)
+    terms = (np.maximum(a, np.maximum(2.0 * shift * b, shift * shift * c)),
+             alpha * np.maximum(b, shift * c), alpha * alpha * c)
+    return np.all(error <= tol * np.maximum(size, terms), axis=0)[..., 0, 0]
+
+
 def _common_n(P1, P2, n):
     """The ambient dimension of a pair of equal order m: ``n``, or
     2m + 2, which accommodates every signature of order m (r <= m)."""
@@ -135,15 +152,15 @@ def verify_equivalence(P1, P2, cert, tol=DEFAULT_TOL, n=None):
     """Check a certificate: signatures first, then coefficients.
 
     True iff both parabolas are characteristic at the same ambient
-    dimension with equal signatures and P1 agrees coefficient-wise with
-    the certificate applied to P2 at tol relative to P1's scale.
+    dimension with equal signatures and the certificate :func:`_fits`
+    at tol.
     """
     n = _common_n(P1, P2, n)
     ok1, sig1 = is_characteristic(P1, n, tol)
     ok2, sig2 = is_characteristic(P2, n, tol)
     if not (ok1 and ok2) or sig1 != sig2:
         return False
-    return P1.close_to(apply_certificate(P2, cert), tol)
+    return bool(_fits(P1.coeffs, symmat.congruence(P2.coeffs, cert.X), cert.alpha, cert.beta, tol))
 
 
 @dataclass(frozen=True)
@@ -335,21 +352,10 @@ class AlmostVerdict:
 
 
 def _yes(P1, P2, X, alpha, beta, tol):
-    """Package a candidate witness, verifying it coefficient-wise.
-
-    Each coefficient of P1 must match that of X^T Q2(alpha s + beta) X
-    within max(tol, SPECTRUM_TOL) times the largest of its own entries
-    and the terms the image is summed from: X^T A2 X, 2 beta X^T B2 X and
-    beta^2 X^T C2 X for A; alpha X^T B2 X and alpha beta X^T C2 X for B;
-    alpha^2 X^T C2 X for C, all three compared in one vector expression.
-    """
+    """Package a candidate witness that :func:`_fits` at
+    max(tol, SPECTRUM_TOL), else "unknown"."""
     cert = EquivalenceCertificate(X, alpha, beta)
-    image = apply_certificate(P2, cert)
-    a, b, c = np.abs(symmat.congruence(P2.coeffs, cert.X)).max(axis=(1, 2), initial=0.0)
-    alpha, beta = cert.alpha, abs(cert.beta)
-    terms = (max(a, 2.0 * beta * b, beta * beta * c), alpha * max(b, beta * c), alpha * alpha * c)
-    size, error = np.abs((P1.coeffs, P1.coeffs - image.coeffs)).max(axis=(2, 3), initial=0.0)
-    if np.any(error > max(tol, SPECTRUM_TOL) * np.maximum(size, terms)):
+    if not _fits(P1.coeffs, symmat.congruence(P2.coeffs, cert.X), cert.alpha, cert.beta, max(tol, SPECTRUM_TOL)):
         return AlmostVerdict("unknown", None, "invariants match but the assembled witness failed verification")
     return AlmostVerdict("yes", cert, "verified witness")
 
@@ -451,16 +457,13 @@ def search_certificate(P1, P2, entry_bound=3, tol=DEFAULT_TOL):
     """Exhaustive integer certificate search for orders one and two.
 
     Stacks every unimodular X with entries bounded by ``entry_bound`` in
-    lexicographic order and screens them in one array pass: alpha and
-    beta are forced by trace identities (tr C1 = alpha^2 tr X^T C2 X,
-    then the trace of the linear coefficient), and X^T Q2(alpha s + beta) X
-    is compared coefficient-wise with P1 at tol relative to P1's scale,
-    with the arithmetic of ``apply_certificate``, traces and images each
-    one ``symmat.congruence`` of the candidate stack.  The survivors are
-    walked in order and the first that also passes the scalar check
-    ``P1.close_to(apply_certificate(P2, cert), tol)`` is returned, or
-    None.  The search is complete only within the bound; a NaN or
-    infinite tol raises NonFiniteInput.
+    lexicographic order and checks them in one array pass over one
+    ``symmat.congruence`` T = X^T [A2, B2, C2] X of the stack: alpha and
+    beta are forced by trace identities (tr C1 = alpha^2 tr T_C, then
+    the trace of the linear coefficient), traces within tol times P1's
+    scale counting as zero, and the first candidate that :func:`_fits`
+    at tol is returned, or None.  The search is complete only within
+    the bound; a NaN or infinite tol raises NonFiniteInput.
     """
     m = P1.dim
     if P2.dim != m:
@@ -484,21 +487,17 @@ def search_certificate(P1, P2, entry_bound=3, tol=DEFAULT_TOL):
     tr_b1, tr_c1 = np.trace(P1.coeffs[1:], axis1=1, axis2=2)
     band = tol * P1.coeff_scale()
     Xs = _unimodular_stack(m, entry_bound)
-    tr_b2x, tr_c2x = np.trace(symmat.congruence(P2.coeffs[1:, None], Xs), axis1=2, axis2=3)
+    T = symmat.congruence(P2.coeffs[:, None], Xs)
+    tr_b2x, tr_c2x = np.trace(T[1:], axis1=2, axis2=3)
     # Both traces tiny force alpha = 1, beta = 0; exactly one tiny rules X out.
     if tr_c1 <= band:
-        Xs = Xs[tr_c2x <= band]
-        alpha, beta = np.ones(len(Xs)), np.zeros(len(Xs))
+        keep = tr_c2x <= band
+        alpha, beta = np.ones(keep.sum()), np.zeros(keep.sum())
     else:
-        wide = tr_c2x > band
-        Xs, tr_b2x, tr_c2x = Xs[wide], tr_b2x[wide], tr_c2x[wide]
+        keep = tr_c2x > band
+        tr_b2x, tr_c2x = tr_b2x[keep], tr_c2x[keep]
         alpha = np.sqrt(tr_c1 / tr_c2x)
         beta = (tr_b1 / alpha - tr_b2x) / tr_c2x
-    Q2 = _reparametrized(P2.coeffs, alpha[:, None, None], beta[:, None, None])
-    error = np.abs(P1.coeffs[:, None] - symmat.congruence(Q2, Xs))
-    close = np.all(error.max(axis=(2, 3)) <= band, axis=0)
-    for i in np.flatnonzero(close):
-        cert = EquivalenceCertificate(Xs[i].copy(), alpha[i], beta[i])
-        if P1.close_to(apply_certificate(P2, cert), tol):
-            return cert
-    return None
+    Xs, T = Xs[keep], T[:, keep]
+    fits = np.flatnonzero(_fits(P1.coeffs[:, None], T, alpha[:, None, None], beta[:, None, None], tol))
+    return EquivalenceCertificate(Xs[fits[0]].copy(), alpha[fits[0]], beta[fits[0]]) if fits.size else None

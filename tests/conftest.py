@@ -7,7 +7,14 @@ reproducible; tests that need many samples loop over a fixed seed.
 import numpy as np
 import pytest
 
-from causalcurves import ManifoldData, MatrixParabola, build, char_polynomial
+from causalcurves import (
+    EquivalenceCertificate,
+    ManifoldData,
+    MatrixParabola,
+    apply_certificate,
+    build,
+    char_polynomial,
+)
 from causalcurves.minkowski import LorentzFrame
 
 
@@ -163,3 +170,15 @@ def random_real_invertible(rng, m):
         x = rng.standard_normal((m, m))
         if abs(np.linalg.det(x)) > 0.2:
             return x
+
+
+def wide_map_pair(seed):
+    """A member P of order 2, 3, 5 or 8 (by seed mod 4), its image Q under
+    a wide map (alpha = 10^[-2, 2], beta in [-300, 300]) and that map."""
+    rng = np.random.default_rng(seed)
+    m = [2, 3, 5, 8][seed % 4]
+    P = char_polynomial(random_manifold(rng, m=m, zero_eigs=0))
+    cert = EquivalenceCertificate(
+        random_real_invertible(rng, m), 10 ** rng.uniform(-2, 2), rng.uniform(-300, 300)
+    )
+    return P, apply_certificate(P, cert), cert

@@ -158,11 +158,19 @@ def test_criterion_07_invariance_suite():
         assert affine_spectrum(P).matches(affine_spectrum(transformed), tol=1e-7)
         planted = apply_certificate(P, cert.inverse())
         assert verify_equivalence(P, planted, cert, 1e-7)
-        perturbed_a = np.array(planted.A)
-        perturbed_a[0, 0] += 1e-3
-        bad = MatrixParabola(perturbed_a, planted.B, planted.C)
-        assert not verify_equivalence(P, bad, cert, 1e-7)
-    print("ACCEPTANCE 07: PASS - spectra invariant, certificates verified on 100 pairs")
+        # The check's band on each coefficient: 1e-7 times the larger of
+        # P's entries and the terms X^T planted(alpha s + beta) X is summed
+        # from.  A positive multiple of P is a member of P's signature, so
+        # only the coefficients can tell it apart: an error of 10 bands in
+        # its worst coefficient is rejected, one of 0.1 band accepted.
+        a, b, c = np.abs(symmat.congruence(planted.coeffs, x)).max(axis=(1, 2))
+        terms = (max(a, 2 * abs(beta) * b, beta**2 * c), alpha * max(b, abs(beta) * c), alpha**2 * c)
+        size = np.abs(P.coeffs).max(axis=(1, 2))
+        worst = np.max(size / (1e-7 * np.maximum(size, terms)))
+        for multiple, accepted in ((10.0, False), (0.1, True)):
+            scaled = MatrixParabola(*((1.0 + multiple / worst) * P.coeffs))
+            assert verify_equivalence(scaled, planted, cert, 1e-7) == accepted
+    print("ACCEPTANCE 07: PASS - spectra invariant, certificates verified on 100 pairs, 10 bands off rejected")
 
 
 def test_criterion_08_degenerate_reduction():

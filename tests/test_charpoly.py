@@ -521,8 +521,9 @@ class TestIsCharacteristic:
 class TestReduction:
     def test_full_rank_builds_no_empty_reduction(self, monkeypatch, rng):
         # The moving part of a full-rank C is the analysis itself, read
-        # from the kernel mask; neither membership nor realize asks for
-        # the empty reduction X = I.
+        # from the kernel mask; neither membership, realize nor
+        # reduce_degenerate (which raises NotDegenerate) asks for the
+        # empty reduction X = I.
         def built(*args):
             raise AssertionError("empty reduction built")
 
@@ -531,6 +532,8 @@ class TestReduction:
         verdict = is_characteristic(P, 2 * P.dim + 2)
         assert verdict[0] and verdict.analysis.reduced is verdict.analysis
         assert char_polynomial(realize(P, 2 * P.dim + 2)).close_to(P, 1e-8)
+        with pytest.raises(NotDegenerate):
+            reduce_degenerate(P)
 
     def test_already_block(self):
         # diag(1 + s^2, 2): constant block [2], moving block 1 + s^2.

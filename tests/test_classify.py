@@ -50,6 +50,7 @@ from conftest import (
     random_unimodular,
     rounding_asymmetric,
     unvalidated_manifold,
+    wide_map_pair,
 )
 
 P_UNIT = MatrixParabola([[1.0]], [[0.0]], [[1.0]])
@@ -520,17 +521,23 @@ class TestAlmostEquivalent:
         # After a wide map (beta = 275 at m = 2, -169 at m = 8) the image
         # X^T Q2(alpha s + beta) X is summed from terms far larger than P1,
         # and a band on max|P1| alone rejected the witness ("unknown").
-        rng = np.random.default_rng(seed)
-        m = [2, 3, 5, 8][seed % 4]
-        P = char_polynomial(random_manifold(rng, m=m, zero_eigs=0))
-        cert = EquivalenceCertificate(
-            random_real_invertible(rng, m), 10 ** rng.uniform(-2, 2), rng.uniform(-300, 300)
-        )
-        verdict = almost_equivalent(P, apply_certificate(P, cert))
+        P, Q, cert = wide_map_pair(seed)
+        verdict = almost_equivalent(P, Q)
         assert verdict.is_yes, verdict.reason
         inverse = cert.inverse()
         assert verdict.certificate.alpha == pytest.approx(inverse.alpha, rel=1e-6)
         assert verdict.certificate.beta == pytest.approx(inverse.beta, rel=1e-6)
+
+    @pytest.mark.parametrize("seed", [3, 53, 82, 138, 233])
+    def test_wide_map_witness_passes_verify_equivalence(self, seed):
+        # verify_equivalence at the default tol accepts the witness
+        # almost_equivalent verified (m = 8, 3, 5, 5, 3): both read the
+        # band on the terms of the image, where a band on max|P1| alone
+        # rejected it.
+        P, Q, _ = wide_map_pair(seed)
+        verdict = almost_equivalent(P, Q)
+        assert verdict.is_yes, verdict.reason
+        assert verify_equivalence(P, Q, verdict.certificate)
 
 
 def _rebind(monkeypatch, name, replacement):
@@ -600,14 +607,15 @@ class TestMembershipDecidedOnce:
         P = char_polynomial(M)
         P2 = apply_certificate(P, random_certificate(rng, m).inverse())
         calls = []
+        fits = classify._fits
 
-        def counting(P, cert):
-            calls.append(P.dim)
-            return apply_certificate(P, cert)
+        def counting(coeffs1, T, alpha, beta, tol):
+            calls.append(T.shape)
+            return fits(coeffs1, T, alpha, beta, tol)
 
-        monkeypatch.setattr(classify, "apply_certificate", counting)
+        monkeypatch.setattr(classify, "_fits", counting)
         assert almost_equivalent(P, P2).is_yes
-        assert calls == [m]
+        assert calls == [(3, m, m)]
 
     def test_validate_parabola(self, monkeypatch, rng, capsys):
         calls = []
@@ -642,14 +650,14 @@ class TestMembershipDecidedOnce:
     def test_decision_path_is_c_gauge(self, monkeypatch, rng, m, r, k):
         # Membership reads no A-gauge (no A^{-1/2}, no linearization), and
         # equivalence analyses no aligned copy: the only reparametrization
-        # is the one that verifies the witness.
+        # is the image of the witness in its check, _fits.
         def refused(*args, **kwargs):
             raise AssertionError("A-gauge on the decision path")
 
         reparametrized = classify._reparametrized
 
         def reparametrize_in_verification(*args):
-            assert sys._getframe(1).f_code.co_name == "apply_certificate"
+            assert sys._getframe(1).f_code.co_name == "_fits"
             return reparametrized(*args)
 
         analyses = []
@@ -782,6 +790,43 @@ class TestSymmetrizeCounts:
         monkeypatch.setattr(symmat, "symmetrize", lambda S: calls.append(np.shape(S)) or symmetrize(S))
         assert charpoly.is_characteristic(P, M.n)[0]
         assert len(calls) <= 0
+
+
+class TestCongruenceCounts:
+    """symmat.congruence calls per top-level call.  A witness is checked
+    from the one product T = X^T [A2, B2, C2] X: the image is T
+    reparametrized, and the band reads T's terms.  When the check formed
+    the image by apply_certificate and its terms by a second congruence,
+    a k = 0 yes of almost_equivalent took 8 at every m, and a found
+    search_certificate 3 (traces, the screened images and the re-check
+    of the first survivor)."""
+
+    @pytest.fixture
+    def congruences(self, monkeypatch):
+        calls = []
+        congruence = symmat.congruence
+        monkeypatch.setattr(symmat, "congruence", lambda S, X: calls.append(np.shape(X)) or congruence(S, X))
+        return calls
+
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_almost_equivalent_full_rank(self, congruences, rng, m):
+        # W^T B W and F^T A F per membership decision, H in each refined
+        # frame, and the witness's T.
+        P = char_polynomial(random_manifold(rng, m=m, zero_eigs=0))
+        P2 = apply_certificate(P, random_certificate(rng, m).inverse())
+        congruences.clear()
+        assert almost_equivalent(P, P2).is_yes
+        assert len(congruences) <= 7
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_search_found(self, congruences, rng, m):
+        # One stacked T serves the traces and every candidate's check.
+        x = [[-1.0]] if m == 1 else random_unimodular(rng, 2, ops=2)
+        P = random_characteristic_parabola(rng, m=m)
+        P2 = apply_certificate(P, EquivalenceCertificate(x, 1.5, 0.5).inverse())
+        congruences.clear()
+        assert search_certificate(P, P2, entry_bound=3) is not None
+        assert len(congruences) <= 1
 
 
 def scalar_search(P1, P2, entry_bound, tol=symmat.DEFAULT_TOL):
@@ -926,17 +971,3 @@ class TestSearchCertificate:
                 batched = search_certificate(P1, P2, bound)
                 assert (batched is not None) == (expected and bound >= 2)
                 assert_same_search(batched, scalar_search(P1, P2, bound))
-
-    def test_scalar_check_runs_on_the_witness_alone(self, rng, monkeypatch):
-        calls = []
-
-        def counting(P, cert):
-            calls.append(cert)
-            return apply_certificate(P, cert)
-
-        monkeypatch.setattr(classify, "apply_certificate", counting)
-        planted, scaled = self._pairs(rng, 2, 1)
-        assert search_certificate(*scaled, entry_bound=5, tol=1e-7) is None
-        assert calls == []
-        assert search_certificate(*planted, entry_bound=5, tol=1e-7) is not None
-        assert len(calls) == 1

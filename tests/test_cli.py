@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causalcurves import MatrixParabola, check_positive_all_s
+from causalcurves import MatrixParabola, almost_equivalent, check_positive_all_s
 from causalcurves.cli import _COMMANDS, main
+from conftest import wide_map_pair
 
 CLI = [sys.executable, "-m", "causalcurves.cli"]
 
@@ -124,6 +125,21 @@ class TestGoldenPipes:
         code, body = run_cli(
             ["certify"], {"P1": P1, "P2": P1, "certificate": cert}
         )
+        assert code == 0
+        assert body["result"]["equivalent"] is True
+
+    def test_certify_after_a_wide_map(self):
+        # An order-3 pair (beta = 163): the witness almost_equivalent
+        # verified is certified at the default tol, on a band that reads
+        # the terms of the image, not max|P1| alone.
+        P1, P2, _ = wide_map_pair(53)
+        cert = almost_equivalent(P1, P2).certificate
+        payload = {
+            "P1": {"A": P1.A.tolist(), "B": P1.B.tolist(), "C": P1.C.tolist()},
+            "P2": {"A": P2.A.tolist(), "B": P2.B.tolist(), "C": P2.C.tolist()},
+            "certificate": {"X": cert.X.tolist(), "alpha": cert.alpha, "beta": cert.beta},
+        }
+        code, body = run_cli(["certify"], payload)
         assert code == 0
         assert body["result"]["equivalent"] is True
 
