@@ -31,13 +31,18 @@ Schur complements of [[A, B], [B, C]]), and given H >= 0 the parabola
 is positive for all s iff H is definite on every eigenspace of diag mu
 (the Popov-Belevitch-Hautus test, i.e. freeness).  A k = 0 member thus
 costs three symmetric eigendecompositions, plus one per repeated
-eigenvalue of mu.  The A-gauge (A^{-1/2}, B~, C~ and the eigenpairs of
-G = C~ - B~^2) serves ``realize`` and the diagnostics on inputs the
-C-gauge cannot decide.  ``is_characteristic`` returns the analysis with
-its verdict, so ``realize``, ``almost_equivalent`` and the CLI read it
-instead of decomposing again; ``check_positive_all_s``,
-``schur_condition`` and ``reduce_degenerate`` are views of a fresh
-analysis.
+eigenvalue of mu.  ``is_characteristic`` returns the analysis with its
+verdict, so ``realize``, ``almost_equivalent`` and the CLI read it
+instead of decomposing again.  The analysis keeps one A-gauge
+attribute, A^{-1/2} (``inv_root``): ``realize`` forms B~, A^{1/2} and
+G = C~ - B~^2 of the moving part from it, ``schur_condition`` the
+matrix C - B A^{-1} B, and ``check_positive_all_s`` its linearization
+where no C-gauge decides.  Both diagnostics follow the decision's
+sequence on a fresh analysis (the CLI's on the verdict's): they split
+off ker C first, because the linearization of a parabola with singular
+C has a 2 x 2 Jordan block at mu = 0 for every kernel direction, which
+rounding splits far above the s = infinity floor, and then read the
+moving part's C-gauge.
 """
 
 from __future__ import annotations
@@ -171,44 +176,24 @@ class ParabolaAnalysis:
 
     C is the leading coefficient, so the gauge does not move under
     s -> s + beta, and H is the Schur complement of C in [[A, B], [B, C]]
-    (in the gauge), with the inertia of D = C - B A^{-1} B.  Inputs
-    the C-gauge cannot decide (C not positive definite, or H
-    indefinite) and ``realize`` read the A-gauge instead:
-
-        Q(s) = A^{1/2} ((I + s B~)^2 + s^2 G) A^{1/2},   G = C~ - B~^2,
-
-    with B~ = A^{-1/2} B A^{-1/2} and C~ = A^{-1/2} C A^{-1/2}.  Each
-    attribute is computed on first use and kept; the A-gauge attributes
-    need A positive definite (``inv_root`` not None).
+    (in the gauge), with the inertia of D = C - B A^{-1} B.  A
+    degenerate C is first reduced (``reduction``), and the moving part
+    gets its own analysis (``reduced``).  The one A-gauge attribute is
+    A^{-1/2} (``inv_root``), which ``realize`` and the diagnostics
+    (:func:`_positive_all_s`, :func:`_schur`) read.  Each attribute is
+    computed on first use and kept.  Raises NonFiniteInput unless
+    0 <= tol < inf.
     """
 
     def __init__(self, P: MatrixParabola, tol=DEFAULT_TOL):
         self.P, self.tol = P, float(tol)
-        if not math.isfinite(self.tol):
-            raise NonFiniteInput(f"tol must be finite, got {self.tol}")
+        if not 0.0 <= self.tol < math.inf:
+            raise NonFiniteInput(f"tol must be finite and nonnegative, got {self.tol}")
 
     @cached_property
     def inv_root(self):
         """A^{-1/2}, or None when A is not positive definite."""
         return symmat.pd_inv_sqrt(self.P.A, self.tol)
-
-    @cached_property
-    def root(self):
-        """A^{1/2}, as A A^{-1/2}."""
-        return symmat.symmetrize(self.P.A @ self.inv_root)
-
-    @cached_property
-    def B_t(self):
-        return symmat.congruence(self.P.B, self.inv_root)
-
-    @cached_property
-    def C_t(self):
-        return symmat.congruence(self.P.C, self.inv_root)
-
-    @cached_property
-    def g_eig(self):
-        """Eigenpairs of G = C~ - B~^2."""
-        return symmat.sym_eig(symmat.symmetrize(self.C_t - self.B_t @ self.B_t))
 
     @cached_property
     def c_eig(self):
@@ -265,18 +250,24 @@ class ParabolaAnalysis:
 
     @property
     def reduced(self):
-        """The analysis of the moving part: ``self`` when the ``kernel``
-        mask is empty (returned, not stored: an analysis that referred to
+        """The analysis of the moving part, or None when the reduction
+        fails (InvalidCharacteristic): ``self`` when the ``kernel`` mask
+        is empty (returned, not stored: an analysis that referred to
         itself would be freed only by the cycle collector)."""
         return self._moving if self.kernel.any() else self
 
     @cached_property
     def _moving(self):
-        return ParabolaAnalysis(self.reduction.reduced, self.tol)
+        try:
+            return ParabolaAnalysis(self.reduction.reduced, self.tol)
+        except InvalidCharacteristic:
+            return None
 
     @cached_property
     def positive(self):
-        """Whether Q(s) is positive definite for every real s.
+        """The Hautus test: whether Q(s) is positive definite for every
+        real s, or None where the C-gauge cannot decide (no C-gauge, or
+        H indefinite).  A 0 x 0 parabola is positive.
 
         In the C-gauge with H positive semidefinite,
         v^T F^T Q(s) F v = |(s + diag mu) v|^2 + v^T H v, so Q(s) is
@@ -287,82 +278,113 @@ class ParabolaAnalysis:
         tol * max(max|F^T A F|, max|mu|^2).  When mu is simple (every
         gap clears tol * max|mu|) the blocks are the diagonal entries of
         H, so the test is one comparison of diag H with the band.
-
-        Otherwise (no C-gauge, or H indefinite) the A-gauge decides:
-        Q(0) = A must be definite, and Q(s) must never become singular
-        for real s (eigenvalues move continuously in s).  Q(s) is
-        congruent to Q~(s) = I + 2s B~ + s^2 C~, which is singular at
-        s = 1/mu exactly when mu is an eigenvalue of the
-        2m x 2m linearization [[0, I], [-C~, -2B~]].  One batched
-        eigvalsh over the stacked Q~(1/Re mu) then requires
-        lambda_min(Q~(s)) > tol * max(1, 2|s| max|B~|, s^2 max|C~|),
-        the largest of its three terms (1 = max|I|), for every mu with
-        |Re mu| > tol * max|mu|; smaller mu are singular points at
-        s = infinity.  Reading Q~ rather than Q keeps the band on the
-        terms Q~ is summed from, so a tangency (Q~(s) ~ 0) is measured
-        against them and not against its own small value, and no entry
-        overflows for finite input.  The s = infinity floor scales like
-        mu, by alpha under s -> alpha s, so no reparametrization moves a
-        genuine singular point across it.  A tangency, where rounding
-        splits a real double eigenvalue into a complex pair, is still
-        caught because every real part is tested, and testing extra
-        points is safe since the check only ever evaluates Q~.  Verdicts
-        inside the band resolve to False (strictness preserved).
+        Verdicts inside the band resolve to False.
         """
+        if self.P.dim == 0:
+            return True
         g = self.c_gauge
-        if g is not None and self.inertia[0]:
-            band = self.tol * max(-g.mu[0], g.mu[-1])
-            if (np.diff(g.mu) > band).all():
-                return bool((np.diag(g.H) > self.tol * g.size).all())
-            cells = symmat.clusters(g.mu, band)
-            return all(_lambda_min(g.H[c, c]) > self.tol * g.size for c in cells)
-        if self.inv_root is None:
-            return False
-        B, C, m = self.B_t, self.C_t, self.P.dim
-        companion = np.block([[np.zeros((m, m)), np.eye(m)], [-C, -2.0 * B]])
-        mu = np.linalg.eigvals(companion)
-        floor = self.tol * np.max(np.abs(mu), initial=0.0)
-        mu = mu.real[mu.imag >= 0.0]  # one of each conjugate pair
-        s = 1.0 / mu[np.abs(mu) > floor, None, None]
-        q = np.eye(m) + 2.0 * s * B + s * s * C
-        terms = np.maximum(2.0 * np.abs(s) * symmat.max_norm(B), s * s * symmat.max_norm(C))
-        band = self.tol * np.maximum(1.0, terms)
-        return bool(np.all(np.linalg.eigvalsh(q) > band[:, 0]))
+        if g is None or not self.inertia[0]:
+            return None
+        band = self.tol * max(-g.mu[0], g.mu[-1])
+        if (np.diff(g.mu) > band).all():
+            return bool((np.diag(g.H) > self.tol * g.size).all())
+        cells = symmat.clusters(g.mu, band)
+        return all(_lambda_min(g.H[c, c]) > self.tol * g.size for c in cells)
 
     @cached_property
     def inertia(self):
-        """(PSD, rank) of D = C - B A^{-1} B.
+        """(PSD, rank) of D = C - B A^{-1} B, read from the eigenvalues
+        of H against tol * size, or None without a C-gauge; (True, 0) for
+        a 0 x 0 parabola.
 
         D and H are the two Schur complements of [[A, B], [B, C]], so
-        with A and C definite they share their inertia: where the
-        C-gauge exists, both are read from the eigenvalues of H against
-        tol * size.  Otherwise they are read from G, to which
-        D = A^{1/2} G A^{1/2} is congruent, against
-        tol * max(max|C~|, max|B~|^2).
+        with A and C definite they share their inertia.
         """
+        if self.P.dim == 0:
+            return True, 0
         g = self.c_gauge
-        if g is not None:
-            values, band = g.h, self.tol * g.size
-        else:
-            values = self.g_eig.values
-            band = self.tol * max(symmat.max_norm(self.C_t), symmat.max_norm(self.B_t) ** 2)
-        return bool(np.all(values >= -band)), int(np.sum(np.abs(values) > band))
+        return None if g is None else _inertia(g.h, self.tol * g.size)
 
-    @cached_property
-    def schur(self) -> SchurResult:
-        """D = C - B A^{-1} B with its PSD verdict and rank
-        (:attr:`inertia`).  D is formed as C - (A^{-1/2} B)^T (A^{-1/2} B).
-        Raises SingularA unless A is positive definite.
-        """
-        if self.inv_root is None:
-            raise SingularA("constant coefficient A is not positive definite at this tolerance")
-        half = self.inv_root @ self.P.B
-        return SchurResult(symmat.symmetrize(self.P.C - half.T @ half), *self.inertia)
+
+def _inertia(values, band):
+    """(PSD, rank) of a symmetric matrix from its eigenvalues at band."""
+    return bool(np.all(values >= -band)), int(np.sum(np.abs(values) > band))
 
 
 def _lambda_min(S):
     """Smallest eigenvalue of a symmetric block; a 1 x 1 block is its entry."""
     return S[0, 0] if S.shape[0] == 1 else np.linalg.eigvalsh(S)[0]
+
+
+def _positive_all_s(analysis):
+    """Whether Q(s) is positive definite for every real s, in the
+    sequence of the membership decision: the reduction splits off ker C,
+    whose constant block must be positive definite, and the moving
+    part's Hautus test (:attr:`ParabolaAnalysis.positive`) decides.
+
+    Where it cannot (B does not vanish on ker C, or the moving part has
+    no C-gauge or an indefinite H), the linearization of the moving
+    part, or of P when the reduction fails, decides: Q(0) = A must be
+    definite, and Q(s) must never become singular for real s
+    (eigenvalues move continuously in s).  Q(s) is congruent to
+    Q~(s) = I + 2s B~ + s^2 C~ (B~ = A^{-1/2} B A^{-1/2},
+    C~ = A^{-1/2} C A^{-1/2}), which is singular at s = 1/mu exactly
+    when mu is an eigenvalue of the 2m x 2m linearization
+    [[0, I], [-C~, -2B~]].  One batched eigvalsh over the stacked
+    Q~(1/Re mu) then requires
+    lambda_min(Q~(s)) > tol * max(1, 2|s| max|B~|, s^2 max|C~|),
+    the largest of its three terms (1 = max|I|), for every mu with
+    |Re mu| > tol * max|mu|; smaller mu are singular points at
+    s = infinity.  Reading Q~ rather than Q keeps the band on the terms
+    Q~ is summed from, so a tangency (Q~(s) ~ 0) is measured against
+    them and not against its own small value, and no entry overflows
+    for finite input.  The s = infinity floor scales like mu, by alpha
+    under s -> alpha s, so no reparametrization moves a genuine singular
+    point across it.  A tangency, where rounding splits a real double
+    eigenvalue into a complex pair, is still caught because every real
+    part is tested.  A direction of ker C would put a 2 x 2 Jordan block
+    at mu = 0, which rounding splits to about sqrt(eps) max|mu|, above
+    the floor; the reduction removes it first.  Verdicts inside the band
+    resolve to False (strictness preserved).
+    """
+    part, tol = analysis.reduced or analysis, analysis.tol  # P itself when the reduction fails
+    if part is not analysis and not symmat.is_pd(analysis.reduction.constant_block, tol):
+        return False
+    if part.positive is not None:
+        return part.positive
+    if part.inv_root is None:
+        return False
+    B, C = symmat.congruence(part.P.coeffs[1:], part.inv_root)
+    m = part.P.dim
+    companion = np.block([[np.zeros((m, m)), np.eye(m)], [-C, -2.0 * B]])
+    mu = np.linalg.eigvals(companion)
+    floor = tol * np.max(np.abs(mu), initial=0.0)
+    mu = mu.real[mu.imag >= 0.0]  # one of each conjugate pair
+    s = 1.0 / mu[np.abs(mu) > floor, None, None]
+    q = np.eye(m) + 2.0 * s * B + s * s * C
+    terms = np.maximum(2.0 * np.abs(s) * symmat.max_norm(B), s * s * symmat.max_norm(C))
+    band = tol * np.maximum(1.0, terms)
+    return bool(np.all(np.linalg.eigvalsh(q) > band[:, 0]))
+
+
+def _schur(analysis) -> SchurResult:
+    """D = C - B A^{-1} B, formed as C - (A^{-1/2} B)^T (A^{-1/2} B), with
+    its PSD verdict and rank; raises SingularA unless A is positive
+    definite.
+
+    As in the membership decision, the reduction splits off ker C, on
+    which D vanishes, and the moving part's :attr:`ParabolaAnalysis.inertia`
+    is D's.  Where it cannot be read (B does not vanish on ker C, or the
+    moving part has no C-gauge), the eigenvalues of D are read against
+    tol * max(max|C|, max|A^{-1/2} B|^2).
+    """
+    if analysis.inv_root is None:
+        raise SingularA("constant coefficient A is not positive definite at this tolerance")
+    P, half = analysis.P, analysis.inv_root @ analysis.P.B
+    D = symmat.symmetrize(P.C - half.T @ half)
+    band = analysis.tol * max(symmat.max_norm(P.C), symmat.max_norm(half) ** 2)
+    inertia = (analysis.reduced or analysis).inertia  # None where no C-gauge decides
+    return SchurResult(D, *(inertia or _inertia(np.linalg.eigvalsh(D), band)))
 
 
 class MembershipVerdict(tuple):
@@ -380,15 +402,17 @@ class MembershipVerdict(tuple):
 
 def check_positive_all_s(P: MatrixParabola, tol=DEFAULT_TOL):
     """Whether Q(s) is positive definite for every real s
-    (:attr:`ParabolaAnalysis.positive`)."""
-    return ParabolaAnalysis(P, tol).positive
+    (:func:`_positive_all_s` of a fresh analysis: the constant block
+    and the moving part's Hautus test, or the linearization where no
+    C-gauge decides)."""
+    return _positive_all_s(ParabolaAnalysis(P, tol))
 
 
 def schur_condition(P: MatrixParabola, tol=DEFAULT_TOL) -> SchurResult:
-    """D = C - B A^{-1} B with its PSD verdict and rank
-    (:attr:`ParabolaAnalysis.schur`); raises SingularA unless A is
-    positive definite."""
-    return ParabolaAnalysis(P, tol).schur
+    """D = C - B A^{-1} B with its PSD verdict and rank (:func:`_schur`
+    of a fresh analysis: the moving part's inertia of H where it has a
+    C-gauge); raises SingularA unless A is positive definite."""
+    return _schur(ParabolaAnalysis(P, tol))
 
 
 def reduce_degenerate(P: MatrixParabola, tol=DEFAULT_TOL) -> ReductionResult:
@@ -423,17 +447,15 @@ def _decide(analysis, n):
     positive definite; a 0 x 0 moving part (the elliptic point) needs
     only n >= m + 2, and any other is decided in its C-gauge.
     """
-    m = analysis.P.dim
-    try:
-        moving = analysis.reduced
-    except InvalidCharacteristic:
+    m, moving = analysis.P.dim, analysis.reduced
+    if moving is None:
         return False, None
     k = m - moving.P.dim
     if k and not symmat.is_pd(analysis.reduction.constant_block, analysis.tol):
         return False, None
     if moving.P.dim == 0:
         return (True, Signature(n, m, 0, k)) if n >= m + 2 else (False, None)
-    psd, rank = (False, 0) if moving.c_gauge is None else moving.inertia
+    psd, rank = moving.inertia or (False, 0)
     if not psd or rank == 0 or m + rank + 2 > n or not moving.positive:
         return False, None
     return True, Signature(n, m, rank, k)
@@ -455,7 +477,7 @@ def is_characteristic(P: MatrixParabola, n, tol=DEFAULT_TOL):
     of H, and positivity by the Hautus test, all against
     tol * max(max|F^T A F|, max|mu|^2), and m + r + 2 <= n.  Raises
     SignatureInconsistent unless n is an integer, and NonFiniteInput
-    unless tol is finite.
+    unless 0 <= tol < inf.
     """
     try:
         n = operator.index(n)

@@ -20,14 +20,15 @@ up to the choice of lattice).  This module can
   every bounded unimodular X is checked in one congruence of the
   stack, and the first that fits is returned.
 
-Realization reads the A-gauge of the membership verdict's
-:class:`ParabolaAnalysis`: a' = B~, a'' = the rank-r root of G and the
-lattice A^{1/2}.  ``almost_equivalent`` reads its C-gauge, so it
-validates no manifold data and analyses no parabola beyond the two
-membership decisions.  Both read every member through its reduction
-X^T Q(s) X = blockdiag(K, Q_moving(s)): one assembly serves every k,
-from the empty reduction (X = I, Q itself) when C has full rank to the
-elliptic point k = m, whose moving part is 0 x 0.
+Realization reads the A-gauge of the moving part of the membership
+verdict's :class:`ParabolaAnalysis`: from its A^{-1/2} it forms
+a' = B~, a'' = the rank-r root of G = C~ - B~^2 (the one place G is
+formed) and the lattice A^{1/2}.  ``almost_equivalent`` reads its
+C-gauge, so it validates no manifold data and analyses no parabola
+beyond the two membership decisions.  Both read every member through
+its reduction X^T Q(s) X = blockdiag(K, Q_moving(s)): one assembly
+serves every k, from the empty reduction (X = I, Q itself) when C has
+full rank to the elliptic point k = m, whose moving part is 0 x 0.
 """
 
 from __future__ import annotations
@@ -225,7 +226,9 @@ def realize(P: MatrixParabola, n, tol=DEFAULT_TOL) -> ManifoldData:
     When C has full rank, X = I and K is 0 x 0, so the lattice is
     A^{1/2}; at the elliptic point (k = m) the moving part is 0 x 0.  The
     composition with char_polynomial is the identity on parabolas up to
-    roundoff.  Every factor comes from the membership verdict's analysis.
+    roundoff.  B~, A^{1/2} = A A^{-1/2} and G are formed from the
+    A^{-1/2} of the moving part of the membership verdict's analysis,
+    and the reduction is the verdict's.
     """
     ok, sig = verdict = is_characteristic(P, n, tol)
     if not ok:
@@ -234,10 +237,11 @@ def realize(P: MatrixParabola, n, tol=DEFAULT_TOL) -> ManifoldData:
         )
     analysis, m, r, k = verdict.analysis, P.dim, sig.r, sig.k
     moving = analysis.reduced
+    B_t, C_t = symmat.congruence(moving.P.coeffs[1:], moving.inv_root)
     a_prime, a_dblprime, lattice = np.zeros((m, m)), np.zeros((r, m)), np.zeros((m, m))
-    a_prime[k:, k:] = moving.B_t
-    a_dblprime[:, k:] = _transverse_root(moving, r)
-    lattice[k:, k:] = moving.root
+    a_prime[k:, k:] = B_t
+    a_dblprime[:, k:] = _transverse_root(B_t, C_t, r)
+    lattice[k:, k:] = symmat.symmetrize(moving.P.A @ moving.inv_root)
     if k:  # X = I and K is 0 x 0 when C has full rank.
         red = analysis.reduction
         lattice[:k, :k] = symmat.psd_sqrt(red.constant_block, tol)
@@ -245,13 +249,13 @@ def realize(P: MatrixParabola, n, tol=DEFAULT_TOL) -> ManifoldData:
     return build(sig.n, a_prime, a_dblprime, lattice, tol)
 
 
-def _transverse_root(analysis, r):
-    """a'' = diag(sqrt(g)) V^T from the top r eigenpairs (g, V) of G,
-    so that a''^T a'' = G on a member of Schur rank r."""
-    m = analysis.P.dim
-    g_values, g_vectors = analysis.g_eig
-    top = np.clip(g_values[m - r :], 0.0, None)
-    return np.diag(np.sqrt(top)) @ g_vectors[:, m - r :].T
+def _transverse_root(B_t, C_t, r):
+    """a'' = diag(sqrt(g)) V^T from the top r eigenpairs (g, V) of
+    G = C~ - B~^2, which is formed (and symmetrized) here and nowhere
+    else, so that a''^T a'' = G on a member of Schur rank r."""
+    g_values, g_vectors = symmat.sym_eig(symmat.symmetrize(C_t - B_t @ B_t))
+    top = slice(g_values.size - r, None)
+    return np.diag(np.sqrt(np.clip(g_values[top], 0.0, None))) @ g_vectors[:, top].T
 
 
 @dataclass(frozen=True)
@@ -463,7 +467,7 @@ def search_certificate(P1, P2, entry_bound=3, tol=DEFAULT_TOL):
     the trace of the linear coefficient), traces within tol times P1's
     scale counting as zero, and the first candidate that :func:`_fits`
     at tol is returned, or None.  The search is complete only within
-    the bound; a NaN or infinite tol raises NonFiniteInput.
+    the bound; a tol outside [0, inf) raises NonFiniteInput.
     """
     m = P1.dim
     if P2.dim != m:
@@ -482,8 +486,8 @@ def search_certificate(P1, P2, entry_bound=3, tol=DEFAULT_TOL):
         raise UnsupportedDimension(
             f"entry bound must lie in 1..5, got {entry_bound}"
         )
-    if not math.isfinite(tol := float(tol)):
-        raise NonFiniteInput(f"tol must be finite, got {tol}")
+    if not 0.0 <= (tol := float(tol)) < math.inf:
+        raise NonFiniteInput(f"tol must be finite and nonnegative, got {tol}")
     tr_b1, tr_c1 = np.trace(P1.coeffs[1:], axis1=1, axis2=2)
     band = tol * P1.coeff_scale()
     Xs = _unimodular_stack(m, entry_bound)

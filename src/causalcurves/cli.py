@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import classify, construction
+from . import charpoly, classify, construction
 from .charpoly import MatrixParabola, char_polynomial, is_characteristic, reduce_degenerate
 from .classify import EquivalenceCertificate
 from .errors import CausalCurvesError
@@ -232,11 +232,11 @@ def _cmd_validate_parabola(P, args):
     ok, sig = verdict = is_characteristic(P, args.n, args.tol)
     analysis = verdict.analysis
     # The Schur condition needs A positive definite; it is null otherwise.
-    schur = analysis.schur if analysis.inv_root is not None else None
+    schur = charpoly._schur(analysis) if analysis.inv_root is not None else None
     return {
         "characteristic": ok,
         "signature": _signature_dict(sig),
-        "poabc": analysis.positive,
+        "poabc": charpoly._positive_all_s(analysis),
         "schur_psd": None if schur is None else schur.psd,
         "schur_rank": None if schur is None else schur.rank,
     }

@@ -15,7 +15,8 @@ class DimensionMismatch(CausalCurvesError):
 
 
 class NonFiniteInput(CausalCurvesError):
-    """An input matrix or number holds NaN or infinity."""
+    """An input matrix or number holds NaN or infinity, or a tolerance
+    lies outside [0, inf)."""
 
 
 class NotPositiveDefinite(CausalCurvesError):

@@ -182,3 +182,20 @@ def wide_map_pair(seed):
         random_real_invertible(rng, m), 10 ** rng.uniform(-2, 2), rng.uniform(-300, 300)
     )
     return P, apply_certificate(P, cert), cert
+
+
+def wide_degenerate_member(seed):
+    """A member P with constant directions and its Schur rank r: order
+    m = 2, 3, 5 or 8 (by seed mod 4), k in [1, m) and r in [1, m - k];
+    odd seeds map it by X^T Q(alpha s + beta) X with X unimodular or
+    real, alpha = 10^[-3, 3] and beta in [-500, 500]."""
+    rng = np.random.default_rng(seed)
+    m = [2, 3, 5, 8][seed % 4]
+    k = int(rng.integers(1, m))
+    r = int(rng.integers(1, m - k + 1))
+    P = char_polynomial(random_manifold(rng, m=m, r=r, k=k))
+    if seed % 2:
+        X = random_unimodular(rng, m) if rng.random() < 0.5 else random_real_invertible(rng, m)
+        cert = EquivalenceCertificate(X, 10 ** rng.uniform(-3, 3), rng.uniform(-500, 500))
+        P = apply_certificate(P, cert)
+    return P, r

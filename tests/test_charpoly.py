@@ -30,7 +30,7 @@ from causalcurves import (
     schur_condition,
     signature_of,
 )
-from causalcurves import charpoly, symmat
+from causalcurves import charpoly, classify, symmat
 from causalcurves.errors import DimensionMismatch
 from conftest import (
     random_characteristic_parabola,
@@ -42,6 +42,7 @@ from conftest import (
     random_violating_arrays,
     rounding_asymmetric,
     unvalidated_manifold,
+    wide_degenerate_member,
 )
 
 I2 = np.eye(2)
@@ -269,18 +270,66 @@ class TestSchur:
             schur_condition(MatrixParabola(np.diag([1.0, 0.0]), I2, I2))
 
     def test_g_reads_as_its_symmetrized_copy(self, rng):
-        # G = C~ - B~^2 is computed, and BLAS does not promise that B~^2
+        # realize forms G = C~ - B~^2, and BLAS does not promise that B~^2
         # comes out exactly symmetric; here C~ is made asymmetric by
-        # rounding, and the eigenpairs of G are still those of its
+        # rounding, and the transverse root is still the one of G's
         # symmetrized copy.
         for m in (2, 3, 5, 8):
-            analysis = charpoly.ParabolaAnalysis(random_characteristic_parabola(rng, m=m))
-            vars(analysis)["C_t"] = rounding_asymmetric(analysis.C_t)
-            G = analysis.C_t - analysis.B_t @ analysis.B_t
+            P = random_characteristic_parabola(rng, m=m)
+            r = is_characteristic(P, 2 * m + 2)[1].r
+            B_t, C_t = symmat.congruence(P.coeffs[1:], charpoly.ParabolaAnalysis(P).inv_root)
+            C_t = rounding_asymmetric(C_t)
+            G = C_t - B_t @ B_t
             assert not np.array_equal(G, G.T)
-            want = np.linalg.eigh(symmat.symmetrize(G))
-            np.testing.assert_array_equal(analysis.g_eig.values, want.eigenvalues)
-            np.testing.assert_array_equal(analysis.g_eig.vectors, want.eigenvectors)
+            values, vectors = np.linalg.eigh(symmat.symmetrize(G))
+            want = np.diag(np.sqrt(np.clip(values[m - r :], 0.0, None))) @ vectors[:, m - r :].T
+            np.testing.assert_array_equal(classify._transverse_root(B_t, C_t, r), want)
+
+
+class TestDiagnosticsReduceFirst:
+    """check_positive_all_s and schur_condition split off ker C as the
+    membership decision does.  The linearization of a parabola with
+    singular C has a 2 x 2 Jordan block at mu = 0 per direction of
+    ker C; rounding splits it to about sqrt(eps) max|mu|, above the
+    s = infinity floor tol * max|mu|, so without the reduction these
+    members read as not positive, and under wide maps the A-gauge
+    misreads their Schur rank."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5, 6])
+    def test_members_are_positive(self, seed):
+        P, r = wide_degenerate_member(seed)
+        assert is_characteristic(P, 2 * P.dim + 2)[0]
+        assert check_positive_all_s(P)
+
+    @pytest.mark.parametrize("seed", [7, 19, 73, 127])
+    def test_schur_rank_is_the_signature_rank(self, seed):
+        P, r = wide_degenerate_member(seed)
+        assert is_characteristic(P, 2 * P.dim + 2)[1].r == r
+        schur = schur_condition(P)
+        assert (schur.psd, schur.rank) == (True, r)
+
+    def test_zero_order_part_needs_no_eigensolver(self, monkeypatch):
+        # The elliptic point's moving part is 0 x 0: positive, with
+        # inertia (True, 0), read without a decomposition.
+        def refused(*args, **kwargs):
+            raise AssertionError("eigensolver on an empty matrix")
+
+        analysis = charpoly.ParabolaAnalysis(MatrixParabola(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0))))
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        assert analysis.positive is True
+        assert analysis.inertia == (True, 0)
+
+    def test_undecided_without_a_c_gauge(self):
+        # C indefinite: no C-gauge, so the Hautus test and the inertia of
+        # H are None, and the diagnostics read the linearization and D.
+        P = MatrixParabola(I2, np.zeros((2, 2)), np.diag([1.0, -1.0]))
+        analysis = charpoly.ParabolaAnalysis(P)
+        assert analysis.c_gauge is None
+        assert analysis.positive is None and analysis.inertia is None
+        assert not check_positive_all_s(P)
+        schur = schur_condition(P)
+        assert (schur.psd, schur.rank) == (False, 2)
 
 
 class TestIsCharacteristic:
@@ -472,7 +521,7 @@ class TestIsCharacteristic:
             band = 1e-8 * (1.0 + np.max(np.abs(P.C)))
             assert P.dim - sig.k == np.sum(np.abs(np.linalg.eigvalsh(P.C)) > band)
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-9])
     @pytest.mark.parametrize(
         "view",
         [
@@ -484,7 +533,8 @@ class TestIsCharacteristic:
         ids=["is_characteristic", "check_positive_all_s", "schur_condition", "reduce_degenerate"],
     )
     def test_non_finite_tol_rejected(self, view, tol):
-        # A member, so no verdict may come back silently at a NaN band.
+        # A member, so no verdict may come back silently at a NaN or
+        # negative band.
         P = MatrixParabola([[2.0, 0.0], [0.0, 1.0]], np.zeros((2, 2)), I2)
         with pytest.raises(NonFiniteInput):
             view(P, tol)

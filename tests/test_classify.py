@@ -48,6 +48,7 @@ from conftest import (
     random_orthogonal,
     random_real_invertible,
     random_unimodular,
+    random_violating_arrays,
     rounding_asymmetric,
     unvalidated_manifold,
     wide_map_pair,
@@ -547,6 +548,23 @@ def _rebind(monkeypatch, name, replacement):
             monkeypatch.setattr(module, name, replacement)
 
 
+def _every_kind(rng, m):
+    """(Q, n, ok) for an elliptic member and each non-member kind of
+    order m: indefinite A, too few dimensions, a killed eigenvector, and
+    B not vanishing on ker C."""
+    E = random_elliptic(rng, m=m)
+    P = char_polynomial(random_manifold(rng, m=m, r=1, zero_eigs=0))
+    w, V = np.linalg.eigh(P.A)
+    indefinite = MatrixParabola(V @ np.diag(np.r_[-w[0], w[1:]]) @ V.T, P.B, P.C)
+    killed = char_polynomial(unvalidated_manifold(*random_violating_arrays(rng, m=m)))
+    D = char_polynomial(random_manifold(rng, m=m, r=1, k=1))
+    u, x = np.linalg.eigh(D.C)[1][:, 0], rng.standard_normal(m)  # C is PSD: its kernel comes first
+    leaking = MatrixParabola(D.A, D.B + 1e-2 * (np.outer(u, x) + np.outer(x, u)), D.C)
+    n = 2 * m + 2
+    return [(char_polynomial(E), E.n, True), (indefinite, n, False), (P, m + 2, False), (killed, n, False),
+            (leaking, n, False)]
+
+
 def _validate_parabola(monkeypatch, P, n):
     """Run ``validate-parabola`` in-process on P; returns the exit code."""
     payload = {"A": P.A.tolist(), "B": P.B.tolist(), "C": P.C.tolist()}
@@ -648,9 +666,11 @@ class TestMembershipDecidedOnce:
 
     @pytest.mark.parametrize("m, r, k", [(3, 2, 0), (3, 1, 1)])
     def test_decision_path_is_c_gauge(self, monkeypatch, rng, m, r, k):
-        # Membership reads no A-gauge (no A^{-1/2}, no linearization), and
-        # equivalence analyses no aligned copy: the only reparametrization
-        # is the image of the witness in its check, _fits.
+        # Membership reads no A-gauge (no A^{-1/2}, no linearization) on
+        # members, elliptic ones included, or on any kind of non-member,
+        # and equivalence analyses no aligned copy: the only
+        # reparametrization is the image of the witness in its check,
+        # _fits.
         def refused(*args, **kwargs):
             raise AssertionError("A-gauge on the decision path")
 
@@ -669,10 +689,12 @@ class TestMembershipDecidedOnce:
 
         P = char_polynomial(random_manifold(rng, m=m, r=r, k=k, zero_eigs=0))
         P2 = apply_certificate(P, random_certificate(rng, m).inverse())
+        kinds = _every_kind(rng, m)
         monkeypatch.setattr(np.linalg, "eigvals", refused)
         monkeypatch.setattr(symmat, "pd_inv_sqrt", refused)
         monkeypatch.setattr(classify, "_reparametrized", reparametrize_in_verification)
         monkeypatch.setattr(charpoly.ParabolaAnalysis, "__init__", counting)
+        assert [is_characteristic(Q, n)[0] for Q, n, _ in kinds] == [ok for _, _, ok in kinds]
         assert is_characteristic(P, 2 * m + 2)[0]
         analyses.clear()
         assert almost_equivalent(P, P2).is_yes
@@ -711,6 +733,25 @@ class TestEigensolverCounts:
         assert self._count(eig_calls, lambda: realize(P, M.n)) <= 6
         assert self._count(eig_calls, lambda: _validate_parabola(monkeypatch, P, M.n)) <= 4
         assert json.loads(capsys.readouterr().out)["result"]["characteristic"]
+
+    def test_validate_parabola_constant_direction(self, eig_calls, monkeypatch, capsys, rng):
+        # The five of membership, the constant block again for positivity
+        # and A^{-1/2} for the Schur matrix: 7.  Reading positivity and
+        # the Schur rank in the A-gauge of the whole parabola took 9.
+        M = random_manifold(rng, m=3, r=1, k=1, zero_eigs=0)
+        P = char_polynomial(M)
+        assert self._count(eig_calls, lambda: _validate_parabola(monkeypatch, P, M.n)) <= 9
+        assert json.loads(capsys.readouterr().out)["result"]["poabc"]
+
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_validate_parabola_elliptic(self, eig_calls, monkeypatch, capsys, rng, m):
+        # C and the constant block, the constant block again for
+        # positivity and A^{-1/2} for the Schur matrix: 4; the 0 x 0
+        # moving part needs no decomposition.  The A-gauge took 6.
+        M = random_elliptic(rng, m=m)
+        P = char_polynomial(M)
+        assert self._count(eig_calls, lambda: _validate_parabola(monkeypatch, P, M.n)) <= 6
+        assert json.loads(capsys.readouterr().out)["result"]["poabc"]
 
     def test_membership_degenerate(self, eig_calls, rng):
         # C of the full parabola, then the definiteness of the constant
@@ -927,10 +968,10 @@ class TestSearchCertificate:
         ],
         ids=["search_certificate", "almost_equivalent", "verify_equivalence", "realize"],
     )
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-9])
     def test_non_finite_tol_rejected(self, call, tol):
-        # P_UNIT is equivalent to itself: a NaN band must not answer None,
-        # "no" or NotCharacteristic for it.
+        # P_UNIT is equivalent to itself: a NaN or negative band must not
+        # answer None, "no" or NotCharacteristic for it.
         with pytest.raises(NonFiniteInput):
             call(tol)
 

@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causalcurves import MatrixParabola, almost_equivalent, check_positive_all_s
+from causalcurves import MatrixParabola, almost_equivalent, char_polynomial, check_positive_all_s
 from causalcurves.cli import _COMMANDS, main
-from conftest import wide_map_pair
+from conftest import random_elliptic, random_manifold, wide_map_pair
 
 CLI = [sys.executable, "-m", "causalcurves.cli"]
 
@@ -70,6 +70,16 @@ class TestGoldenPipes:
         assert result["schur_psd"] is False
         P = MatrixParabola(payload["A"], payload["B"], payload["C"])
         assert result["poabc"] == check_positive_all_s(P)
+
+    def test_validate_member_with_constant_direction(self):
+        # k = 1: positivity splits off ker C before the Hautus test, as
+        # the decision does, instead of reading the linearization, whose
+        # Jordan block at mu = 0 rounding splits above the floor.
+        P = char_polynomial(random_manifold(np.random.default_rng(1), m=3, r=1, k=1))
+        code, body = run_cli(["validate-parabola", "--n", "6"], {"A": P.A.tolist(), "B": P.B.tolist(), "C": P.C.tolist()})
+        assert code == 0
+        assert body["result"]["characteristic"] is True
+        assert body["result"]["poabc"] is True
 
     def test_validate_manifold(self):
         body = pipe([["example", "--name", "dim4"], ["validate-manifold"]])
@@ -272,6 +282,25 @@ class TestStableOutput:
         assert self.call(["charpoly"], out, monkeypatch, capsys) == extracted
         pair = json.dumps({"P1": P1, "P2": P2})
         assert self.call(["compare"], pair, monkeypatch, capsys) == compared
+
+
+class TestValidateParabola:
+    """validate-parabola's diagnostics read the decision's criteria, so on
+    every member they agree with the verdict."""
+
+    @pytest.mark.parametrize("m, r, k", [(1, 1, 0), (3, 2, 0), (3, 1, 1), (5, 2, 2), (8, 3, 2), (3, 0, 3)])
+    def test_members_are_positive_with_the_signature_rank(self, m, r, k, monkeypatch, capsys):
+        rng = np.random.default_rng(10 * m + k)
+        for _ in range(5):
+            M = random_elliptic(rng, m=m) if k == m else random_manifold(rng, m=m, r=r, k=k)
+            P = char_polynomial(M)
+            payload = {"A": P.A.tolist(), "B": P.B.tolist(), "C": P.C.tolist()}
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+            assert main(["validate-parabola", "--n", str(M.n)]) == 0
+            result = json.loads(capsys.readouterr().out)["result"]
+            assert result["characteristic"] and result["signature"]["k"] == k
+            diagnostics = (result["poabc"], result["schur_psd"], result["schur_rank"])
+            assert diagnostics == (True, True, result["signature"]["r"])
 
 
 class TestExitCodes:
