@@ -33,22 +33,20 @@ is positive for all s iff H is definite on every eigenspace of diag mu
 costs three symmetric eigendecompositions, plus one per repeated
 eigenvalue of mu.  ``is_characteristic`` returns the analysis with its
 verdict, so ``realize``, ``almost_equivalent`` and the CLI read it
-instead of decomposing again.  The analysis keeps one A-gauge
-attribute, A^{-1/2} (``inv_root``): ``realize`` forms B~, A^{1/2} and
-G = C~ - B~^2 of the moving part from it, ``schur_condition`` the
-matrix C - B A^{-1} B, and ``check_positive_all_s`` its linearization
-where no C-gauge decides.  Both diagnostics follow the decision's
-sequence on a fresh analysis (the CLI's on the verdict's): they split
-off ker C first, because the linearization of a parabola with singular
-C has a 2 x 2 Jordan block at mu = 0 for every kernel direction, which
-rounding splits far above the s = infinity floor, and then read the
-moving part's C-gauge.
+instead of decomposing again.  Each criterion has one home on the
+analysis: the moving part's ``inertia`` gives PSD-ness and r, and
+``positive`` decides Q(s) > 0 (the constant block, then the moving
+part's Hautus test, or a linearization where no C-gauge decides);
+``check_positive_all_s`` reads ``positive`` of a fresh analysis.  The
+analysis keeps one A-gauge attribute, A^{-1/2} (``inv_root``):
+``realize`` forms B~, A^{1/2} and G = C~ - B~^2 of the moving part from
+it, ``schur_condition`` the matrix C - B A^{-1} B, and ``positive`` its
+linearization.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -62,13 +60,13 @@ from .errors import (
     InvalidCharacteristic,
     NonFiniteInput,
     NotDegenerate,
-    SignatureInconsistent,
     SingularA,
 )
+from .minkowski import _integer
 from .symmat import DEFAULT_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixParabola:
     """Coefficient triple (A, B, C) of equal order: the rows of one (3, m, m)
     stack ``coeffs``, checked finite and symmetrized on entry."""
@@ -76,7 +74,7 @@ class MatrixParabola:
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+    coeffs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         A = symmat.as_square(self.A, "A")
@@ -105,7 +103,7 @@ class MatrixParabola:
         return other.dim == self.dim and symmat.max_norm(self.coeffs - other.coeffs) <= tol * self.coeff_scale()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchurResult:
     """The matrix C - B A^{-1} B with its PSD verdict and rank."""
 
@@ -114,7 +112,7 @@ class SchurResult:
     rank: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReductionResult:
     """Congruence X splitting off the s-independent block.
 
@@ -179,8 +177,8 @@ class ParabolaAnalysis:
     (in the gauge), with the inertia of D = C - B A^{-1} B.  A
     degenerate C is first reduced (``reduction``), and the moving part
     gets its own analysis (``reduced``).  The one A-gauge attribute is
-    A^{-1/2} (``inv_root``), which ``realize`` and the diagnostics
-    (:func:`_positive_all_s`, :func:`_schur`) read.  Each attribute is
+    A^{-1/2} (``inv_root``), which ``realize``, :func:`_schur` and the
+    linearization of ``positive`` read.  Each attribute is
     computed on first use and kept.  Raises NonFiniteInput unless
     0 <= tol < inf.
     """
@@ -265,9 +263,12 @@ class ParabolaAnalysis:
 
     @cached_property
     def positive(self):
-        """The Hautus test: whether Q(s) is positive definite for every
-        real s, or None where the C-gauge cannot decide (no C-gauge, or
-        H indefinite).  A 0 x 0 parabola is positive.
+        """Whether Q(s) is positive definite for every real s.
+
+        A 0 x 0 parabola is positive.  When ker C splits off, the
+        constant block must be positive definite and the moving part
+        positive.  When the reduction fails (B does not vanish on
+        ker C), the linearization below decides on P itself.
 
         In the C-gauge with H positive semidefinite,
         v^T F^T Q(s) F v = |(s + diag mu) v|^2 + v^T H v, so Q(s) is
@@ -278,18 +279,57 @@ class ParabolaAnalysis:
         tol * max(max|F^T A F|, max|mu|^2).  When mu is simple (every
         gap clears tol * max|mu|) the blocks are the diagonal entries of
         H, so the test is one comparison of diag H with the band.
-        Verdicts inside the band resolve to False.
+
+        Otherwise (no C-gauge, or H indefinite) the linearization
+        decides: Q(0) = A must be definite, and Q(s) must never become
+        singular for real s (eigenvalues move continuously in s).  Q(s)
+        is congruent to Q~(s) = I + 2s B~ + s^2 C~
+        (B~ = A^{-1/2} B A^{-1/2}, C~ = A^{-1/2} C A^{-1/2}), which is
+        singular at s = 1/mu exactly when mu is an eigenvalue of the
+        2m x 2m linearization [[0, I], [-C~, -2B~]].  One batched
+        eigvalsh over the stacked Q~(1/Re mu) then requires
+        lambda_min(Q~(s)) > tol * max(1, 2|s| max|B~|, s^2 max|C~|),
+        the largest of its three terms (1 = max|I|), for every mu with
+        |Re mu| > tol * max|mu|; smaller mu are singular points at
+        s = infinity.  Reading Q~ rather than Q keeps the band on the
+        terms Q~ is summed from, so a tangency (Q~(s) ~ 0) is measured
+        against them and not against its own small value, and no entry
+        overflows for finite input.  The s = infinity floor scales like
+        mu, by alpha under s -> alpha s, so no reparametrization moves a
+        genuine singular point across it.  A tangency, where rounding
+        splits a real double eigenvalue into a complex pair, is still
+        caught because every real part is tested.  A direction of ker C
+        would put a 2 x 2 Jordan block at mu = 0, which rounding splits
+        to about sqrt(eps) max|mu|, above the floor; that is why the
+        reduction runs first.
+
+        Verdicts inside a band resolve to False (strictness preserved).
         """
-        if self.P.dim == 0:
+        P, tol = self.P, self.tol
+        if P.dim == 0:
             return True
+        if self.kernel.any() and self._moving is not None:
+            return symmat.is_pd(self.reduction.constant_block, tol) and self._moving.positive
         g = self.c_gauge
-        if g is None or not self.inertia[0]:
-            return None
-        band = self.tol * max(-g.mu[0], g.mu[-1])
-        if (np.diff(g.mu) > band).all():
-            return bool((np.diag(g.H) > self.tol * g.size).all())
-        cells = symmat.clusters(g.mu, band)
-        return all(_lambda_min(g.H[c, c]) > self.tol * g.size for c in cells)
+        if g is not None and self.inertia[0]:
+            band = tol * max(-g.mu[0], g.mu[-1])
+            if (np.diff(g.mu) > band).all():
+                return bool((np.diag(g.H) > tol * g.size).all())
+            cells = symmat.clusters(g.mu, band)
+            return all(_lambda_min(g.H[c, c]) > tol * g.size for c in cells)
+        if self.inv_root is None:
+            return False
+        B, C = symmat.congruence(P.coeffs[1:], self.inv_root)
+        m = P.dim
+        companion = np.block([[np.zeros((m, m)), np.eye(m)], [-C, -2.0 * B]])
+        mu = np.linalg.eigvals(companion)
+        floor = tol * np.max(np.abs(mu), initial=0.0)
+        mu = mu.real[mu.imag >= 0.0]  # one of each conjugate pair
+        s = 1.0 / mu[np.abs(mu) > floor, None, None]
+        q = np.eye(m) + 2.0 * s * B + s * s * C
+        terms = np.maximum(2.0 * np.abs(s) * symmat.max_norm(B), s * s * symmat.max_norm(C))
+        band = tol * np.maximum(1.0, terms)
+        return bool(np.all(np.linalg.eigvalsh(q) > band[:, 0]))
 
     @cached_property
     def inertia(self):
@@ -298,7 +338,10 @@ class ParabolaAnalysis:
         a 0 x 0 parabola.
 
         D and H are the two Schur complements of [[A, B], [B, C]], so
-        with A and C definite they share their inertia.
+        with A and C definite they share their inertia.  A degenerate C
+        has no C-gauge, so its inertia is None and the decision reads the
+        moving part's; that is one level deep, so a moving part with a
+        kernel of its own is rejected rather than counted with the outer k.
         """
         if self.P.dim == 0:
             return True, 0
@@ -314,57 +357,6 @@ def _inertia(values, band):
 def _lambda_min(S):
     """Smallest eigenvalue of a symmetric block; a 1 x 1 block is its entry."""
     return S[0, 0] if S.shape[0] == 1 else np.linalg.eigvalsh(S)[0]
-
-
-def _positive_all_s(analysis):
-    """Whether Q(s) is positive definite for every real s, in the
-    sequence of the membership decision: the reduction splits off ker C,
-    whose constant block must be positive definite, and the moving
-    part's Hautus test (:attr:`ParabolaAnalysis.positive`) decides.
-
-    Where it cannot (B does not vanish on ker C, or the moving part has
-    no C-gauge or an indefinite H), the linearization of the moving
-    part, or of P when the reduction fails, decides: Q(0) = A must be
-    definite, and Q(s) must never become singular for real s
-    (eigenvalues move continuously in s).  Q(s) is congruent to
-    Q~(s) = I + 2s B~ + s^2 C~ (B~ = A^{-1/2} B A^{-1/2},
-    C~ = A^{-1/2} C A^{-1/2}), which is singular at s = 1/mu exactly
-    when mu is an eigenvalue of the 2m x 2m linearization
-    [[0, I], [-C~, -2B~]].  One batched eigvalsh over the stacked
-    Q~(1/Re mu) then requires
-    lambda_min(Q~(s)) > tol * max(1, 2|s| max|B~|, s^2 max|C~|),
-    the largest of its three terms (1 = max|I|), for every mu with
-    |Re mu| > tol * max|mu|; smaller mu are singular points at
-    s = infinity.  Reading Q~ rather than Q keeps the band on the terms
-    Q~ is summed from, so a tangency (Q~(s) ~ 0) is measured against
-    them and not against its own small value, and no entry overflows
-    for finite input.  The s = infinity floor scales like mu, by alpha
-    under s -> alpha s, so no reparametrization moves a genuine singular
-    point across it.  A tangency, where rounding splits a real double
-    eigenvalue into a complex pair, is still caught because every real
-    part is tested.  A direction of ker C would put a 2 x 2 Jordan block
-    at mu = 0, which rounding splits to about sqrt(eps) max|mu|, above
-    the floor; the reduction removes it first.  Verdicts inside the band
-    resolve to False (strictness preserved).
-    """
-    part, tol = analysis.reduced or analysis, analysis.tol  # P itself when the reduction fails
-    if part is not analysis and not symmat.is_pd(analysis.reduction.constant_block, tol):
-        return False
-    if part.positive is not None:
-        return part.positive
-    if part.inv_root is None:
-        return False
-    B, C = symmat.congruence(part.P.coeffs[1:], part.inv_root)
-    m = part.P.dim
-    companion = np.block([[np.zeros((m, m)), np.eye(m)], [-C, -2.0 * B]])
-    mu = np.linalg.eigvals(companion)
-    floor = tol * np.max(np.abs(mu), initial=0.0)
-    mu = mu.real[mu.imag >= 0.0]  # one of each conjugate pair
-    s = 1.0 / mu[np.abs(mu) > floor, None, None]
-    q = np.eye(m) + 2.0 * s * B + s * s * C
-    terms = np.maximum(2.0 * np.abs(s) * symmat.max_norm(B), s * s * symmat.max_norm(C))
-    band = tol * np.maximum(1.0, terms)
-    return bool(np.all(np.linalg.eigvalsh(q) > band[:, 0]))
 
 
 def _schur(analysis) -> SchurResult:
@@ -402,10 +394,10 @@ class MembershipVerdict(tuple):
 
 def check_positive_all_s(P: MatrixParabola, tol=DEFAULT_TOL):
     """Whether Q(s) is positive definite for every real s
-    (:func:`_positive_all_s` of a fresh analysis: the constant block
-    and the moving part's Hautus test, or the linearization where no
-    C-gauge decides)."""
-    return _positive_all_s(ParabolaAnalysis(P, tol))
+    (:attr:`ParabolaAnalysis.positive` of a fresh analysis: the constant
+    block and the moving part's Hautus test, or the linearization where
+    no C-gauge decides)."""
+    return ParabolaAnalysis(P, tol).positive
 
 
 def schur_condition(P: MatrixParabola, tol=DEFAULT_TOL) -> SchurResult:
@@ -439,50 +431,27 @@ def _verify_reduction(P, T, k, tol):
         raise InvalidCharacteristic(f"reduction is not block-diagonal in {'ABC'[bad.argmax()]}")
 
 
-def _decide(analysis, n):
-    """(ok, signature) of the membership criteria, read from ``analysis``.
-
-    One sequence for every k: the reduction splits off the constant
-    directions (ker C, empty when C has full rank), whose block must be
-    positive definite; a 0 x 0 moving part (the elliptic point) needs
-    only n >= m + 2, and any other is decided in its C-gauge.
-    """
-    m, moving = analysis.P.dim, analysis.reduced
-    if moving is None:
-        return False, None
-    k = m - moving.P.dim
-    if k and not symmat.is_pd(analysis.reduction.constant_block, analysis.tol):
-        return False, None
-    if moving.P.dim == 0:
-        return (True, Signature(n, m, 0, k)) if n >= m + 2 else (False, None)
-    psd, rank = moving.inertia or (False, 0)
-    if not psd or rank == 0 or m + rank + 2 > n or not moving.positive:
-        return False, None
-    return True, Signature(n, m, rank, k)
-
-
 def is_characteristic(P: MatrixParabola, n, tol=DEFAULT_TOL):
     """Decide membership among characteristic parabolas at dimension n.
 
     Returns a :class:`MembershipVerdict` (ok, signature); the signature
     is None on rejection, and ``.analysis`` holds the parabola's
     :class:`ParabolaAnalysis` (with its reduction and the moving part's
-    analysis).  One sequence decides every k: the reduction splits off
-    ker C on the band tol * max|C| (empty when C has full rank), k is
-    m - rank C, and the constant block must be positive definite.  A
-    0 x 0 moving part (the elliptic point, C = 0 exactly, not merely
-    small) gives (n, m, 0, m) at every n >= m + 2.  Any other is decided
-    in its C-gauge: its C must be positive definite, the rank r >= 1
-    and PSD-ness of the Schur complement are read from the eigenvalues
-    of H, and positivity by the Hautus test, all against
-    tol * max(max|F^T A F|, max|mu|^2), and m + r + 2 <= n.  Raises
+    analysis).  The reduction splits off ker C on the band
+    tol * max|C| (empty when C has full rank), and k is m - rank C.  The
+    verdict reads three criteria of the analysis, in this order: the
+    moving part's ``inertia`` (its C-gauge must exist and H must be PSD
+    of rank r >= 1; a 0 x 0 moving part, the elliptic point with C = 0
+    exactly, not merely small, has r = 0), then m + r + 2 <= n, then
+    ``positive`` (the constant block positive definite and the moving
+    part's Hautus test).  The inertia is None wherever the Hautus test
+    cannot decide, so the linearization never runs here.  Raises
     SignatureInconsistent unless n is an integer, and NonFiniteInput
     unless 0 <= tol < inf.
     """
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise SignatureInconsistent(f"ambient dimension must be an integer, got {n!r}") from None
+    n = _integer(n, "ambient dimension")
     analysis = ParabolaAnalysis(P, tol)
-    return MembershipVerdict(*_decide(analysis, n), analysis)
-
+    m, moving = P.dim, analysis.reduced
+    psd, r = moving and moving.inertia or (False, 0)
+    ok = psd and (r >= 1 or moving.P.dim == 0) and m + r + 2 <= n and analysis.positive
+    return MembershipVerdict(ok, Signature(n, m, r, m - moving.P.dim) if ok else None, analysis)

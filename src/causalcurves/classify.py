@@ -58,7 +58,7 @@ from .symmat import DEFAULT_TOL
 SPECTRUM_TOL = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquivalenceCertificate:
     """A witness (X, alpha, beta) with Q1(s) = X^T Q2(alpha s + beta) X.
 
@@ -164,7 +164,7 @@ def verify_equivalence(P1, P2, cert, tol=DEFAULT_TOL, n=None):
     return bool(_fits(P1.coeffs, symmat.congruence(P2.coeffs, cert.X), cert.alpha, cert.beta, tol))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineSpectrum:
     """Eigenvalues of B C^{-1} up to orientation-preserving affine maps.
 
@@ -258,18 +258,19 @@ def _transverse_root(B_t, C_t, r):
     return np.diag(np.sqrt(np.clip(g_values[top], 0.0, None))) @ g_vectors[:, top].T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimpleSpectrumForm:
     """Spectrum of a' (all multiplicities one) with the Gram matrix of
     the a''-images of its unit eigenvectors, sign-canonicalized.
 
-    ``frame`` keeps the sign-fixed eigenvector basis; it is not part of
-    the comparison but lets callers assemble explicit witnesses.
+    ``frame`` keeps the sign-fixed eigenvector basis, which lets callers
+    assemble explicit witnesses.  Like every record here that holds
+    arrays, a form compares by identity; compare its arrays instead.
     """
 
     eigenvalues: np.ndarray
     gram: np.ndarray
-    frame: np.ndarray = field(compare=False, repr=False)
+    frame: np.ndarray = field(repr=False)
 
 
 def simple_spectrum_form(M: ManifoldData, tol=DEFAULT_TOL) -> SimpleSpectrumForm:
@@ -337,7 +338,7 @@ def _normal_form(analysis, spectrum):
     return H, band, g.F @ R, np.sqrt(scale2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlmostVerdict:
     """Outcome of the almost-equivalence decision.
 

@@ -236,7 +236,7 @@ def _cmd_validate_parabola(P, args):
     return {
         "characteristic": ok,
         "signature": _signature_dict(sig),
-        "poabc": charpoly._positive_all_s(analysis),
+        "poabc": analysis.positive,
         "schur_psd": None if schur is None else schur.psd,
         "schur_rank": None if schur is None else schur.rank,
     }
@@ -275,11 +275,18 @@ def _cmd_search_cert(pair, args):
     return {"found": cert is not None, "certificate": _certificate_dict(cert)}
 
 
-def _tolerance(text):
-    """argparse type of --tol: a finite, nonnegative float (NaN fails
-    the comparison)."""
+def _finite(text):
+    """argparse type of --t and --r: a finite float (float reads 1e400
+    as inf)."""
     value = float(text)
-    if not 0.0 <= value < math.inf:
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text):
+    """argparse type of --tol: a finite, nonnegative float."""
+    if (value := _finite(text)) < 0.0:
         raise argparse.ArgumentTypeError(f"must be a finite nonnegative number, got {text!r}")
     return value
 
@@ -295,8 +302,8 @@ _N = ("--n", {"type": int, "required": True, "help": "ambient dimension"})
 _COMMON_N = ("--n", {"type": int, "default": None, "help": "common ambient dimension"})
 _EXAMPLE_FLAGS = (
     ("--name", {"choices": ["dim4", "dim5"], "required": True}),
-    ("--t", {"type": float, "default": 1.0, "help": "dim5 parameter t (nonzero)"}),
-    ("--r", {"type": float, "default": 1.0, "help": "dim5 parameter r (nonzero)"}),
+    ("--t", {"type": _finite, "default": 1.0, "help": "dim5 parameter t (nonzero)"}),
+    ("--r", {"type": _finite, "default": 1.0, "help": "dim5 parameter r (nonzero)"}),
 )
 _BOUND = ("--bound", {"type": int, "default": 3, "help": "entry bound for X (1..5)"})
 

@@ -31,7 +31,7 @@ from .errors import (
     SignatureInconsistent,
     ZeroParameter,
 )
-from .minkowski import LorentzFrame
+from .minkowski import LorentzFrame, _integer
 from .symmat import DEFAULT_TOL
 
 #: Eigenvalue clustering / injectivity threshold for the freeness test.
@@ -48,6 +48,9 @@ class Signature:
     k: int
 
     def __post_init__(self):
+        for name in ("n", "m", "r", "k"):
+            if type(value := getattr(self, name)) is not int:
+                object.__setattr__(self, name, _integer(value, name))
         if min(self.n, self.m, self.r, self.k) < 0:
             raise SignatureInconsistent(f"negative entry in {self.as_tuple()}")
         if self.m + self.r + 2 > self.n:
@@ -63,7 +66,7 @@ class Signature:
         return (self.n, self.m, self.r, self.k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ManifoldData:
     """Canonical-frame realization (frame, a', a'', lattice).
 

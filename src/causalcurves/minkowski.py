@@ -16,12 +16,22 @@ Vectors are plain length-n ndarrays.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, SignatureInconsistent
 from .symmat import DEFAULT_TOL, max_norm
+
+
+def _integer(value, name):
+    """``value`` as an int (numpy integers included); raises
+    SignatureInconsistent for anything else, such as 5.5."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise SignatureInconsistent(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -33,6 +43,9 @@ class LorentzFrame:
     r: int
 
     def __post_init__(self):
+        for name in ("n", "m", "r"):
+            if type(value := getattr(self, name)) is not int:
+                object.__setattr__(self, name, _integer(value, name))
         if self.m < 1 or self.r < 0:
             raise SignatureInconsistent(f"need m >= 1 and r >= 0, got m={self.m}, r={self.r}")
         if self.m + self.r + 2 > self.n:

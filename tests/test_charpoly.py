@@ -321,12 +321,12 @@ class TestDiagnosticsReduceFirst:
         assert analysis.inertia == (True, 0)
 
     def test_undecided_without_a_c_gauge(self):
-        # C indefinite: no C-gauge, so the Hautus test and the inertia of
-        # H are None, and the diagnostics read the linearization and D.
+        # C indefinite: no C-gauge, so the inertia of H is None and the
+        # linearization decides positivity; the Schur diagnostic reads D.
         P = MatrixParabola(I2, np.zeros((2, 2)), np.diag([1.0, -1.0]))
         analysis = charpoly.ParabolaAnalysis(P)
         assert analysis.c_gauge is None
-        assert analysis.positive is None and analysis.inertia is None
+        assert analysis.positive is False and analysis.inertia is None
         assert not check_positive_all_s(P)
         schur = schur_condition(P)
         assert (schur.psd, schur.rank) == (False, 2)

@@ -1,5 +1,6 @@
 """Reconstruction, certificates, spectral invariants, equivalence search."""
 
+import copy
 import functools
 import io
 import itertools
@@ -701,6 +702,17 @@ class TestMembershipDecidedOnce:
         # The two inputs, and their reduced parabolas when k > 0.
         assert sorted(analyses) == sorted([m, m] + [m - k, m - k] * (k > 0))
 
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_positive_is_decided_on_every_kind(self, monkeypatch, capsys, rng, m):
+        # positive is a bool on members and on every kind of non-member,
+        # the leaking one included (its reduction fails, so the
+        # linearization runs on P), and validate-parabola reports it.
+        for Q, n, _ in _every_kind(rng, m):
+            assert type(charpoly.ParabolaAnalysis(Q).positive) is bool
+            assert _validate_parabola(monkeypatch, Q, n) == 0
+            poabc = json.loads(capsys.readouterr().out)["result"]["poabc"]
+            assert poabc == charpoly.check_positive_all_s(Q)
+
 
 class TestEigensolverCounts:
     """Eigendecompositions per top-level call, for every k."""
@@ -735,22 +747,20 @@ class TestEigensolverCounts:
         assert json.loads(capsys.readouterr().out)["result"]["characteristic"]
 
     def test_validate_parabola_constant_direction(self, eig_calls, monkeypatch, capsys, rng):
-        # The five of membership, the constant block again for positivity
-        # and A^{-1/2} for the Schur matrix: 7.  Reading positivity and
-        # the Schur rank in the A-gauge of the whole parabola took 9.
+        # The five of membership, whose positivity the verdict's analysis
+        # keeps, and A^{-1/2} for the Schur matrix: 6.
         M = random_manifold(rng, m=3, r=1, k=1, zero_eigs=0)
         P = char_polynomial(M)
-        assert self._count(eig_calls, lambda: _validate_parabola(monkeypatch, P, M.n)) <= 9
+        assert self._count(eig_calls, lambda: _validate_parabola(monkeypatch, P, M.n)) <= 6
         assert json.loads(capsys.readouterr().out)["result"]["poabc"]
 
     @pytest.mark.parametrize("m", [1, 3, 8])
     def test_validate_parabola_elliptic(self, eig_calls, monkeypatch, capsys, rng, m):
-        # C and the constant block, the constant block again for
-        # positivity and A^{-1/2} for the Schur matrix: 4; the 0 x 0
-        # moving part needs no decomposition.  The A-gauge took 6.
+        # C and the constant block, and A^{-1/2} for the Schur matrix:
+        # 3; the 0 x 0 moving part needs no decomposition.
         M = random_elliptic(rng, m=m)
         P = char_polynomial(M)
-        assert self._count(eig_calls, lambda: _validate_parabola(monkeypatch, P, M.n)) <= 6
+        assert self._count(eig_calls, lambda: _validate_parabola(monkeypatch, P, M.n)) <= 3
         assert json.loads(capsys.readouterr().out)["result"]["poabc"]
 
     def test_membership_degenerate(self, eig_calls, rng):
@@ -1012,3 +1022,26 @@ class TestSearchCertificate:
                 batched = search_certificate(P1, P2, bound)
                 assert (batched is not None) == (expected and bound >= 2)
                 assert_same_search(batched, scalar_search(P1, P2, bound))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: random_characteristic_parabola(rng, m=2),
+        lambda rng: random_manifold(rng, m=2),
+        lambda rng: random_certificate(rng, 2),
+        lambda rng: charpoly.reduce_degenerate(char_polynomial(random_manifold(rng, m=3, r=1, k=1, zero_eigs=0))),
+        lambda rng: charpoly.schur_condition(random_characteristic_parabola(rng, m=2)),
+        lambda rng: affine_spectrum(random_characteristic_parabola(rng, m=2)),
+        lambda rng: simple_spectrum_form(example_5d(1.0, 2.0)),
+        lambda rng: almost_equivalent(*[random_characteristic_parabola(rng, m=2)] * 2),
+    ],
+    ids=["MatrixParabola", "ManifoldData", "EquivalenceCertificate", "ReductionResult", "SchurResult",
+         "AffineSpectrum", "SimpleSpectrumForm", "AlmostVerdict"],
+)
+def test_records_holding_arrays_compare_by_identity(rng, make):
+    # Value equality would compare arrays elementwise, and raise.
+    record = make(rng)
+    assert record == record
+    assert (record == copy.deepcopy(record)) is False
+    assert hash(record) == hash(record)

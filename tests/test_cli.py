@@ -403,6 +403,13 @@ class TestExitCodes:
             assert main([command, *required.get(command, []), "--tol", tol]) == 2
             assert "argument --tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("flag", ["--t", "--r"])
+    def test_non_finite_example_parameter_is_two(self, capsys, flag, value):
+        assert main(["example", "--name", "dim5", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"argument {flag}" in captured.err
+
     def test_zero_tol_is_valid(self):
         payload = {"A": [[1.0]], "B": [[0.0]], "C": [[1.0]]}
         code, body = run_cli(["validate-parabola", "--n", "4", "--tol", "0"], payload)

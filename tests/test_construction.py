@@ -69,6 +69,14 @@ class TestBuild:
         with pytest.raises(SignatureInconsistent):
             build(4, np.diag([0.0, 1.0]), [[1.0, 1.0]], np.eye(2))
 
+    def test_rejects_non_integral_dimension(self):
+        with pytest.raises(SignatureInconsistent):
+            build(5.5, [[0.0, 0.0], [0.0, 1.0]], [[1.0, 1.0]], np.eye(2))
+
+    def test_numpy_integer_dimension_becomes_int(self):
+        M = build(np.int64(5), [[0.0, 0.0], [0.0, 1.0]], [[1.0, 1.0]], np.eye(2))
+        assert type(M.n) is int and type(signature_of(M).n) is int
+
     def test_rejects_rank_deficient_transverse(self):
         with pytest.raises(RankDeficientR):
             build(6, np.zeros((2, 2)), [[1.0, 0.0], [2.0, 0.0]], np.eye(2))
@@ -295,6 +303,16 @@ class TestSignature:
             from causalcurves import Signature
 
             Signature(5, 2, 2, 1)
+
+    @pytest.mark.parametrize("field", range(4))
+    def test_entries_must_be_integers(self, field):
+        from causalcurves import Signature
+
+        entries = [6, 2, 1, 1]
+        with pytest.raises(SignatureInconsistent):
+            Signature(*entries[:field], entries[field] + 0.5, *entries[field + 1:])
+        entries[field] = np.int64(entries[field])
+        assert all(type(value) is int for value in Signature(*entries).as_tuple())
 
     def test_euclidean_factor(self, rng):
         assert euclidean_factor_dim(example_4d()) == 0
