@@ -69,7 +69,9 @@ from .symmat import DEFAULT_TOL
 @dataclass(frozen=True, eq=False)
 class MatrixParabola:
     """Coefficient triple (A, B, C) of equal order: the rows of one (3, m, m)
-    stack ``coeffs``, checked finite and symmetrized on entry."""
+    stack ``coeffs``, checked finite and symmetrized on entry (a stack
+    that is exactly symmetric already, as a reduction's is, is held as
+    given)."""
 
     A: np.ndarray
     B: np.ndarray
@@ -80,10 +82,18 @@ class MatrixParabola:
         A = symmat.as_square(self.A, "A")
         if np.shape(self.B) != A.shape or np.shape(self.C) != A.shape:
             raise DimensionMismatch(f"coefficient shapes differ: {A.shape}, {np.shape(self.B)}, {np.shape(self.C)}")
-        coeffs = np.array((A, self.B, self.C), dtype=float)
-        if not np.isfinite(coeffs).all():
-            raise NonFiniteInput(f"{'ABC'[np.isfinite(coeffs).all(axis=(1, 2)).argmin()]} has non-finite entries")
-        coeffs = symmat.symmetrize(coeffs)
+        self._hold(symmat.symmetrize(_finite(np.array((A, self.B, self.C), dtype=float))))
+
+    @classmethod
+    def _of_symmetric(cls, coeffs):
+        """The parabola of a (3, m, m) stack that is already exactly
+        symmetric, such as a slice of :func:`symmat.congruence` output:
+        checked finite and held as given, neither copied nor symmetrized."""
+        P = object.__new__(cls)
+        P._hold(_finite(coeffs))
+        return P
+
+    def _hold(self, coeffs):
         vars(self).update(coeffs=coeffs, A=coeffs[0], B=coeffs[1], C=coeffs[2])
 
     @property
@@ -101,6 +111,14 @@ class MatrixParabola:
     def close_to(self, other, tol=DEFAULT_TOL):
         """Coefficient-wise comparison at tol relative to this parabola."""
         return other.dim == self.dim and symmat.max_norm(self.coeffs - other.coeffs) <= tol * self.coeff_scale()
+
+
+def _finite(coeffs):
+    """``coeffs``, a (3, m, m) stack, unless an entry is not finite:
+    NonFiniteInput naming the first such coefficient."""
+    if not np.isfinite(coeffs).all():
+        raise NonFiniteInput(f"{'ABC'[np.isfinite(coeffs).all(axis=(1, 2)).argmin()]} has non-finite entries")
+    return coeffs
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,7 +262,7 @@ class ParabolaAnalysis:
         X = np.hstack([U, vh[k:].T])
         T = symmat.congruence(P.coeffs, X)
         _verify_reduction(P, T, k, tol)
-        return ReductionResult(X, T[0, :k, :k], MatrixParabola(*T[:, k:, k:]))
+        return ReductionResult(X, T[0, :k, :k], MatrixParabola._of_symmetric(T[:, k:, k:]))
 
     @property
     def reduced(self):
@@ -309,7 +327,7 @@ class ParabolaAnalysis:
         if P.dim == 0:
             return True
         if self.kernel.any() and self._moving is not None:
-            return symmat.is_pd(self.reduction.constant_block, tol) and self._moving.positive
+            return self._constant_definite and self._moving.positive
         g = self.c_gauge
         if g is not None and self.inertia[0]:
             band = tol * max(-g.mu[0], g.mu[-1])
@@ -332,6 +350,17 @@ class ParabolaAnalysis:
         return bool(np.all(np.linalg.eigvalsh(q) > band[:, 0]))
 
     @cached_property
+    def _constant_definite(self):
+        """Whether the constant block is positive definite, i.e. its
+        lambda_min clears tol times its max-norm; True for the empty
+        reduction.  The block is a slice of congruence output, exactly
+        symmetric, so it is read as given."""
+        if not self.kernel.any():
+            return True
+        K = self.reduction.constant_block
+        return bool(symmat.sym_eig(K).values[0] > self.tol * symmat.max_norm(K))
+
+    @cached_property
     def inertia(self):
         """(PSD, rank) of D = C - B A^{-1} B, read from the eigenvalues
         of H against tol * size, or None without a C-gauge; (True, 0) for
@@ -351,7 +380,7 @@ class ParabolaAnalysis:
 
 def _inertia(values, band):
     """(PSD, rank) of a symmetric matrix from its eigenvalues at band."""
-    return bool(np.all(values >= -band)), int(np.sum(np.abs(values) > band))
+    return bool((values >= -band).all()), int((np.abs(values) > band).sum())
 
 
 def _lambda_min(S):
@@ -439,19 +468,21 @@ def is_characteristic(P: MatrixParabola, n, tol=DEFAULT_TOL):
     :class:`ParabolaAnalysis` (with its reduction and the moving part's
     analysis).  The reduction splits off ker C on the band
     tol * max|C| (empty when C has full rank), and k is m - rank C.  The
-    verdict reads three criteria of the analysis, in this order: the
-    moving part's ``inertia`` (its C-gauge must exist and H must be PSD
-    of rank r >= 1; a 0 x 0 moving part, the elliptic point with C = 0
-    exactly, not merely small, has r = 0), then m + r + 2 <= n, then
-    ``positive`` (the constant block positive definite and the moving
-    part's Hautus test).  The inertia is None wherever the Hautus test
-    cannot decide, so the linearization never runs here.  Raises
-    SignatureInconsistent unless n is an integer, and NonFiniteInput
-    unless 0 <= tol < inf.
+    verdict reads the criteria of the analysis in this order: the
+    constant block must be positive definite (the first half of
+    ``positive``, read first because it needs one eigensolver call and
+    the moving part's C-gauge three), then the moving part's ``inertia``
+    (its C-gauge must exist and H must be PSD of rank r >= 1; a 0 x 0
+    moving part, the elliptic point with C = 0 exactly, not merely
+    small, has r = 0), then m + r + 2 <= n, then ``positive`` (its
+    second half, the moving part's Hautus test).  The inertia is None
+    wherever the Hautus test cannot decide, so the linearization never
+    runs here.  Raises SignatureInconsistent unless n is an integer, and
+    NonFiniteInput unless 0 <= tol < inf.
     """
     n = _integer(n, "ambient dimension")
     analysis = ParabolaAnalysis(P, tol)
     m, moving = P.dim, analysis.reduced
-    psd, r = moving and moving.inertia or (False, 0)
+    psd, r = moving and analysis._constant_definite and moving.inertia or (False, 0)
     ok = psd and (r >= 1 or moving.P.dim == 0) and m + r + 2 <= n and analysis.positive
     return MembershipVerdict(ok, Signature(n, m, r, m - moving.P.dim) if ok else None, analysis)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -178,7 +179,7 @@ class AffineSpectrum:
     degenerate: bool
     raw: np.ndarray
 
-    @property
+    @cached_property
     def size(self):
         """max|raw| / spread, the size of the operands of the canonical
         values (1 for a degenerate spectrum)."""
@@ -293,17 +294,20 @@ def _signs(S, band):
     entries |S_ij| > band: each tree grows from its smallest index, with
     sign +1, through all of its rows' entries in index order.  The forest
     depends only on which entries clear the band, so d S d is the same
-    for every sign-conjugate of S."""
-    signs = np.zeros(S.shape[0])
-    for root in range(signs.size):
-        if signs[root] == 0.0:
+    for every sign-conjugate of S on every entry that clears the band
+    (an entry inside it may lie between two trees and change sign)."""
+    edges = np.where(np.abs(S) > band, np.sign(S), 0.0).tolist()
+    signs = [0.0] * len(edges)
+    for root in range(len(signs)):
+        if not signs[root]:
             signs[root] = 1.0
             queue = [root]
             for i in queue:
-                for j in np.flatnonzero((np.abs(S[i]) > band) & (signs == 0.0)):
-                    signs[j] = signs[i] * np.sign(S[i, j])
-                    queue.append(j)
-    return signs
+                for j, edge in enumerate(edges[i]):
+                    if edge and not signs[j]:
+                        signs[j] = signs[i] * edge
+                        queue.append(j)
+    return np.array(signs)
 
 
 def _normal_form(analysis, spectrum):
@@ -316,26 +320,31 @@ def _normal_form(analysis, spectrum):
     the clusters of the canonical spectrum (at SPECTRUM_TOL times its
     size, the band of :meth:`AffineSpectrum.matches`); on each
     proper cluster the frame F of the C-gauge is rotated by the
-    eigenbasis of H's block.  The scale is the spread of mu, or
-    sqrt(max|eigenvalue of H|) when the spectrum is degenerate.  The
-    band is SPECTRUM_TOL times the gauge's operand size over scale^2,
-    plus the error that dividing by scale^2 carries: twice the
-    spectrum's band (the relative error of the spread) times max|H|.
-    Raises NotSimpleSpectrum when a proper cluster's H-block has a
-    repeated eigenvalue at SPECTRUM_TOL times the operand size: the
-    block's eigenbasis is then not unique.
+    eigenbasis of H's block.  A simple spectrum (every gap clears the
+    band) has no proper cluster, so G is F itself and H the gauge's.
+    The scale is the spread of mu, or sqrt(max|eigenvalue of H|) when
+    the spectrum is degenerate.  The band is SPECTRUM_TOL times the
+    gauge's operand size over scale^2, plus the error that dividing by
+    scale^2 carries: twice the spectrum's band (the relative error of
+    the spread) times max|H|.  Raises NotSimpleSpectrum when a proper
+    cluster's H-block has a repeated eigenvalue at SPECTRUM_TOL times
+    the operand size: the block's eigenbasis is then not unique.
     """
     g = analysis.c_gauge
-    R = np.eye(g.mu.size)
-    for c in symmat.clusters(spectrum.values, SPECTRUM_TOL * spectrum.size):
-        if c.stop - c.start > 1:
-            w, R[c, c] = symmat.sym_eig(g.H[c, c])
-            if np.any(np.diff(w) <= SPECTRUM_TOL * g.size):
-                raise NotSimpleSpectrum(f"H repeats an eigenvalue on a {c.stop - c.start}-fold cluster")
+    H, F = g.H, g.F
+    cluster_band = SPECTRUM_TOL * spectrum.size
+    if not (np.diff(spectrum.values) > cluster_band).all():
+        R = np.eye(g.mu.size)
+        for c in symmat.clusters(spectrum.values, cluster_band):
+            if c.stop - c.start > 1:
+                w, R[c, c] = symmat.sym_eig(g.H[c, c])
+                if np.any(np.diff(w) <= SPECTRUM_TOL * g.size):
+                    raise NotSimpleSpectrum(f"H repeats an eigenvalue on a {c.stop - c.start}-fold cluster")
+        H, F = symmat.congruence(g.H, R), F @ R
     scale2 = symmat.max_norm(g.h) if spectrum.degenerate else float(g.mu[-1] - g.mu[0]) ** 2
-    H = symmat.congruence(g.H, R) / scale2
+    H = H / scale2
     band = SPECTRUM_TOL * (g.size / scale2 + 2.0 * spectrum.size * symmat.max_norm(H))
-    return H, band, g.F @ R, np.sqrt(scale2)
+    return H, band, F, np.sqrt(scale2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -347,6 +347,114 @@ class TestSimpleSpectrumForm:
                 np.testing.assert_array_equal(getattr(forms[0], field), getattr(forms[1], field))
 
 
+
+def breadth_first_signs(S, band):
+    """Reference for classify._signs: the breadth-first forest over the
+    entries |S_ij| > band, with the mask and signs of each row formed
+    when the row is reached."""
+    signs = np.zeros(S.shape[0])
+    for root in range(signs.size):
+        if signs[root] == 0.0:
+            signs[root] = 1.0
+            queue = [root]
+            for i in queue:
+                for j in np.flatnonzero((np.abs(S[i]) > band) & (signs == 0.0)):
+                    signs[j] = signs[i] * np.sign(S[i, j])
+                    queue.append(j)
+    return signs
+
+
+def sign_test_matrix(rng, m, band):
+    """A symmetric matrix with entries at exactly +-band, zero rows and
+    columns, and (half the time) two blocks with no entry between them."""
+    S = rng.standard_normal((m, m))
+    at_band = rng.random((m, m)) < 0.2
+    S[at_band] = band * np.sign(S[at_band])
+    S = np.triu(S) + np.triu(S, 1).T
+    if m > 2 and rng.random() < 0.5:
+        cut = int(rng.integers(1, m))
+        S[:cut, cut:] = S[cut:, :cut] = 0.0
+    for i in np.flatnonzero(rng.random(m) < 0.15):
+        S[i, :] = S[:, i] = 0.0
+    return S
+
+
+class TestSigns:
+    """classify._signs forms the band mask and the signs of S once and
+    grows the forest over Python lists; the signs are those of the
+    breadth-first reference, which reads one row of S at a time."""
+
+    def test_matches_breadth_first_reference(self):
+        rng = np.random.default_rng(20)
+        for _ in range(400):
+            m = int(rng.integers(1, 9))
+            band = float(rng.uniform(0.1, 1.0))
+            S = sign_test_matrix(rng, m, band)
+            signs = classify._signs(S, band)
+            reference = breadth_first_signs(S, band)
+            assert signs.dtype == reference.dtype
+            np.testing.assert_array_equal(signs, reference)
+
+    def test_edge_cases(self):
+        band = 0.5
+        # Entries at exactly +-band do not join trees.
+        S = np.array([[1.0, -0.5, 0.0], [-0.5, 1.0, 0.5], [0.0, 0.5, 1.0]])
+        np.testing.assert_array_equal(classify._signs(S, band), [1.0, 1.0, 1.0])
+        # A zero row is a tree of its own; two blocks are two trees.
+        S = np.array([[1.0, -2.0, 0.0, 0.0], [-2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0]])
+        np.testing.assert_array_equal(classify._signs(S, band), [1.0, -1.0, 1.0, 1.0])
+        assert classify._signs(np.zeros((0, 0)), band).shape == (0,)
+
+    def test_form_is_the_same_for_every_sign_conjugate(self):
+        # d S d agrees exactly on the entries that clear the band; the
+        # others lie within it and may change sign between trees.
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            m = int(rng.integers(1, 6))
+            band = float(rng.uniform(0.1, 1.0))
+            S = sign_test_matrix(rng, m, band)
+            d = classify._signs(S, band)
+            form, clears = S * np.outer(d, d), np.abs(S) > band
+            for e in itertools.product((-1.0, 1.0), repeat=m):
+                conjugate = S * np.outer(e, e)
+                d2 = classify._signs(conjugate, band)
+                form2 = conjugate * np.outer(d2, d2)
+                np.testing.assert_array_equal(form2[clears], form[clears])
+                np.testing.assert_array_equal(np.abs(form2), np.abs(form))
+
+
+class TestNormalForm:
+    """classify._normal_form rotates the C-gauge's frame only on proper
+    clusters of the canonical spectrum."""
+
+    @staticmethod
+    def _form(P):
+        analysis = is_characteristic(P, 2 * P.dim + 2).analysis
+        spectrum = classify._affine_spectrum(analysis)
+        return analysis.c_gauge, spectrum, classify._normal_form(analysis, spectrum)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    def test_simple_spectrum_keeps_the_gauge_frame(self, rng, m):
+        g, spectrum, (H, _, G, scale) = self._form(char_polynomial(random_manifold(rng, m=m, zero_eigs=0)))
+        assert (np.diff(spectrum.values) > classify.SPECTRUM_TOL * spectrum.size).all()
+        assert G is g.F
+        np.testing.assert_array_equal(H, g.H / scale**2)
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_proper_cluster_rotates_and_its_witness_verifies(self, rng, m):
+        # a' with a double zero eigenvalue puts a 2-fold cluster into mu.
+        P = char_polynomial(random_manifold(rng, m=m, r=2, zero_eigs=2))
+        g, spectrum, (H, _, G, scale) = self._form(P)
+        clusters = symmat.clusters(spectrum.values, classify.SPECTRUM_TOL * spectrum.size)
+        assert max(c.stop - c.start for c in clusters) == 2
+        assert G is not g.F and not np.array_equal(G, g.F)
+        np.testing.assert_allclose(symmat.congruence(P.C, G), np.eye(m), atol=1e-9)
+        Q = apply_certificate(P, random_certificate(rng, m))
+        verdict = almost_equivalent(P, Q)
+        assert verdict.is_yes
+        assert verify_equivalence(P, Q, verdict.certificate, 1e-6)
+
+
 class TestAlmostEquivalent:
     def test_planted_certificates(self, rng):
         for _ in range(40):
@@ -771,6 +879,20 @@ class TestEigensolverCounts:
         P = char_polynomial(M)
         assert self._count(eig_calls, lambda: charpoly.is_characteristic(P, M.n)) <= 5
 
+    def test_membership_indefinite_constant_block(self, eig_calls, rng):
+        # C, then the constant block, which rejects: the moving part's
+        # C-gauge (three more) is not built.
+        M = random_manifold(rng, m=3, r=1, k=1, zero_eigs=0)
+        red = charpoly.reduce_degenerate(char_polynomial(M))
+        T = np.zeros((3, 3, 3))
+        T[0, :1, :1] = -red.constant_block
+        T[:, 1:, 1:] = red.reduced.coeffs
+        P = MatrixParabola(*symmat.congruence(T, np.linalg.inv(red.X)))
+        verdict = charpoly.is_characteristic(P, M.n)
+        assert not verdict[0]
+        assert verdict.analysis.reduced is not None and verdict.analysis.reduction.constant_block[0, 0] < 0.0
+        assert self._count(eig_calls, lambda: charpoly.is_characteristic(P, M.n)) <= 2
+
     @pytest.mark.parametrize("m", [1, 3, 8])
     def test_membership_elliptic(self, eig_calls, rng, m):
         # C, then the definiteness of the constant block; the 0 x 0
@@ -842,6 +964,19 @@ class TestSymmetrizeCounts:
         assert charpoly.is_characteristic(P, M.n)[0]
         assert len(calls) <= 0
 
+    @pytest.mark.parametrize("m, r, k", [(3, 1, 1), (5, 2, 2)])
+    def test_membership_constant_directions(self, monkeypatch, rng, m, r, k):
+        # The reduced triple and the constant block are slices of one
+        # congruence, exactly symmetric, and are read as given (2 while
+        # the reduced MatrixParabola and is_pd symmetrized them again).
+        calls = []
+        symmetrize = symmat.symmetrize
+        M = random_manifold(rng, m=m, r=r, k=k, zero_eigs=0)
+        P = char_polynomial(M)
+        monkeypatch.setattr(symmat, "symmetrize", lambda S: calls.append(np.shape(S)) or symmetrize(S))
+        assert charpoly.is_characteristic(P, M.n)[0]
+        assert len(calls) <= 0
+
 
 class TestCongruenceCounts:
     """symmat.congruence calls per top-level call.  A witness is checked
@@ -861,13 +996,14 @@ class TestCongruenceCounts:
 
     @pytest.mark.parametrize("m", [1, 3, 8])
     def test_almost_equivalent_full_rank(self, congruences, rng, m):
-        # W^T B W and F^T A F per membership decision, H in each refined
-        # frame, and the witness's T.
+        # W^T B W and F^T A F per membership decision, and the witness's
+        # T; a simple spectrum needs no refined frame, so H is not
+        # rotated (7 while the identity rotation was applied).
         P = char_polynomial(random_manifold(rng, m=m, zero_eigs=0))
         P2 = apply_certificate(P, random_certificate(rng, m).inverse())
         congruences.clear()
         assert almost_equivalent(P, P2).is_yes
-        assert len(congruences) <= 7
+        assert len(congruences) <= 5
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_search_found(self, congruences, rng, m):
