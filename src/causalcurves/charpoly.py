@@ -331,8 +331,8 @@ class ParabolaAnalysis:
         g = self.c_gauge
         if g is not None and self.inertia[0]:
             band = tol * max(-g.mu[0], g.mu[-1])
-            if (np.diff(g.mu) > band).all():
-                return bool((np.diag(g.H) > tol * g.size).all())
+            if (g.mu[1:] - g.mu[:-1] > band).all():
+                return bool((g.H.diagonal() > tol * g.size).all())
             cells = symmat.clusters(g.mu, band)
             return all(_lambda_min(g.H[c, c]) > tol * g.size for c in cells)
         if self.inv_root is None:

@@ -281,7 +281,7 @@ def simple_spectrum_form(M: ManifoldData, tol=DEFAULT_TOL) -> SimpleSpectrumForm
     (eigenvectors are defined up to sign); :func:`_signs` fixes them.
     """
     values, vectors = symmat.sym_eig(symmat.symmetrize(M.a_prime))
-    if np.any(np.diff(values) <= tol * symmat.max_norm(values)):
+    if np.any(values[1:] - values[:-1] <= tol * symmat.max_norm(values)):
         raise NotSimpleSpectrum("a_prime has a repeated eigenvalue at this tolerance")
     images = M.a_dblprime @ vectors
     gram = symmat.symmetrize(images.T @ images)
@@ -333,12 +333,13 @@ def _normal_form(analysis, spectrum):
     g = analysis.c_gauge
     H, F = g.H, g.F
     cluster_band = SPECTRUM_TOL * spectrum.size
-    if not (np.diff(spectrum.values) > cluster_band).all():
+    values = spectrum.values
+    if not (values[1:] - values[:-1] > cluster_band).all():
         R = np.eye(g.mu.size)
-        for c in symmat.clusters(spectrum.values, cluster_band):
+        for c in symmat.clusters(values, cluster_band):
             if c.stop - c.start > 1:
                 w, R[c, c] = symmat.sym_eig(g.H[c, c])
-                if np.any(np.diff(w) <= SPECTRUM_TOL * g.size):
+                if np.any(w[1:] - w[:-1] <= SPECTRUM_TOL * g.size):
                     raise NotSimpleSpectrum(f"H repeats an eigenvalue on a {c.stop - c.start}-fold cluster")
         H, F = symmat.congruence(g.H, R), F @ R
     scale2 = symmat.max_norm(g.h) if spectrum.degenerate else float(g.mu[-1] - g.mu[0]) ** 2

@@ -17,7 +17,12 @@ byte.  A full envelope is accepted wherever a payload is expected (its
 
 Each subcommand is declared once, in ``_COMMANDS``: a payload reader,
 a handler, a help text and its own flags.  The parser, the payload
-read and the envelope are written once for all of them.
+read and the envelope are written once for all of them.  A process
+builds only the parser of the subcommand it runs, and its reader and
+handler import the library modules they call when they run, so
+``example`` never loads ``charpoly`` and no subcommand but the
+equivalence ones, ``realize``, ``invariants`` and ``simple-form`` loads
+``classify``.
 """
 
 from __future__ import annotations
@@ -30,9 +35,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import charpoly, classify, construction
-from .charpoly import MatrixParabola, char_polynomial, is_characteristic, reduce_degenerate
-from .classify import EquivalenceCertificate
 from .errors import CausalCurvesError
 from .symmat import DEFAULT_TOL
 
@@ -143,7 +145,10 @@ def _require_dict(payload, what="payload"):
 
 
 # Payload readers: (JSON payload, tol) -> the handler's input.  Only
-# manifold data is validated against the tolerance.
+# manifold data is validated against the tolerance.  Readers and
+# handlers import the library modules they call when they run, and call
+# them through module attributes at call time, so a rebound library
+# function (a tracer, a test double) is the one that runs.
 
 
 def _parse_manifold(payload, tol):
@@ -154,6 +159,8 @@ def _parse_manifold(payload, tol):
     m = a_prime.shape[1]
     a_dbl = _matrix(payload, "a_dblprime", cols=m, allow_empty=True)
     lattice = _matrix(payload, "lattice", rows=m, cols=m)
+    from . import construction
+
     return construction.build(payload["n"], a_prime, a_dbl, lattice, tol)
 
 
@@ -163,7 +170,9 @@ def _parse_parabola(payload, tol=None):
     m = A.shape[0]
     B = _matrix(payload, "B", rows=m, cols=m)
     C = _matrix(payload, "C", rows=m, cols=m)
-    return MatrixParabola(A, B, C)
+    from . import charpoly
+
+    return charpoly.MatrixParabola(A, B, C)
 
 
 def _parse_pair(payload, tol=None):
@@ -178,7 +187,9 @@ def _parse_certified_pair(payload, tol=None):
     if "certificate" not in payload:
         raise MalformedInput("payload must carry field 'certificate'")
     cert = _require_dict(payload["certificate"], "certificate payload")
-    return P1, P2, EquivalenceCertificate(
+    from . import classify
+
+    return P1, P2, classify.EquivalenceCertificate(
         _matrix(cert, "X"), _number(cert, "alpha"), _number(cert, "beta")
     )
 
@@ -202,18 +213,20 @@ def _certificate_dict(cert):
     return {"X": X, "alpha": cert.alpha, "beta": cert.beta, "integral": cert.integral}
 
 
-# Handlers: (the reader's output, parsed flags) -> result.  They call
-# the library through module attributes at call time, so a rebound
-# library function (a tracer, a test double) is the one that runs.
+# Handlers: (the reader's output, parsed flags) -> result.
 
 
 def _cmd_example(_, args):
+    from . import construction
+
     if args.name == "dim4":
         return _manifold_dict(construction.example_4d())
     return _manifold_dict(construction.example_5d(args.t, args.r))
 
 
 def _cmd_validate_manifold(M, args):
+    from . import construction
+
     return {
         "valid": True,
         "signature": _signature_dict(construction.signature_of(M, args.tol)),
@@ -223,27 +236,52 @@ def _cmd_validate_manifold(M, args):
     }
 
 
+def _cmd_charpoly(M, args):
+    from . import charpoly
+
+    return _parabola_dict(charpoly.char_polynomial(M))
+
+
+def _cmd_signature(M, args):
+    from . import construction
+
+    return _signature_dict(construction.signature_of(M, args.tol))
+
+
 def _cmd_simple_form(M, args):
+    from . import classify
+
     form = classify.simple_spectrum_form(M, args.tol)
     return {"eigenvalues": form.eigenvalues, "gram": form.gram}
 
 
 def _cmd_validate_parabola(P, args):
-    ok, sig = verdict = is_characteristic(P, args.n, args.tol)
+    from . import charpoly
+
+    ok, sig = verdict = charpoly.is_characteristic(P, args.n, args.tol)
     analysis = verdict.analysis
-    # The Schur condition needs A positive definite; it is null otherwise.
-    schur = charpoly._schur(analysis) if analysis.inv_root is not None else None
+    # The Schur condition needs A positive definite, and a positive Q(s)
+    # has A = Q(0) definite: its inertia is then the moving part's,
+    # without A^{-1/2}.  Where no C-gauge decides, D is formed from
+    # A^{-1/2}; it is null when A is not definite.
+    inertia = (analysis.reduced or analysis).inertia if analysis.positive else None
+    if inertia is None and analysis.inv_root is not None:
+        schur = charpoly._schur(analysis)
+        inertia = schur.psd, schur.rank
+    psd, rank = inertia or (None, None)
     return {
         "characteristic": ok,
         "signature": _signature_dict(sig),
         "poabc": analysis.positive,
-        "schur_psd": None if schur is None else schur.psd,
-        "schur_rank": None if schur is None else schur.rank,
+        "schur_psd": psd,
+        "schur_rank": rank,
     }
 
 
 def _cmd_reduce(P, args):
-    red = reduce_degenerate(P, args.tol)
+    from . import charpoly
+
+    red = charpoly.reduce_degenerate(P, args.tol)
     return {
         "k": red.constant_block.shape[0],
         "X": red.X,
@@ -252,12 +290,22 @@ def _cmd_reduce(P, args):
     }
 
 
+def _cmd_realize(P, args):
+    from . import classify
+
+    return _manifold_dict(classify.realize(P, args.n, args.tol))
+
+
 def _cmd_invariants(P, args):
+    from . import classify
+
     spectrum = classify.affine_spectrum(P, args.tol)
     return {"values": spectrum.values, "degenerate": spectrum.degenerate}
 
 
 def _cmd_compare(pair, args):
+    from . import classify
+
     verdict = classify.almost_equivalent(*pair, args.tol, args.n)
     return {
         "verdict": verdict.verdict,
@@ -267,10 +315,14 @@ def _cmd_compare(pair, args):
 
 
 def _cmd_certify(inputs, args):
+    from . import classify
+
     return {"equivalent": classify.verify_equivalence(*inputs, args.tol, args.n)}
 
 
 def _cmd_search_cert(pair, args):
+    from . import classify
+
     cert = classify.search_certificate(*pair, args.bound, args.tol)
     return {"found": cert is not None, "certificate": _certificate_dict(cert)}
 
@@ -312,18 +364,14 @@ _COMMANDS = {
     "validate-manifold": _Command(
         _parse_manifold, _cmd_validate_manifold, "validate manifold data and report its signature"),
     "charpoly": _Command(
-        _parse_manifold, lambda M, args: _parabola_dict(char_polynomial(M)),
-        "extract the characteristic parabola of manifold data"),
-    "signature": _Command(
-        _parse_manifold, lambda M, args: _signature_dict(construction.signature_of(M, args.tol)),
-        "signature (n, m, r, k) of manifold data"),
+        _parse_manifold, _cmd_charpoly, "extract the characteristic parabola of manifold data"),
+    "signature": _Command(_parse_manifold, _cmd_signature, "signature (n, m, r, k) of manifold data"),
     "simple-form": _Command(
         _parse_manifold, _cmd_simple_form, "simple-spectrum normal form of manifold data"),
     "validate-parabola": _Command(
         _parse_parabola, _cmd_validate_parabola, "membership test for characteristic parabolas", (_N,)),
     "realize": _Command(
-        _parse_parabola, lambda P, args: _manifold_dict(classify.realize(P, args.n, args.tol)),
-        "reconstruct manifold data from a valid parabola", (_N,)),
+        _parse_parabola, _cmd_realize, "reconstruct manifold data from a valid parabola", (_N,)),
     "reduce": _Command(_parse_parabola, _cmd_reduce, "split off the s-independent block"),
     "invariants": _Command(_parse_parabola, _cmd_invariants, "affine spectrum of a parabola"),
     "compare": _Command(
@@ -335,15 +383,22 @@ _COMMANDS = {
 }
 
 
-def build_parser():
+def build_parser(commands=_COMMANDS):
+    """The parser of ``commands``, by default every subcommand.  A parser
+    of fewer commands still names all of them in its usage line, so its
+    messages read as the full parser's."""
     parser = argparse.ArgumentParser(
         prog="causalcurves",
         description="Characteristic parabolas of flat causal Lorentzian "
         "manifolds with unipotent holonomy: validation, extraction, "
         "reconstruction and equivalence testing over JSON.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
+    # A parser of one command lists all of them as its metavar, so its
+    # usage line is the full parser's; the full parser leaves it to
+    # argparse, which names the argument "command" in its errors.
+    metavar = None if commands is _COMMANDS else "{" + ",".join(_COMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, command in commands.items():
         sub = subs.add_parser(name, help=command.help)
         for flag, options in command.flags:
             sub.add_argument(flag, **options)
@@ -356,8 +411,13 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # Only the invoked subcommand's parser is built; help and an unknown
+    # command get the full parser.
+    name = argv[0] if argv else None
+    commands = {name: _COMMANDS[name]} if name in _COMMANDS else _COMMANDS
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(commands).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     command = _COMMANDS[args.command]

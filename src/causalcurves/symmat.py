@@ -134,7 +134,7 @@ def clusters(values, band):
     """Slices of the runs of ascending ``values`` whose neighbours lie
     within ``band`` of each other (single linkage): the eigenvalue
     clusters that are tested or rotated as one eigenspace."""
-    cuts = [0, *(np.flatnonzero(np.diff(values) > band) + 1), len(values)]
+    cuts = [0, *(np.flatnonzero(values[1:] - values[:-1] > band) + 1), len(values)]
     return [slice(i, j) for i, j in zip(cuts[:-1], cuts[1:])]
 
 

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: JSON envelopes, exit codes, pipeability."""
 
+import contextlib
+import importlib
 import io
 import json
 import os
@@ -11,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causalcurves import MatrixParabola, almost_equivalent, char_polynomial, check_positive_all_s
+import causalcurves
+from causalcurves import MatrixParabola, almost_equivalent, char_polynomial, check_positive_all_s, cli
 from causalcurves.cli import _COMMANDS, main
-from conftest import random_elliptic, random_manifold, wide_map_pair
+from conftest import random_elliptic, random_manifold, wide_degenerate_member, wide_map_pair
 
 CLI = [sys.executable, "-m", "causalcurves.cli"]
 
@@ -302,6 +305,19 @@ class TestValidateParabola:
             diagnostics = (result["poabc"], result["schur_psd"], result["schur_rank"])
             assert diagnostics == (True, True, result["signature"]["r"])
 
+    @pytest.mark.parametrize("seed", [27, 67, 163, 199])
+    def test_schur_fields_of_a_member_with_a_definite_a_inside_the_band(self, seed, monkeypatch, capsys):
+        # A is positive definite only below the band, so A^{-1/2} is
+        # None; the Schur verdict is the moving part's inertia of H.
+        P, r = wide_degenerate_member(seed)
+        assert causalcurves.ParabolaAnalysis(P).inv_root is None
+        payload = {"A": P.A.tolist(), "B": P.B.tolist(), "C": P.C.tolist()}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+        assert main(["validate-parabola", "--n", str(2 * P.dim + 2)]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["characteristic"] and result["signature"]["r"] == r
+        assert (result["poabc"], result["schur_psd"], result["schur_rank"]) == (True, True, r)
+
 
 class TestExitCodes:
     def test_domain_error_is_one(self):
@@ -433,7 +449,124 @@ class TestExitCodes:
         assert body["error"]["code"] == "NotCharacteristic"
 
 
+# The public names of the package: the names of every module's API.
+PUBLIC = [
+    "AffineSpectrum", "AlmostVerdict", "BadCertificate", "CausalCurvesError", "CSingular", "DEFAULT_TOL",
+    "DimensionMismatch", "EigenDecomposition", "EquivalenceCertificate", "FreenessViolated",
+    "InconsistentHolonomy", "InvalidCharacteristic", "LorentzFrame", "ManifoldData", "MatrixParabola",
+    "NonFiniteInput", "NotCharacteristic", "NotDegenerate", "NotPositiveDefinite", "NotPSD",
+    "NotSimpleSpectrum", "NotSymmetric", "ParabolaAnalysis", "RankDeficientR", "ReductionResult",
+    "SchurResult", "Signature", "SignatureInconsistent", "SimpleSpectrumForm", "SingularA",
+    "UnsupportedDimension", "ZeroParameter", "ZeroPolynomial", "a_vector", "affine_spectrum",
+    "almost_equivalent", "apply_certificate", "build", "char_polynomial", "check_free",
+    "check_positive_all_s", "congruence", "det_poly", "euclidean_factor_dim", "example_4d", "example_5d",
+    "gamma_apply", "identity_certificate", "is_characteristic", "is_pd", "lambda_of", "psd_sqrt",
+    "q_direct", "real_roots", "realize", "recover_a_from_holonomy", "reduce_degenerate", "reparametrize",
+    "schur_condition", "search_certificate", "signature_of", "simple_spectrum_form", "sym_eig",
+    "symmetrize", "tau_of", "verify_equivalence",
+]
+MANIFOLD_PAYLOAD = json.dumps(DIM5)
+PARABOLA_PAYLOAD = json.dumps(DIM5_PARABOLA)
+LIBRARY = {"charpoly", "classify", "construction", "errors", "minkowski", "symmat"}
+
+
+def loaded_modules(code, stdin_text=""):
+    """The library modules of causalcurves that a fresh interpreter has
+    loaded after running ``code``."""
+    probe = code + "\nimport sys\nprint(sorted(m[13:] for m in sys.modules if m.startswith('causalcurves.')))"
+    proc = subprocess.run([sys.executable, "-c", probe], input=stdin_text, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1].replace("'", '"'))) & LIBRARY
+
+
+class TestLazyPackage:
+    """Public names and submodules of the package load on first use."""
+
+    def test_public_names(self):
+        assert sorted(causalcurves.__all__) == sorted(PUBLIC) and len(set(PUBLIC)) == 66
+
+    def test_names_are_their_modules_objects(self):
+        star = {}
+        exec("from causalcurves import *", star)
+        for name in PUBLIC:
+            obj = getattr(causalcurves, name)
+            module = importlib.import_module(getattr(obj, "__module__", None) or "causalcurves.symmat")
+            assert star[name] is obj is getattr(module, name), name
+            assert name in dir(causalcurves)
+
+    def test_names_follow_their_modules(self, monkeypatch):
+        # The package keeps no copy: a function rebound in its module is
+        # the one the package returns.
+        from causalcurves import charpoly
+
+        def double(P, n, tol=None):
+            raise AssertionError("not called")
+
+        monkeypatch.setattr(charpoly, "is_characteristic", double)
+        assert causalcurves.is_characteristic is double
+        assert "is_characteristic" not in vars(causalcurves)
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+            causalcurves.frobnicate  # noqa: B018
+        with pytest.raises(ImportError):
+            exec("from causalcurves import frobnicate", {})
+
+    def test_import_loads_no_library_module(self):
+        assert loaded_modules("import causalcurves") == set()
+
+    def test_submodule_resolves_without_an_import(self):
+        code = "import causalcurves\nassert causalcurves.symmat.DEFAULT_TOL == 1e-9"
+        assert loaded_modules(code) == {"symmat", "errors"}
+
+
 class TestImports:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The commands of every parser main builds."""
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda commands: built.append(list(commands)) or build(commands))
+        return built
+
+    @pytest.mark.parametrize("args, stdin_text, modules", [
+        (["example", "--name", "dim5"], "", {"construction", "minkowski", "symmat", "errors"}),
+        (["signature"], MANIFOLD_PAYLOAD, {"construction", "minkowski", "symmat", "errors"}),
+        (["validate-manifold"], MANIFOLD_PAYLOAD, {"construction", "minkowski", "symmat", "errors"}),
+        (["charpoly"], MANIFOLD_PAYLOAD, LIBRARY - {"classify"}),
+        (["validate-parabola", "--n", "5"], PARABOLA_PAYLOAD, LIBRARY - {"classify"}),
+        (["realize", "--n", "5"], PARABOLA_PAYLOAD, LIBRARY),
+    ])
+    def test_subcommand_loads_only_what_it_runs(self, args, stdin_text, modules):
+        code = f"from causalcurves import cli\nassert cli.main({args!r}) == 0"
+        assert loaded_modules(code, stdin_text) == modules
+
+    @pytest.mark.parametrize("args", [["--help"], [], ["frobnicate"], ["-h", "example"]])
+    def test_help_and_unknown_commands_read_the_full_parser(self, args, capsys, built):
+        with contextlib.suppress(SystemExit):
+            cli.build_parser(_COMMANDS).parse_args(args)
+        want = capsys.readouterr()
+        built.clear()
+        assert main(args) == (0 if "-h" in args or "--help" in args else 2)
+        assert built == [list(_COMMANDS)]
+        assert capsys.readouterr() == want
+
+    @pytest.mark.parametrize("args", [
+        ["example", "--name", "dim4", "extra"], ["realize"], ["charpoly", "--bogus"], ["reduce", "--tol", "x"],
+        ["search-cert", "-h"],
+    ])
+    def test_a_subcommand_builds_only_its_parser(self, args, monkeypatch, capsys, built):
+        # Its messages, the top-level usage of an unrecognized argument
+        # included, are the full parser's.
+        with contextlib.suppress(SystemExit):
+            cli.build_parser(_COMMANDS).parse_args(args)
+        want = capsys.readouterr()
+        built.clear()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        assert main(args) == (0 if "-h" in args else 2)
+        assert built == [[args[0]]]
+        assert capsys.readouterr() == want
+
     def test_cli_leaves_numpy_polynomial_unimported(self):
         # No verdict reads the polynomial routines, so no CLI process
         # should pay for importing numpy.polynomial.
