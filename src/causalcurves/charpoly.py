@@ -21,23 +21,28 @@ B = C = 0, whose moving part is the 0 x 0 parabola).
 
 Every criterion reads one :class:`ParabolaAnalysis` per parabola and
 tolerance, whose attributes are each computed once.  Membership is
-decided in the C-gauge: from the eigenpairs of C (which also give the
-reduction of a degenerate C), of W^T B W and the eigenvalues of H,
+decided in the C-gauge, for every k: from the eigenpairs of C, whose
+kernel band gives U, of the constant block K = U^T A U (k >= 1 only),
+of W^T B W and the eigenvalues of H,
 
-    F^T Q(s) F = (s + diag mu)^2 + H,   F^T C F = I.
+    F^T Q(s) F = (s + diag mu)^2 + H,   F^T C F = I,   U^T A F = 0,
 
-H has the inertia of the Schur complement C - B A^{-1} B (both are
-Schur complements of [[A, B], [B, C]]), and given H >= 0 the parabola
-is positive for all s iff H is definite on every eigenspace of diag mu
-(the Popov-Belevitch-Hautus test, i.e. freeness).  A k = 0 member thus
-costs three symmetric eigendecompositions, plus one per repeated
-eigenvalue of mu.  ``is_characteristic`` returns the analysis with its
-verdict, so ``realize``, ``almost_equivalent`` and the CLI read it
-instead of decomposing again.  Each criterion has one home on the
-analysis: the moving part's ``inertia`` gives PSD-ness and r, and
-``positive`` decides Q(s) > 0 (the constant block, then the moving
-part's Hautus test, or a linearization where no C-gauge decides);
-``check_positive_all_s`` reads ``positive`` of a fresh analysis.  The
+with F spanning m - k directions A-orthogonal to ker C.  H has the
+inertia of the Schur complement C - B A^{-1} B (both are Schur
+complements of [[A, B], [B, C]], and D vanishes on ker C), and given
+H >= 0 and K > 0 the parabola is positive for all s iff H is definite
+on every eigenspace of diag mu (the Popov-Belevitch-Hautus test, i.e.
+freeness).  A k = 0 member thus costs three symmetric
+eigendecompositions and a member with constant directions four, plus
+one per repeated eigenvalue of mu, with no SVD and no second parabola.
+``is_characteristic`` returns the analysis with its verdict, so
+``realize``, ``almost_equivalent`` and the CLI read it instead of
+decomposing again.  Each criterion has one home on the analysis:
+``inertia`` gives PSD-ness and r, and ``positive`` decides Q(s) > 0
+(the constant block and the Hautus test, or a linearization where no
+C-gauge decides); ``check_positive_all_s`` reads ``positive`` of a
+fresh analysis.  The SVD ``reduction`` to blockdiag(K, Q_moving(s))
+serves ``realize``, ``reduce_degenerate`` and that linearization.  The
 analysis keeps one A-gauge attribute, A^{-1/2} (``inv_root``):
 ``realize`` forms B~, A^{1/2} and G = C~ - B~^2 of the moving part from
 it, ``schur_condition`` the matrix C - B A^{-1} B, and ``positive`` its
@@ -144,8 +149,10 @@ class ReductionResult:
 
 
 class CGauge(NamedTuple):
-    """The normal form F^T Q(s) F = (s + diag mu)^2 + H of a parabola
-    with C positive definite, where F^T C F = I.
+    """The normal form F^T Q(s) F = (s + diag mu)^2 + H of the moving
+    directions of a parabola whose C is positive semidefinite, where
+    F^T C F = I and F is A-orthogonal to ker C: m x m when C has full
+    rank, m x 0 at the elliptic point.
 
     ``h`` holds the eigenvalues of H in ascending order, and ``size``
     is max(max|F^T A F|, max|mu|^2), the size of the operands
@@ -185,20 +192,25 @@ class ParabolaAnalysis:
     """The decompositions of one parabola that every criterion reads.
 
     Membership and equivalence read the C-gauge (:class:`CGauge`): with
-    W = V lambda^{-1/2} from the eigenpairs (lambda, V) of C, the
-    eigenpairs (mu, U) of W^T B W and F = W U,
+    W = Y lambda_c^{-1/2} from the eigenpairs (lambda_c, V_c) of C off
+    its kernel band, the eigenpairs (mu, R) of W^T B W and F = W R,
 
         F^T Q(s) F = (s + diag mu)^2 + H,   H = F^T A F - diag(mu^2).
 
-    C is the leading coefficient, so the gauge does not move under
-    s -> s + beta, and H is the Schur complement of C in [[A, B], [B, C]]
-    (in the gauge), with the inertia of D = C - B A^{-1} B.  A
-    degenerate C is first reduced (``reduction``), and the moving part
-    gets its own analysis (``reduced``).  The one A-gauge attribute is
-    A^{-1/2} (``inv_root``), which ``realize``, :func:`_schur` and the
-    linearization of ``positive`` read.  Each attribute is
-    computed on first use and kept.  Raises NonFiniteInput unless
-    0 <= tol < inf.
+    Y = V_c when C has full rank.  Otherwise the eigenvectors U of C on
+    the band span ker C, the constant block K = U^T A U must be positive
+    definite, and Y = V_c - U K^{-1} U^T A V_c is A-orthogonal to ker C,
+    so within the ker C bands Q(s) is blockdiag(I, F^T Q(s) F) in the
+    frame [E | F], E^T A E = I (``_constant_frame``).  C is the leading
+    coefficient, so the gauge does not move under s -> s + beta, and H
+    is the Schur complement of C in [[A, B], [B, C]] (in the gauge),
+    with the inertia of D = C - B A^{-1} B.  One gauge serves every k:
+    no second parabola is formed.  The SVD ``reduction`` and the moving
+    part's analysis (``reduced``) are built only when read.  The one
+    A-gauge attribute is A^{-1/2} (``inv_root``), which ``realize``,
+    :func:`_schur` and the linearization of ``positive`` read.  Each
+    attribute is computed on first use and kept.  Raises NonFiniteInput
+    unless 0 <= tol < inf.
     """
 
     def __init__(self, P: MatrixParabola, tol=DEFAULT_TOL):
@@ -222,18 +234,54 @@ class ParabolaAnalysis:
 
     @cached_property
     def c_gauge(self):
-        """The :class:`CGauge`, or None unless C is positive definite
-        beyond the ``kernel`` band."""
-        values, vectors = self.c_eig
-        if self.P.dim == 0 or self.kernel.any() or values[0] < 0.0:
+        """The :class:`CGauge`, or None when C has a negative eigenvalue
+        beyond the ``kernel`` band, when a column of B U has a 2-norm above
+        tol * max|B| (B does not vanish on ker C), or when the constant
+        block is not positive definite.
+
+        The frame is W = Y lambda_c^{-1/2} from the eigenpairs
+        (lambda_c, V_c) of C off the band, with Y = V_c - E E^T A V_c
+        A-orthogonal to ker C (``_constant_frame``; Y = V when C has
+        full rank).  At the elliptic point (ker C is everything) W has no
+        columns and the gauge is empty, with inertia (True, 0).
+        """
+        P, tol = self.P, self.tol
+        if P.dim == 0:
             return None
-        W = vectors / np.sqrt(values)
-        mu, U = symmat.sym_eig(symmat.congruence(self.P.B, W))
+        values, vectors = self.c_eig
+        kernel = self.kernel
+        if values[0] < 0.0 and not kernel[0]:
+            return None
+        k = int(kernel.sum())  # ker C comes first: every other eigenvalue is positive
+        if not k:
+            W = vectors / np.sqrt(values)
+        else:
+            leak = np.hypot.reduce(P.B @ vectors[:, :k], axis=0)
+            if leak.max() > tol * symmat.max_norm(P.B) or (E := self._constant_frame) is None:
+                return None
+            if k == P.dim:
+                return CGauge(np.zeros((k, 0)), np.zeros(0), np.zeros((0, 0)), np.zeros(0), 0.0)
+            V = vectors[:, k:]
+            W = (V - E @ (E.T @ P.A @ V)) / np.sqrt(values[k:])
+        mu, U = symmat.sym_eig(symmat.congruence(P.B, W))
         F = W @ U
-        A_hat = symmat.congruence(self.P.A, F)
+        A_hat = symmat.congruence(P.A, F)
         H = A_hat - np.diag(mu * mu)
         size = max(float(np.abs(A_hat).max()), max(-mu[0], mu[-1]) ** 2)
         return CGauge(F, mu, H, np.linalg.eigvalsh(H), size)
+
+    @cached_property
+    def _constant_frame(self):
+        """E = U R kappa^{-1/2}, so that E^T A E = I, from the eigenvectors
+        U of C on the ``kernel`` band and the eigenpairs (kappa, R) of the
+        constant block K = U^T A U; None unless K is positive definite
+        (lambda_min clears tol * max|K|).  Read only when C is singular."""
+        U = self.c_eig.vectors[:, self.kernel]
+        K = symmat.congruence(self.P.A, U)
+        kappa, R = symmat.sym_eig(K)
+        if not kappa[0] > self.tol * symmat.max_norm(K):
+            return None
+        return (U @ R) / np.sqrt(kappa)
 
     @cached_property
     def reduction(self):
@@ -242,12 +290,17 @@ class ParabolaAnalysis:
         When C has full rank this is the empty reduction: X = I, a 0 x 0
         constant block and P itself.  Otherwise the congruence is
         X = [U | V] with U the eigenvectors of C on the ``kernel`` mask
-        and V a basis of the A-orthogonal complement {w : U^T A w = 0};
-        a parabola that comes from a manifold has ker C inside ker B
-        (those directions act by pure translations), so B U must
-        vanish, else InvalidCharacteristic.  One stacked product
-        T = X^T [A, B, C] X gives both: the constant block is the k x k
-        corner of T_A and the reduced parabola the trailing blocks.
+        and V an orthonormal basis of the A-orthogonal complement
+        {w : U^T A w = 0} (from an SVD of U^T A); a parabola that comes
+        from a manifold has ker C inside ker B (those directions act by
+        pure translations), so B U must vanish, else
+        InvalidCharacteristic.  One stacked product T = X^T [A, B, C] X
+        gives both: the constant block is the k x k corner of T_A and the
+        reduced parabola the trailing blocks.  The membership decision
+        does not read it (the C-gauge splits off ker C by itself); it
+        serves ``realize``, :func:`reduce_degenerate` and the
+        linearization that ``positive`` runs on the moving part where the
+        C-gauge cannot decide.
         """
         P, tol, kernel = self.P, self.tol, self.kernel
         if not kernel.any():
@@ -266,10 +319,11 @@ class ParabolaAnalysis:
 
     @property
     def reduced(self):
-        """The analysis of the moving part, or None when the reduction
-        fails (InvalidCharacteristic): ``self`` when the ``kernel`` mask
-        is empty (returned, not stored: an analysis that referred to
-        itself would be freed only by the cycle collector)."""
+        """The analysis of the moving part of the ``reduction``, or None
+        when the reduction fails (InvalidCharacteristic): ``self`` when
+        the ``kernel`` mask is empty (returned, not stored: an analysis
+        that referred to itself would be freed only by the cycle
+        collector)."""
         return self._moving if self.kernel.any() else self
 
     @cached_property
@@ -283,23 +337,25 @@ class ParabolaAnalysis:
     def positive(self):
         """Whether Q(s) is positive definite for every real s.
 
-        A 0 x 0 parabola is positive.  When ker C splits off, the
-        constant block must be positive definite and the moving part
-        positive.  When the reduction fails (B does not vanish on
-        ker C), the linearization below decides on P itself.
-
-        In the C-gauge with H positive semidefinite,
-        v^T F^T Q(s) F v = |(s + diag mu) v|^2 + v^T H v, so Q(s) is
-        singular for some real s exactly when an eigenvector of diag mu
-        lies in ker H: the Popov-Belevitch-Hautus test, which is the
+        A 0 x 0 parabola is positive.  When C is singular, the constant
+        block must be positive definite.  Then, in the C-gauge with H
+        positive semidefinite,
+        v^T F^T Q(s) F v = |(s + diag mu) v|^2 + v^T H v, and within the
+        ker C bands Q(s) is blockdiag(I, F^T Q(s) F) in the frame
+        [E | F], so Q(s) is singular for some real s exactly when an
+        eigenvector of diag mu lies in ker H: the
+        Popov-Belevitch-Hautus test, which is the
         freeness condition.  The mu are clustered at tol * max|mu|, and
         on each cluster lambda_min of the H-block must clear the band
         tol * max(max|F^T A F|, max|mu|^2).  When mu is simple (every
         gap clears tol * max|mu|) the blocks are the diagonal entries of
-        H, so the test is one comparison of diag H with the band.
+        H, so the test is one comparison of diag H with the band.  The
+        empty gauge of the elliptic point leaves the constant block.
 
         Otherwise (no C-gauge, or H indefinite) the linearization
-        decides: Q(0) = A must be definite, and Q(s) must never become
+        decides, on the moving part of the ``reduction`` when C is
+        singular and on P itself when C has full rank or the reduction
+        fails: Q(0) = A must be definite, and Q(s) must never become
         singular for real s (eigenvalues move continuously in s).  Q(s)
         is congruent to Q~(s) = I + 2s B~ + s^2 C~
         (B~ = A^{-1/2} B A^{-1/2}, C~ = A^{-1/2} C A^{-1/2}), which is
@@ -326,15 +382,19 @@ class ParabolaAnalysis:
         P, tol = self.P, self.tol
         if P.dim == 0:
             return True
-        if self.kernel.any() and self._moving is not None:
-            return self._constant_definite and self._moving.positive
+        if self.kernel.any() and self._constant_frame is None:
+            return False
         g = self.c_gauge
         if g is not None and self.inertia[0]:
+            if not g.mu.size:
+                return True
             band = tol * max(-g.mu[0], g.mu[-1])
             if (g.mu[1:] - g.mu[:-1] > band).all():
                 return bool((g.H.diagonal() > tol * g.size).all())
             cells = symmat.clusters(g.mu, band)
             return all(_lambda_min(g.H[c, c]) > tol * g.size for c in cells)
+        if self.kernel.any() and self._moving is not None:
+            return self._moving.positive
         if self.inv_root is None:
             return False
         B, C = symmat.congruence(P.coeffs[1:], self.inv_root)
@@ -350,27 +410,15 @@ class ParabolaAnalysis:
         return bool(np.all(np.linalg.eigvalsh(q) > band[:, 0]))
 
     @cached_property
-    def _constant_definite(self):
-        """Whether the constant block is positive definite, i.e. its
-        lambda_min clears tol times its max-norm; True for the empty
-        reduction.  The block is a slice of congruence output, exactly
-        symmetric, so it is read as given."""
-        if not self.kernel.any():
-            return True
-        K = self.reduction.constant_block
-        return bool(symmat.sym_eig(K).values[0] > self.tol * symmat.max_norm(K))
-
-    @cached_property
     def inertia(self):
         """(PSD, rank) of D = C - B A^{-1} B, read from the eigenvalues
         of H against tol * size, or None without a C-gauge; (True, 0) for
-        a 0 x 0 parabola.
+        a 0 x 0 parabola and for the empty gauge of the elliptic point.
 
         D and H are the two Schur complements of [[A, B], [B, C]], so
-        with A and C definite they share their inertia.  A degenerate C
-        has no C-gauge, so its inertia is None and the decision reads the
-        moving part's; that is one level deep, so a moving part with a
-        kernel of its own is rejected rather than counted with the outer k.
+        with A and C definite they share their inertia.  D vanishes on
+        ker C, so with C singular H is that of the moving directions, and
+        the rank counts them only.
         """
         if self.P.dim == 0:
             return True, 0
@@ -393,18 +441,18 @@ def _schur(analysis) -> SchurResult:
     its PSD verdict and rank; raises SingularA unless A is positive
     definite.
 
-    As in the membership decision, the reduction splits off ker C, on
-    which D vanishes, and the moving part's :attr:`ParabolaAnalysis.inertia`
-    is D's.  Where it cannot be read (B does not vanish on ker C, or the
-    moving part has no C-gauge), the eigenvalues of D are read against
-    tol * max(max|C|, max|A^{-1/2} B|^2).
+    As in the membership decision, D vanishes on ker C and its inertia
+    is that of H in the C-gauge (:attr:`ParabolaAnalysis.inertia`).
+    Where no C-gauge exists (C indefinite, B not vanishing on ker C, or
+    a constant block that is not definite), the eigenvalues of D are
+    read against tol * max(max|C|, max|A^{-1/2} B|^2).
     """
     if analysis.inv_root is None:
         raise SingularA("constant coefficient A is not positive definite at this tolerance")
     P, half = analysis.P, analysis.inv_root @ analysis.P.B
     D = symmat.symmetrize(P.C - half.T @ half)
     band = analysis.tol * max(symmat.max_norm(P.C), symmat.max_norm(half) ** 2)
-    inertia = (analysis.reduced or analysis).inertia  # None where no C-gauge decides
+    inertia = analysis.inertia  # None where no C-gauge decides
     return SchurResult(D, *(inertia or _inertia(np.linalg.eigvalsh(D), band)))
 
 
@@ -465,24 +513,23 @@ def is_characteristic(P: MatrixParabola, n, tol=DEFAULT_TOL):
 
     Returns a :class:`MembershipVerdict` (ok, signature); the signature
     is None on rejection, and ``.analysis`` holds the parabola's
-    :class:`ParabolaAnalysis` (with its reduction and the moving part's
-    analysis).  The reduction splits off ker C on the band
-    tol * max|C| (empty when C has full rank), and k is m - rank C.  The
-    verdict reads the criteria of the analysis in this order: the
-    constant block must be positive definite (the first half of
-    ``positive``, read first because it needs one eigensolver call and
-    the moving part's C-gauge three), then the moving part's ``inertia``
-    (its C-gauge must exist and H must be PSD of rank r >= 1; a 0 x 0
-    moving part, the elliptic point with C = 0 exactly, not merely
-    small, has r = 0), then m + r + 2 <= n, then ``positive`` (its
-    second half, the moving part's Hautus test).  The inertia is None
-    wherever the Hautus test cannot decide, so the linearization never
-    runs here.  Raises SignatureInconsistent unless n is an integer, and
+    :class:`ParabolaAnalysis`.  ker C is the band tol * max|C| of the
+    eigenvalues of C, and k is its dimension.  The verdict reads the
+    criteria of the analysis in this order: its ``inertia``, which
+    needs the C-gauge (B must vanish on ker C and the constant block
+    must be positive definite, both read before the gauge's two
+    eigensolver calls) and H PSD of rank r >= 1, or r = 0 at the
+    elliptic point k = m (C = 0 exactly, not merely small); then
+    m + r + 2 <= n; then ``positive``, the Hautus test on the same
+    gauge.  The inertia is None wherever the Hautus test cannot decide,
+    so neither the linearization nor the SVD ``reduction`` runs here.
+    Raises SignatureInconsistent unless n is an integer, and
     NonFiniteInput unless 0 <= tol < inf.
     """
     n = _integer(n, "ambient dimension")
     analysis = ParabolaAnalysis(P, tol)
-    m, moving = P.dim, analysis.reduced
-    psd, r = moving and analysis._constant_definite and moving.inertia or (False, 0)
-    ok = psd and (r >= 1 or moving.P.dim == 0) and m + r + 2 <= n and analysis.positive
-    return MembershipVerdict(ok, Signature(n, m, r, m - moving.P.dim) if ok else None, analysis)
+    m, g = P.dim, analysis.c_gauge
+    psd, r = analysis.inertia or (False, 0)
+    moving = 0 if g is None else g.mu.size
+    ok = psd and (r >= 1 or moving == 0) and m + r + 2 <= n and analysis.positive
+    return MembershipVerdict(ok, Signature(n, m, r, m - moving) if ok else None, analysis)

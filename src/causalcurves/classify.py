@@ -20,15 +20,15 @@ up to the choice of lattice).  This module can
   every bounded unimodular X is checked in one congruence of the
   stack, and the first that fits is returned.
 
-Realization reads the A-gauge of the moving part of the membership
-verdict's :class:`ParabolaAnalysis`: from its A^{-1/2} it forms
-a' = B~, a'' = the rank-r root of G = C~ - B~^2 (the one place G is
-formed) and the lattice A^{1/2}.  ``almost_equivalent`` reads its
-C-gauge, so it validates no manifold data and analyses no parabola
-beyond the two membership decisions.  Both read every member through
-its reduction X^T Q(s) X = blockdiag(K, Q_moving(s)): one assembly
-serves every k, from the empty reduction (X = I, Q itself) when C has
-full rank to the elliptic point k = m, whose moving part is 0 x 0.
+Realization reads the membership verdict's :class:`ParabolaAnalysis`
+through its reduction X^T Q(s) X = blockdiag(K, Q_moving(s)), one
+assembly for every k, from the empty reduction (X = I, Q itself) when C
+has full rank to the elliptic point k = m, whose moving part is 0 x 0:
+from the moving part's A^{-1/2} it forms a' = B~, a'' = the rank-r root
+of G = C~ - B~^2 (the one place G is formed) and the lattice A^{1/2}.
+``almost_equivalent`` reads the two verdicts' C-gauges, which split off
+ker C themselves, so it builds no reduction, validates no manifold data
+and analyses no parabola beyond the two membership decisions.
 """
 
 from __future__ import annotations
@@ -197,19 +197,21 @@ def affine_spectrum(P: MatrixParabola, tol=DEFAULT_TOL) -> AffineSpectrum:
     """Spectrum of C^{-1/2} B C^{-1/2}, canonicalized.
 
     The symmetric route makes the realness of sp(B C^{-1}) manifest.
-    Requires C positive definite; reduce degenerate parabolas first.
+    Requires C positive definite: C counts as singular on the
+    analysis's ker C band, the rule membership uses.
     """
-    return _affine_spectrum(ParabolaAnalysis(P, tol))
+    analysis = ParabolaAnalysis(P, tol)
+    if analysis.kernel.any() or analysis.c_gauge is None:
+        raise CSingular("C must be positive definite for the affine spectrum")
+    return _affine_spectrum(analysis)
 
 
 def _affine_spectrum(analysis):
-    """:func:`affine_spectrum` from the C-gauge of ``analysis``:
-    C^{-1/2} B C^{-1/2} is orthogonally similar to W^T B W, whose
-    eigenvalues the gauge holds.  C counts as singular on the
-    analysis's ker C band, the rule membership uses."""
+    """:func:`affine_spectrum` from the C-gauge of ``analysis``, which
+    must exist: C^{-1/2} B C^{-1/2} is orthogonally similar to W^T B W,
+    whose eigenvalues the gauge holds (on the moving directions when C
+    is singular)."""
     g = analysis.c_gauge
-    if g is None:
-        raise CSingular("C must be positive definite for the affine spectrum")
     spread = float(g.mu[-1] - g.mu[0])
     if spread <= analysis.tol * symmat.max_norm(g.mu):
         return AffineSpectrum(np.zeros_like(g.mu), True, g.mu)
@@ -388,14 +390,17 @@ def almost_equivalent(P1, P2, tol=DEFAULT_TOL, n=None) -> AlmostVerdict:
     clusters of its spectrum, H is divided by the square of the spread
     of mu (of sqrt(max|eigenvalue of H|) on a degenerate spectrum, order
     one included), and signs are fixed breadth-first; the forms must
-    agree within the larger of the two bands.  The witness is
-    X = G2 G1^{-1} / alpha from the two refined frames, with alpha the
-    ratio of the scales and beta = alpha mu1_min - mu2_min.  All of this
-    reads the moving parts (X^T Q(s) X = blockdiag(K, Q_moving(s)) from
-    each reduction, Q itself when C has full rank, 0 x 0 and always
-    paired at the elliptic point); the constant blocks K, always
-    real-congruent, are matched by Cholesky factors, and the witness
-    assembled through both reductions is verified once.  The answer is
+    agree within the larger of the two bands.  With alpha the ratio of
+    the scales and beta = alpha mu1_min - mu2_min, the witness is
+
+        X = E2 E1^T A1 + (G2 d2)(G1 d1)^T C1 / alpha
+
+    from the two refined, sign-fixed frames G_i d_i and the constant
+    frames E_i (E_i^T A_i E_i = I, spanning ker C_i), because
+    [E1 | G1 d1]^{-1} = [E1^T A1; (G1 d1)^T C1]: it maps E1 onto E2 and
+    G1 d1 onto G2 d2 / alpha.  The first term is absent when C has full
+    rank, and the gauges of the elliptic point are empty and always
+    pair.  The witness is verified once.  The answer is
     unknown when a proper cluster's H-block has a repeated eigenvalue or
     the witness fails verification.  Membership is decided once per
     parabola, and its analysis supplies everything else; no parabola is
@@ -413,28 +418,23 @@ def almost_equivalent(P1, P2, tol=DEFAULT_TOL, n=None) -> AlmostVerdict:
             "no", None, f"signatures differ: {sig1.as_tuple()} vs {sig2.as_tuple()}"
         )
     a1, a2 = first.analysis, second.analysis
-    witness = _moving_witness(a1.reduced, a2.reduced)
+    witness = _moving_witness(a1, a2)
     if isinstance(witness, AlmostVerdict):
         return witness
     X, alpha, beta = witness
-    k = sig1.k
-    if k:  # X = I and K is 0 x 0 when C has full rank.
-        red1, red2 = a1.reduction, a2.reduction
-        L1, L2 = np.linalg.cholesky(red1.constant_block), np.linalg.cholesky(red2.constant_block)
-        inner = np.zeros((P1.dim, P1.dim))
-        inner[:k, :k] = np.linalg.solve(L2.T, L1.T)  # Z^T K2 Z = K1
-        inner[k:, k:] = X
-        X = red2.X @ inner @ np.linalg.inv(red1.X)
+    if sig1.k:  # E1 -> E2: the constant directions.
+        X = X + a2._constant_frame @ (a1._constant_frame.T @ P1.A)
     return _yes(P1, P2, X, alpha, beta, tol)
 
 
 def _moving_witness(a1, a2):
     """The unverified witness (X, alpha, beta) pairing the normal forms
-    of two moving parts of equal signature, or a "no" or "unknown"
-    :class:`AlmostVerdict`.  The 0 x 0 moving parts of the elliptic
-    point always pair."""
-    if a1.P.dim == 0:
-        return np.zeros((0, 0)), 1.0, 0.0
+    of the C-gauges of two members of equal signature, or a "no" or
+    "unknown" :class:`AlmostVerdict`.  X maps the moving directions
+    only (it vanishes on ker C1); the empty gauges of the elliptic point
+    always pair, with X = 0."""
+    if not a1.c_gauge.mu.size:
+        return np.zeros((a1.P.dim, a1.P.dim)), 1.0, 0.0
     sp1, sp2 = _affine_spectrum(a1), _affine_spectrum(a2)
     if not sp1.matches(sp2):
         return AlmostVerdict("no", None, "affine spectra differ")
@@ -451,7 +451,7 @@ def _moving_witness(a1, a2):
         return AlmostVerdict("no", None, "normal forms differ")
     alpha = scale2 / scale1
     beta = alpha * float(sp1.raw[0]) - float(sp2.raw[0])
-    # (G1 d1)^{-1} = (G1 d1)^T C1, since G1^T C1 G1 = I.
+    # (G1 d1)^T C1 inverts G1 d1 on the moving directions, since G1^T C1 G1 = I.
     return (G2 * d2) @ (G1 * d1).T @ a1.P.C / alpha, alpha, beta
 
 

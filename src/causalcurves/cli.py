@@ -261,10 +261,10 @@ def _cmd_validate_parabola(P, args):
     ok, sig = verdict = charpoly.is_characteristic(P, args.n, args.tol)
     analysis = verdict.analysis
     # The Schur condition needs A positive definite, and a positive Q(s)
-    # has A = Q(0) definite: its inertia is then the moving part's,
+    # has A = Q(0) definite: its inertia is then that of the C-gauge's H,
     # without A^{-1/2}.  Where no C-gauge decides, D is formed from
     # A^{-1/2}; it is null when A is not definite.
-    inertia = (analysis.reduced or analysis).inertia if analysis.positive else None
+    inertia = analysis.inertia if analysis.positive else None
     if inertia is None and analysis.inv_root is not None:
         schur = charpoly._schur(analysis)
         inertia = schur.psd, schur.rank

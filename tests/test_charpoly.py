@@ -686,6 +686,96 @@ class TestReduction:
         assert is_characteristic(P, 10) == (False, None)
 
 
+    def test_b_on_ker_c_is_read_by_column_norm(self):
+        # ker C = span(e4), A = I and B e4 = 0.9e-9 (1, 1, 1, 0): each
+        # entry of B U, and of U^T B V for the complement V = (e1, e2, e3),
+        # passes the band tol * max|B| = 1e-9 that the reduction reads,
+        # but the column's 2-norm, 0.9e-9 sqrt(3) = 1.56e-9, does not.
+        # The decision reads the column norm, which bounds every block
+        # of B that the reduction checks, for any orthonormal complement.
+        B = np.diag([1.0, 0.0, -1.0, 0.0])
+        C = np.diag([4.0, 4.0, 4.0, 0.0])
+        member = MatrixParabola(np.eye(4), B, C)
+        assert is_characteristic(member, 10) == (True, Signature(10, 4, 3, 1))
+        B[:3, 3] = B[3, :3] = 0.9e-9
+        leaking = MatrixParabola(np.eye(4), B, C)
+        red = reduce_degenerate(leaking)
+        assert red.constant_block.shape == (1, 1)
+        assert is_characteristic(leaking, 10) == (False, None)
+        assert charpoly.ParabolaAnalysis(leaking).c_gauge is None
+
+
+def _assembled(K, moving, X):
+    """The parabola X^T blockdiag(K, Q_moving(s)) X, with ``moving`` the
+    (3, m - k, m - k) coefficient stack of the moving part."""
+    k, m = K.shape[0], K.shape[0] + moving.shape[1]
+    T = np.zeros((3, m, m))
+    T[0, :k, :k] = K
+    T[:, k:, k:] = moving
+    return MatrixParabola(*symmat.congruence(T, X))
+
+
+class TestConstantDirectionsAgainstReduction:
+    """The decision splits ker C off inside the C-gauge; the SVD
+    reduction, which realize and reduce_degenerate keep, is the
+    reference: a definite constant block, then the moving part's verdict
+    at n - k, with k added back to its signature."""
+
+    @staticmethod
+    def through_reduction(P, n):
+        try:
+            red = reduce_degenerate(P)
+        except InvalidCharacteristic:
+            return False, None
+        K, k = red.constant_block, red.constant_block.shape[0]
+        if not symmat.sym_eig(K).values[0] > symmat.DEFAULT_TOL * symmat.max_norm(K):
+            return False, None
+        ok, sig = is_characteristic(red.reduced, n - k)
+        if not ok or sig.k:
+            return False, None
+        return True, Signature(n, P.dim, sig.r, k)
+
+    @staticmethod
+    def wide_map(rng, P):
+        m = P.dim
+        cert = EquivalenceCertificate(random_real_invertible(rng, m), 10.0 ** rng.uniform(-3.0, 3.0),
+                                      rng.uniform(-500.0, 500.0))
+        return apply_certificate(P, cert)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_members_under_wide_maps(self, m):
+        rng = np.random.default_rng(100 + m)
+        for _ in range(12):
+            k = int(rng.integers(1, m))
+            r = int(rng.integers(1, m - k + 1))
+            Q = self.wide_map(rng, char_polynomial(random_manifold(rng, m=m, r=r, k=k)))
+            n = 2 * m + 2
+            verdict = is_characteristic(Q, n)
+            assert verdict == self.through_reduction(Q, n)
+            assert verdict == (True, Signature(n, m, r, k))
+            assert char_polynomial(realize(Q, n)).close_to(Q, 1e-8)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_non_members_of_every_constant_direction_kind(self, m):
+        # B leaking on ker C, an indefinite constant block, and a moving
+        # part with a killed eigenvector, each under a wide map.
+        rng = np.random.default_rng(200 + m)
+        n = 2 * m + 2
+        for _ in range(4):
+            D = char_polynomial(random_manifold(rng, m=m, r=1, k=1))
+            u, x = np.linalg.eigh(D.C)[1][:, 0], rng.standard_normal(m)  # C is PSD: its kernel comes first
+            leaking = MatrixParabola(D.A, D.B + 1e-2 * (np.outer(u, x) + np.outer(x, u)), D.C)
+            red = reduce_degenerate(D)
+            indefinite = _assembled(-red.constant_block, red.reduced.coeffs, np.linalg.inv(red.X))
+            kinds = [leaking, indefinite]
+            if m > 2:
+                killed = char_polynomial(unvalidated_manifold(*random_violating_arrays(rng, m=m - 1)))
+                kinds.append(_assembled(np.eye(1), killed.coeffs, random_real_invertible(rng, m)))
+            for P in kinds:
+                Q = self.wide_map(rng, P)
+                assert is_characteristic(Q, n) == self.through_reduction(Q, n) == (False, None)
+
+
 class TestParabolaType:
     def test_symmetrized_on_entry(self):
         P = MatrixParabola([[1.0, 2.0], [0.0, 1.0]], np.zeros((2, 2)), np.zeros((2, 2)))

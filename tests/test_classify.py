@@ -710,7 +710,11 @@ class TestMembershipDecidedOnce:
         assert verdict.is_yes
         assert verify_equivalence(P, P2, verdict.certificate, 1e-6)
 
-    def test_almost_equivalent_reduces_each_input_once(self, monkeypatch, rng):
+    def test_almost_equivalent_runs_no_reduction(self, monkeypatch, rng):
+        # The C-gauge splits off ker C by itself and the witness maps the
+        # constant frames onto each other, so a yes pair with a constant
+        # direction builds no SVD reduction (one per input while the
+        # decision read the moving part of the reduction).
         reductions = []
         original = charpoly.ParabolaAnalysis.reduction.func
 
@@ -725,7 +729,7 @@ class TestMembershipDecidedOnce:
         P = char_polynomial(random_manifold(rng, m=3, r=1, k=1, zero_eigs=0))
         P2 = apply_certificate(P, random_certificate(rng, 3).inverse())
         assert almost_equivalent(P, P2).is_yes
-        assert reductions == [3, 3]
+        assert reductions == []
 
     @pytest.mark.parametrize("m, r, k", [(3, 1, 1), (5, 2, 2), (3, 0, 3)])
     def test_almost_equivalent_verifies_once(self, monkeypatch, rng, m, r, k):
@@ -779,13 +783,21 @@ class TestMembershipDecidedOnce:
 
     @pytest.mark.parametrize("m, r, k", [(3, 2, 0), (3, 1, 1)])
     def test_decision_path_is_c_gauge(self, monkeypatch, rng, m, r, k):
-        # Membership reads no A-gauge (no A^{-1/2}, no linearization) on
-        # members, elliptic ones included, or on any kind of non-member,
-        # and equivalence analyses no aligned copy: the only
-        # reparametrization is the image of the witness in its check,
-        # _fits.
+        # Membership reads no A-gauge (no A^{-1/2}, no linearization) and
+        # builds no SVD reduction on members, elliptic ones included, or
+        # on any kind of non-member, and equivalence analyses no moving
+        # part and no aligned copy: the only reparametrization is the
+        # image of the witness in its check, _fits.
         def refused(*args, **kwargs):
             raise AssertionError("A-gauge on the decision path")
+
+        svd = np.linalg.svd
+
+        def svd_of_a_certificate(*args, **kwargs):
+            # The one SVD left is EquivalenceCertificate's singularity
+            # check of the witness it is handed; no reduction is built.
+            assert sys._getframe(1).f_code.co_name == "__post_init__", "SVD on the decision path"
+            return svd(*args, **kwargs)
 
         reparametrized = classify._reparametrized
 
@@ -807,12 +819,13 @@ class TestMembershipDecidedOnce:
         monkeypatch.setattr(symmat, "pd_inv_sqrt", refused)
         monkeypatch.setattr(classify, "_reparametrized", reparametrize_in_verification)
         monkeypatch.setattr(charpoly.ParabolaAnalysis, "__init__", counting)
+        monkeypatch.setattr(np.linalg, "svd", svd_of_a_certificate)
         assert [is_characteristic(Q, n)[0] for Q, n, _ in kinds] == [ok for _, _, ok in kinds]
         assert is_characteristic(P, 2 * m + 2)[0]
         analyses.clear()
         assert almost_equivalent(P, P2).is_yes
-        # The two inputs, and their reduced parabolas when k > 0.
-        assert sorted(analyses) == sorted([m, m] + [m - k, m - k] * (k > 0))
+        # The two inputs only, for every k: no moving part is analysed.
+        assert analyses == [m, m]
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_positive_is_decided_on_every_kind(self, monkeypatch, capsys, rng, m):
@@ -859,16 +872,17 @@ class TestEigensolverCounts:
         assert json.loads(capsys.readouterr().out)["result"]["characteristic"]
 
     def test_validate_parabola_constant_direction(self, eig_calls, monkeypatch, capsys, rng):
-        # The five of membership, whose positivity and Schur inertia the
-        # verdict's analysis keeps.
+        # The four of membership, whose positivity and Schur inertia the
+        # verdict's analysis keeps (five while the decision read the
+        # moving part of the reduction).
         M = random_manifold(rng, m=3, r=1, k=1, zero_eigs=0)
         P = char_polynomial(M)
-        assert self._count(eig_calls, lambda: _validate_parabola(monkeypatch, P, M.n)) <= 5
+        assert self._count(eig_calls, lambda: _validate_parabola(monkeypatch, P, M.n)) <= 4
         assert json.loads(capsys.readouterr().out)["result"]["poabc"]
 
     @pytest.mark.parametrize("m", [1, 3, 8])
     def test_validate_parabola_elliptic(self, eig_calls, monkeypatch, capsys, rng, m):
-        # C and the constant block: 2; the 0 x 0 moving part needs no
+        # C and the constant block: 2; the empty C-gauge needs no
         # decomposition, and its inertia (True, 0) is the Schur verdict.
         M = random_elliptic(rng, m=m)
         P = char_polynomial(M)
@@ -876,16 +890,16 @@ class TestEigensolverCounts:
         assert json.loads(capsys.readouterr().out)["result"]["poabc"]
 
     def test_membership_degenerate(self, eig_calls, rng):
-        # C of the full parabola, then the definiteness of the constant
-        # block, then C, W^T B W and H of the reduced parabola; the
-        # reduction reuses the eigenpairs of C.
+        # C, the constant block, W^T B W and H: the C-gauge splits off
+        # ker C with the eigenpairs of C and of the constant block (five
+        # while the reduced parabola's C was decomposed again).
         M = random_manifold(rng, m=3, r=1, k=1, zero_eigs=0)
         P = char_polynomial(M)
-        assert self._count(eig_calls, lambda: charpoly.is_characteristic(P, M.n)) <= 5
+        assert self._count(eig_calls, lambda: charpoly.is_characteristic(P, M.n)) <= 4
 
     def test_membership_indefinite_constant_block(self, eig_calls, rng):
-        # C, then the constant block, which rejects: the moving part's
-        # C-gauge (three more) is not built.
+        # C, then the constant block, which rejects: the C-gauge's
+        # W^T B W and H (two more) are not formed.
         M = random_manifold(rng, m=3, r=1, k=1, zero_eigs=0)
         red = charpoly.reduce_degenerate(char_polynomial(M))
         T = np.zeros((3, 3, 3))
@@ -899,20 +913,20 @@ class TestEigensolverCounts:
 
     @pytest.mark.parametrize("m", [1, 3, 8])
     def test_membership_elliptic(self, eig_calls, rng, m):
-        # C, then the definiteness of the constant block; the 0 x 0
-        # moving part needs no decomposition.
+        # C, then the definiteness of the constant block; the empty
+        # C-gauge needs no decomposition.
         M = random_elliptic(rng, m=m)
         P = char_polynomial(M)
         assert self._count(eig_calls, lambda: charpoly.is_characteristic(P, M.n)) <= 2
 
     @pytest.mark.parametrize("m, r, k", [(3, 1, 1), (5, 2, 2)])
     def test_realize_constant_directions(self, eig_calls, rng, m, r, k):
-        # The five of membership; realize adds A^{-1/2} and G of the
-        # moving part, the root of the constant block and build's
-        # freeness test.
+        # The four of membership; realize adds A^{-1/2} and G of the
+        # moving part of its reduction, the root of the constant block
+        # and build's freeness test.
         M = random_manifold(rng, m=m, r=r, k=k, zero_eigs=0)
         P = char_polynomial(M)
-        assert self._count(eig_calls, lambda: realize(P, M.n)) <= 9
+        assert self._count(eig_calls, lambda: realize(P, M.n)) <= 8
 
     def test_almost_equivalent_order_eight(self, eig_calls, rng):
         P = char_polynomial(random_manifold(rng, m=8, zero_eigs=0))
@@ -928,15 +942,18 @@ class TestEigensolverCounts:
         P2 = apply_certificate(P, random_certificate(rng, 3).inverse())
         eig_calls.clear()
         assert almost_equivalent(P, P2).is_yes
-        assert len(eig_calls) <= 10
+        # Four per membership decision; the witness reads the constant
+        # frames the decisions built (ten while each decision read its
+        # reduced parabola's C-gauge).
+        assert len(eig_calls) <= 8
 
     def test_almost_equivalent_two_constant_directions(self, eig_calls, rng):
         P = char_polynomial(random_manifold(rng, m=5, r=2, k=2, zero_eigs=0))
         P2 = apply_certificate(P, random_certificate(rng, 5).inverse())
         eig_calls.clear()
         assert almost_equivalent(P, P2).is_yes
-        # Five per membership decision; the witness needs none.
-        assert len(eig_calls) <= 10
+        # Four per membership decision; the witness needs none.
+        assert len(eig_calls) <= 8
 
     def test_almost_equivalent_degenerate_spectrum(self, eig_calls):
         # B = b C: each membership decision adds lambda_min of H on the
@@ -970,9 +987,9 @@ class TestSymmetrizeCounts:
 
     @pytest.mark.parametrize("m, r, k", [(3, 1, 1), (5, 2, 2)])
     def test_membership_constant_directions(self, monkeypatch, rng, m, r, k):
-        # The reduced triple and the constant block are slices of one
-        # congruence, exactly symmetric, and are read as given (2 while
-        # the reduced MatrixParabola and is_pd symmetrized them again).
+        # The constant block and the gauge's W^T B W and F^T A F come
+        # from congruence, exactly symmetric, and are read as given (2
+        # while a reduced MatrixParabola and is_pd symmetrized them).
         calls = []
         symmetrize = symmat.symmetrize
         M = random_manifold(rng, m=m, r=r, k=k, zero_eigs=0)

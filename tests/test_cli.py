@@ -254,7 +254,7 @@ STABLE_OUTPUT = {
         {"A": [[14.0, 8.0], [8.0, 5.0]], "B": [[12.0, 6.0], [6.0, 3.0]], "C": [[16.0, 8.0], [8.0, 4.0]]},
         '{"error": null, "ok": true, "result": {"a_dblprime": [[0.0, 0.866025403784]], "a_prime": [[0.0, 0.0], [0.0, 0.5]], "lattice": [[0.0, 1.41421356237], [-1.0, -1.0]], "n": 5}}\n',
         '{"error": null, "ok": true, "result": {"A": [[1.0, 1.0], [1.0, 2.99999999999]], "B": [[0.5, 0.5], [0.5, 0.5]], "C": [[0.999999999999, 0.999999999999], [0.999999999999, 0.999999999999]]}}\n',
-        '{"error": null, "ok": true, "result": {"certificate": {"X": [[1, 2], [-1, -3]], "alpha": 0.5, "beta": -0.5, "integral": true}, "reason": "verified witness", "verdict": "yes"}}\n',
+        '{"error": null, "ok": true, "result": {"certificate": {"X": [[-1, 0], [1, -1]], "alpha": 0.5, "beta": -0.5, "integral": true}, "reason": "verified witness", "verdict": "yes"}}\n',
     ),
     "elliptic": (
         {"A": [[2.0, 0.5], [0.5, 1.0]], "B": [[0.0, 0.0], [0.0, 0.0]], "C": [[0.0, 0.0], [0.0, 0.0]]},
@@ -262,7 +262,7 @@ STABLE_OUTPUT = {
         {"A": [[4.0, 1.5], [1.5, 1.0]], "B": [[0.0, 0.0], [0.0, 0.0]], "C": [[0.0, 0.0], [0.0, 0.0]]},
         '{"error": null, "ok": true, "result": {"a_dblprime": [], "a_prime": [[0.0, 0.0], [0.0, 0.0]], "lattice": [[1.39847020486, 0.210430715716], [0.210430715716, 0.977608773428]], "n": 4}}\n',
         '{"error": null, "ok": true, "result": {"A": [[2.0, 0.499999999999], [0.499999999999, 1.0]], "B": [[0.0, 0.0], [0.0, 0.0]], "C": [[0.0, 0.0], [0.0, 0.0]]}}\n',
-        '{"error": null, "ok": true, "result": {"certificate": {"X": [[0.707106781187, -0.353553390593], [0.0, 1.41421356237]], "alpha": 1.0, "beta": 0.0, "integral": false}, "reason": "verified witness", "verdict": "yes"}}\n',
+        '{"error": null, "ok": true, "result": {"certificate": {"X": [[0.801783725737, -0.267261241912], [-0.267261241912, 1.33630620956]], "alpha": 1.0, "beta": 0.0, "integral": false}, "reason": "verified witness", "verdict": "yes"}}\n',
     ),
 }
 
