@@ -52,6 +52,7 @@ linearization.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -69,6 +70,8 @@ from .errors import (
 )
 from .minkowski import _integer
 from .symmat import DEFAULT_TOL
+
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,12 +208,14 @@ class ParabolaAnalysis:
     coefficient, so the gauge does not move under s -> s + beta, and H
     is the Schur complement of C in [[A, B], [B, C]] (in the gauge),
     with the inertia of D = C - B A^{-1} B.  One gauge serves every k:
-    no second parabola is formed.  The SVD ``reduction`` and the moving
-    part's analysis (``reduced``) are built only when read.  The one
-    A-gauge attribute is A^{-1/2} (``inv_root``), which ``realize``,
-    :func:`_schur` and the linearization of ``positive`` read.  Each
-    attribute is computed on first use and kept.  Raises NonFiniteInput
-    unless 0 <= tol < inf.
+    no second parabola is formed.  Where an eigenvalue of C could
+    overflow, C is decomposed in units of an even power of two
+    (``_c_units``) and W rescaled exactly.  The SVD ``reduction`` and
+    the moving part's analysis (``reduced``) are built only when read.
+    The one A-gauge attribute is A^{-1/2} (``inv_root``), which
+    ``realize``, :func:`_schur` and the linearization of ``positive``
+    read.  Each attribute is computed on first use and kept.  Raises
+    NonFiniteInput unless 0 <= tol < inf.
     """
 
     def __init__(self, P: MatrixParabola, tol=DEFAULT_TOL):
@@ -224,13 +229,29 @@ class ParabolaAnalysis:
         return symmat.pd_inv_sqrt(self.P.A, self.tol)
 
     @cached_property
+    def _c_units(self):
+        """(e, max|C| / 2^e): the eigenvalues of C are read in units of
+        2^e.  e = 0 unless m max|C|, which bounds every |eigenvalue|,
+        exceeds the float maximum; then e is the even exponent at or
+        above that of max|C| (``math.frexp``), so that the exactly scaled
+        2^-e C has finite eigenvalues."""
+        top = symmat.max_norm(self.P.C)
+        if self.P.dim * top <= _FLOAT_MAX:
+            return 0, top
+        exponent = math.frexp(top)[1]
+        exponent += exponent % 2
+        return exponent, math.ldexp(top, -exponent)
+
+    @cached_property
     def c_eig(self):
-        return symmat.sym_eig(self.P.C)
+        """Eigenpairs of C, the eigenvalues in the units of ``_c_units``."""
+        exponent = self._c_units[0]
+        return symmat.sym_eig(self.P.C * math.ldexp(1.0, -exponent) if exponent else self.P.C)
 
     @cached_property
     def kernel(self):
         """Mask of the eigenvalues of C inside the band tol * max|C|."""
-        return np.abs(self.c_eig.values) <= self.tol * symmat.max_norm(self.P.C)
+        return np.abs(self.c_eig.values) <= self.tol * self._c_units[1]
 
     @cached_property
     def c_gauge(self):
@@ -263,6 +284,8 @@ class ParabolaAnalysis:
                 return CGauge(np.zeros((k, 0)), np.zeros(0), np.zeros((0, 0)), np.zeros(0), 0.0)
             V = vectors[:, k:]
             W = (V - E @ (E.T @ P.A @ V)) / np.sqrt(values[k:])
+        if exponent := self._c_units[0]:  # eigenvalues in units of 2^e, e even: exact
+            W = W * math.ldexp(1.0, -exponent // 2)
         mu, U = symmat.sym_eig(symmat.congruence(P.B, W))
         F = W @ U
         A_hat = symmat.congruence(P.A, F)

@@ -17,8 +17,9 @@ up to the choice of lattice).  This module can
 * decide almost-equivalence (``almost_equivalent``) by the normal form
   (s + diag mu)^2 + H of each member's C-gauge, and
 * exhaustively search tiny integer certificates (``search_certificate``):
-  every bounded unimodular X is checked in one congruence of the
-  stack, and the first that fits is returned.
+  every bounded unimodular X, from a read-only table built once per
+  (m, bound), is checked in one congruence of the stack, and the first
+  that fits is returned.
 
 Realization reads the membership verdict's :class:`ParabolaAnalysis`
 through its reduction X^T Q(s) X = blockdiag(K, Q_moving(s)), one
@@ -36,7 +37,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,8 +84,8 @@ class EquivalenceCertificate:
             object.__setattr__(self, name, value)
         if not self.alpha > 0.0:
             raise BadCertificate(f"alpha must be positive, got {self.alpha}")
-        sv = np.linalg.svd(X, compute_uv=False)
-        if np.any(sv <= 1e-12 * sv.max(initial=0.0)):
+        sv = np.linalg.svd(X, compute_uv=False)  # descending
+        if sv.size and sv[-1] <= 1e-12 * sv[0]:
             raise BadCertificate("certificate matrix X is singular")
 
     @property
@@ -109,7 +111,7 @@ def _reparametrized(coeffs, alpha, beta):
     """The stack (A, B, C) of s -> Q(alpha s + beta); alpha and beta may
     be arrays broadcasting against a stack of coefficients."""
     A, B, C = coeffs
-    return np.stack((A + 2.0 * beta * B + beta * beta * C, alpha * (B + beta * C), alpha * alpha * C))
+    return np.array((A + 2.0 * beta * B + beta * beta * C, alpha * (B + beta * C), alpha * alpha * C))
 
 
 def reparametrize(P: MatrixParabola, alpha, beta) -> MatrixParabola:
@@ -134,12 +136,12 @@ def _fits(coeffs1, T, alpha, beta, tol):
     T_A, 2 beta T_B and beta^2 T_C (A), alpha T_B and alpha beta T_C (B)
     and alpha^2 T_C (C); each coefficient must match within tol times the
     largest of its own entries in P1 and its terms."""
-    size, error, (a, b, c) = (np.abs(D).max(axis=(-2, -1), keepdims=True, initial=0.0)
+    size, error, (a, b, c) = (np.maximum.reduce(np.abs(D), axis=(-2, -1), keepdims=True, initial=0.0)
                               for D in (coeffs1, coeffs1 - _reparametrized(T, alpha, beta), T))
-    shift = np.abs(beta)
+    shift = abs(beta)
     terms = (np.maximum(a, np.maximum(2.0 * shift * b, shift * shift * c)),
              alpha * np.maximum(b, shift * c), alpha * alpha * c)
-    return np.all(error <= tol * np.maximum(size, terms), axis=0)[..., 0, 0]
+    return np.logical_and.reduce(error <= tol * np.maximum(size, terms))[..., 0, 0]
 
 
 def _common_n(P1, P2, n):
@@ -211,11 +213,33 @@ def _affine_spectrum(analysis):
     must exist: C^{-1/2} B C^{-1/2} is orthogonally similar to W^T B W,
     whose eigenvalues the gauge holds (on the moving directions when C
     is singular)."""
-    g = analysis.c_gauge
-    spread = float(g.mu[-1] - g.mu[0])
-    if spread <= analysis.tol * symmat.max_norm(g.mu):
-        return AffineSpectrum(np.zeros_like(g.mu), True, g.mu)
-    return AffineSpectrum((g.mu - g.mu[0]) / spread, False, g.mu)
+    reading = _spectrum(analysis)
+    return AffineSpectrum(reading.values, reading.degenerate, analysis.c_gauge.mu)
+
+
+class _Spectrum(NamedTuple):
+    """What the equivalence decision reads of an affine spectrum, its
+    scalars as Python floats: the lowest of the raw values, their
+    spread, ``size`` = max|raw| / spread (1 when degenerate), the
+    ``degenerate`` flag and the canonical ``values`` of
+    :class:`AffineSpectrum`."""
+
+    low: float
+    spread: float
+    size: float
+    degenerate: bool
+    values: np.ndarray
+
+
+def _spectrum(analysis):
+    """The :class:`_Spectrum` of a nonempty C-gauge, from the two ends of
+    its ascending mu: max|mu| is the larger of their magnitudes."""
+    mu = analysis.c_gauge.mu
+    low, high = float(mu[0]), float(mu[-1])
+    spread, top = high - low, max(abs(low), abs(high))
+    if spread <= analysis.tol * top:
+        return _Spectrum(low, spread, 1.0, True, np.zeros_like(mu))
+    return _Spectrum(low, spread, top / spread, False, (mu - low) / spread)
 
 
 def realize(P: MatrixParabola, n, tol=DEFAULT_TOL) -> ManifoldData:
@@ -297,7 +321,13 @@ def _signs(S, band):
     sign +1, through all of its rows' entries in index order.  The forest
     depends only on which entries clear the band, so d S d is the same
     for every sign-conjugate of S on every entry that clears the band
-    (an entry inside it may lie between two trees and change sign)."""
+    (an entry inside it may lie between two trees and change sign).
+    When the first row alone reaches every index, the forest is that
+    row's star: d = sign(S_0j), with d_0 = 1."""
+    if len(S) and (np.abs(S[0, 1:]) > band).all():
+        signs = np.sign(S[0])
+        signs[0] = 1.0
+        return signs
     edges = np.where(np.abs(S) > band, np.sign(S), 0.0).tolist()
     signs = [0.0] * len(edges)
     for root in range(len(signs)):
@@ -314,9 +344,9 @@ def _signs(S, band):
 
 def _normal_form(analysis, spectrum):
     """(H, band, G, scale) of a k = 0 member with affine spectrum
-    ``spectrum``, before its signs are fixed: G^T C G = I and
-    G^T Q(s) G = (s + diag mu)^2 + scale^2 H, and ``band`` is the
-    resolution of H.
+    ``spectrum`` (a :class:`_Spectrum`), before its signs are fixed:
+    G^T C G = I and G^T Q(s) G = (s + diag mu)^2 + scale^2 H, and
+    ``band`` is the resolution of H.
 
     The orthogonal maps that keep diag mu fixed are block diagonal over
     the clusters of the canonical spectrum (at SPECTRUM_TOL times its
@@ -325,12 +355,13 @@ def _normal_form(analysis, spectrum):
     eigenbasis of H's block.  A simple spectrum (every gap clears the
     band) has no proper cluster, so G is F itself and H the gauge's.
     The scale is the spread of mu, or sqrt(max|eigenvalue of H|) when
-    the spectrum is degenerate.  The band is SPECTRUM_TOL times the
-    gauge's operand size over scale^2, plus the error that dividing by
-    scale^2 carries: twice the spectrum's band (the relative error of
-    the spread) times max|H|.  Raises NotSimpleSpectrum when a proper
-    cluster's H-block has a repeated eigenvalue at SPECTRUM_TOL times
-    the operand size: the block's eigenbasis is then not unique.
+    the spectrum is degenerate, read from the ends of the ascending h.
+    The band is SPECTRUM_TOL times the gauge's operand size over
+    scale^2, plus the error that dividing by scale^2 carries: twice the
+    spectrum's band (the relative error of the spread) times max|H|.
+    Raises NotSimpleSpectrum when a proper cluster's H-block has a
+    repeated eigenvalue at SPECTRUM_TOL times the operand size: the
+    block's eigenbasis is then not unique.
     """
     g = analysis.c_gauge
     H, F = g.H, g.F
@@ -344,10 +375,13 @@ def _normal_form(analysis, spectrum):
                 if np.any(w[1:] - w[:-1] <= SPECTRUM_TOL * g.size):
                     raise NotSimpleSpectrum(f"H repeats an eigenvalue on a {c.stop - c.start}-fold cluster")
         H, F = symmat.congruence(g.H, R), F @ R
-    scale2 = symmat.max_norm(g.h) if spectrum.degenerate else float(g.mu[-1] - g.mu[0]) ** 2
+    if spectrum.degenerate:
+        scale2 = max(abs(float(g.h[0])), abs(float(g.h[-1])))
+    else:
+        scale2 = spectrum.spread ** 2
     H = H / scale2
-    band = SPECTRUM_TOL * (g.size / scale2 + 2.0 * spectrum.size * symmat.max_norm(H))
-    return H, band, F, np.sqrt(scale2)
+    band = SPECTRUM_TOL * (g.size / scale2 + 2.0 * spectrum.size * float(np.abs(H).max()))
+    return H, band, F, math.sqrt(scale2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,8 +469,12 @@ def _moving_witness(a1, a2):
     always pair, with X = 0."""
     if not a1.c_gauge.mu.size:
         return np.zeros((a1.P.dim, a1.P.dim)), 1.0, 0.0
-    sp1, sp2 = _affine_spectrum(a1), _affine_spectrum(a2)
-    if not sp1.matches(sp2):
+    # Equal signatures give mu of equal length; the canonical values of
+    # two degenerate spectra are zeros, which always match.
+    sp1, sp2 = _spectrum(a1), _spectrum(a2)
+    if sp1.degenerate != sp2.degenerate or not sp1.degenerate and (
+        np.abs(sp1.values - sp2.values).max() > SPECTRUM_TOL * max(sp1.size, sp2.size)
+    ):
         return AlmostVerdict("no", None, "affine spectra differ")
     try:
         H1, band1, G1, scale1 = _normal_form(a1, sp1)
@@ -447,25 +485,31 @@ def _moving_witness(a1, a2):
     # their signs cannot move the comparison past the band.
     band = max(band1, band2)
     d1, d2 = _signs(H1, band / 2), _signs(H2, band / 2)
-    if symmat.max_norm(H1 * np.outer(d1, d1) - H2 * np.outer(d2, d2)) > band:
+    # |d1 H1 d1 - d2 H2 d2| = |H1 - e H2 e| entrywise, with e = d1 d2 = +-1.
+    e = d1 * d2
+    if np.abs(H1 - H2 * e * e[:, None]).max() > band:
         return AlmostVerdict("no", None, "normal forms differ")
     alpha = scale2 / scale1
-    beta = alpha * float(sp1.raw[0]) - float(sp2.raw[0])
+    beta = alpha * sp1.low - sp2.low
     # (G1 d1)^T C1 inverts G1 d1 on the moving directions, since G1^T C1 G1 = I.
     return (G2 * d2) @ (G1 * d1).T @ a1.P.C / alpha, alpha, beta
 
 
+@cache
 def _unimodular_stack(m, bound):
     """Every integer m x m matrix (m <= 2) with entries in [-bound, bound]
     and determinant +-1, stacked in the lexicographic order of its
-    row-major entries."""
+    row-major entries: built once per (m, bound) and read-only."""
     if m == 1:
-        return np.array([[[-1.0]], [[1.0]]])
-    span = np.arange(-bound, bound + 1, dtype=float)
-    rows = np.stack(np.meshgrid(span, span, indexing="ij"), axis=-1).reshape(-1, 2)
-    det = np.outer(rows[:, 0], rows[:, 1]) - np.outer(rows[:, 1], rows[:, 0])
-    first, second = np.nonzero(np.abs(det) == 1)
-    return np.stack([rows[first], rows[second]], axis=1)
+        stack = np.array([[[-1.0]], [[1.0]]])
+    else:
+        span = np.arange(-bound, bound + 1, dtype=float)
+        rows = np.stack(np.meshgrid(span, span, indexing="ij"), axis=-1).reshape(-1, 2)
+        det = np.outer(rows[:, 0], rows[:, 1]) - np.outer(rows[:, 1], rows[:, 0])
+        first, second = np.nonzero(np.abs(det) == 1)
+        stack = np.stack([rows[first], rows[second]], axis=1)
+    stack.flags.writeable = False
+    return stack
 
 
 def search_certificate(P1, P2, entry_bound=3, tol=DEFAULT_TOL):

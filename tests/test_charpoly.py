@@ -512,6 +512,27 @@ class TestIsCharacteristic:
         Q = reparametrize(P, 1e-6, 0.0)
         assert is_characteristic(Q, 6, 1e-6) == (True, Signature(6, 2, 1, 0))
 
+    @pytest.mark.parametrize("top", [1e306, 1e307, 1e308])
+    def test_largest_finite_c_decides_like_its_small_multiple(self, top):
+        # m max|C| bounds the eigenvalues of C.  At max|entry| = 1e308 it
+        # passes the float maximum (C's top eigenvalue, about 2.2e308,
+        # came back inf and the member was rejected), so C is decomposed
+        # as 2^-e C with e even and W rescaled by the exact 2^(-e/2); up
+        # to 1e307 the decomposition is that of C itself, bit for bit.
+        rng = np.random.default_rng(3)
+        random_manifold(rng, m=3, r=1, k=1)
+        M = random_manifold(rng, m=5, r=2, k=2)
+        P = char_polynomial(M)
+        Q = MatrixParabola(*(P.coeffs * (top / np.abs(P.coeffs).max())))
+        verdict = is_characteristic(Q, M.n)
+        assert verdict == is_characteristic(P, M.n) == (True, Signature(M.n, 5, 2, 2))
+        analysis = verdict.analysis
+        assert np.isfinite(analysis.c_eig.values).all()
+        if 5 * float(np.abs(Q.C).max()) <= np.finfo(float).max:
+            np.testing.assert_array_equal(analysis.c_eig.values, np.linalg.eigh(Q.C)[0])
+        g = analysis.c_gauge
+        np.testing.assert_allclose(symmat.congruence(Q.C, g.F), np.eye(3), atol=1e-9)
+
     def test_rank_bookkeeping(self, rng):
         for _ in range(40):
             k = int(rng.integers(0, 2))

@@ -307,6 +307,72 @@ class TestAffineSpectrum:
             assert affine_spectrum(P).matches(affine_spectrum(apply_certificate(P, cert)))
 
 
+def reference_affine_spectrum(analysis):
+    """(values, degenerate, size) of the affine spectrum as the record
+    forms them: np.ptp and max_norm of the whole of mu."""
+    mu = analysis.c_gauge.mu
+    spread = float(mu[-1] - mu[0])
+    degenerate = spread <= analysis.tol * symmat.max_norm(mu)
+    values = np.zeros_like(mu) if degenerate else (mu - mu[0]) / spread
+    return values, degenerate, 1.0 if degenerate else symmat.max_norm(mu) / np.ptp(mu)
+
+
+def spectrum_members(rng):
+    """One seeded member of each kind the spectrum reading meets: k = 0,
+    k = 2, a degenerate B = b C spectrum and a 2-fold cluster of mu."""
+    t, member = proportional_b_members(rng, 3)
+    return {
+        "k0": char_polynomial(random_manifold(rng, m=5, zero_eigs=0)),
+        "k2": char_polynomial(random_manifold(rng, m=5, r=2, k=2, zero_eigs=0)),
+        "degenerate": member(t),
+        "cluster": char_polynomial(random_manifold(rng, m=5, r=2, zero_eigs=2)),
+    }
+
+
+class TestSpectrumReading:
+    """The equivalence decision reads the affine spectrum's lowest value,
+    spread, size and degenerate flag as floats from the ends of the
+    ascending mu, and the normal form's scale from the ends of the
+    ascending h: the same numbers as the public records, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_record(self, seed):
+        rng = np.random.default_rng(seed)
+        for kind, P in spectrum_members(rng).items():
+            analysis = is_characteristic(P, 2 * P.dim + 2).analysis
+            mu = analysis.c_gauge.mu
+            reading = classify._spectrum(analysis)
+            values, degenerate, size = reference_affine_spectrum(analysis)
+            assert reading.degenerate is degenerate is (kind == "degenerate")
+            np.testing.assert_array_equal(reading.values, values)
+            assert reading.size == size and type(reading.size) is float
+            assert (reading.low, reading.spread) == (mu[0], float(mu[-1] - mu[0]))
+            if kind == "cluster":
+                gaps = np.diff(reading.values)
+                assert (gaps <= classify.SPECTRUM_TOL * reading.size).sum() == 1
+            if not analysis.kernel.any():
+                record = affine_spectrum(P)
+                np.testing.assert_array_equal(reading.values, record.values)
+                assert (reading.degenerate, reading.size) == (record.degenerate, record.size)
+                np.testing.assert_array_equal(record.raw, mu)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_normal_form_scale_and_band(self, seed):
+        # scale^2 is the squared spread, or max|h| on a degenerate
+        # spectrum; the band reads max|H| of the scaled form.
+        rng = np.random.default_rng(seed)
+        for kind, P in spectrum_members(rng).items():
+            analysis = is_characteristic(P, 2 * P.dim + 2).analysis
+            g, reading = analysis.c_gauge, classify._spectrum(analysis)
+            H, band, G, scale = classify._normal_form(analysis, reading)
+            scale2 = symmat.max_norm(g.h) if reading.degenerate else float(g.mu[-1] - g.mu[0]) ** 2
+            assert scale == np.sqrt(scale2)
+            assert band == classify.SPECTRUM_TOL * (g.size / scale2 + 2.0 * reading.size * symmat.max_norm(H))
+            if kind in ("k0", "k2"):
+                assert G is g.F
+                np.testing.assert_array_equal(H, g.H / scale2)
+
+
 class TestSimpleSpectrumForm:
     def test_dim5(self):
         form = simple_spectrum_form(example_5d(1, 1))
@@ -394,6 +460,28 @@ class TestSigns:
             reference = breadth_first_signs(S, band)
             assert signs.dtype == reference.dtype
             np.testing.assert_array_equal(signs, reference)
+        # The first row reaching every index gives its signs directly;
+        # one entry inside the band, or two diagonal blocks, do not.
+        for _ in range(400):
+            m = int(rng.integers(1, 9))
+            band = float(rng.uniform(0.1, 1.0))
+            S = rng.standard_normal((m, m))
+            S = np.triu(S) + np.triu(S, 1).T
+            row = band * rng.uniform(1.01, 3.0, m) * rng.choice([-1.0, 1.0], m)
+            S[0, :], S[:, 0] = row, row
+            variants = [S]
+            if m > 1:
+                inside = S.copy()
+                j = int(rng.integers(1, m))
+                inside[0, j] = inside[j, 0] = rng.choice([-1.0, 0.0, 1.0]) * band * rng.uniform(0.0, 1.0)
+                block = S.copy()
+                cut = int(rng.integers(1, m))
+                block[:cut, cut:] = block[cut:, :cut] = 0.0
+                variants += [inside, block]
+            for T in variants:
+                signs = classify._signs(T, band)
+                np.testing.assert_array_equal(signs, breadth_first_signs(T, band))
+                assert signs.dtype == np.float64
 
     def test_edge_cases(self):
         band = 0.5
@@ -430,7 +518,7 @@ class TestNormalForm:
     @staticmethod
     def _form(P):
         analysis = is_characteristic(P, 2 * P.dim + 2).analysis
-        spectrum = classify._affine_spectrum(analysis)
+        spectrum = classify._spectrum(analysis)
         return analysis.c_gauge, spectrum, classify._normal_form(analysis, spectrum)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
@@ -839,6 +927,43 @@ class TestMembershipDecidedOnce:
             assert poabc == charpoly.check_positive_all_s(Q)
 
 
+class TestSvdCounts:
+    """The one SVD of the equivalence decision is the singularity check
+    of the certificate it returns."""
+
+    @pytest.fixture
+    def svd_callers(self, monkeypatch):
+        callers = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return callers
+
+    @pytest.mark.parametrize("m, r, k", [(1, 1, 0), (3, 2, 0), (5, 2, 0), (3, 1, 1), (5, 2, 2)])
+    def test_yes_pair(self, svd_callers, rng, m, r, k):
+        P = char_polynomial(random_manifold(rng, m=m, r=r, k=k, zero_eigs=0))
+        P2 = apply_certificate(P, random_certificate(rng, m).inverse())
+        svd_callers.clear()
+        assert almost_equivalent(P, P2).is_yes
+        assert svd_callers == ["__post_init__"]
+
+    def test_no_pairs(self, svd_callers, rng):
+        signatures = (char_polynomial(random_manifold(rng, m=3, r=1, zero_eigs=0)),
+                      char_polynomial(random_manifold(rng, m=3, r=2, zero_eigs=0)))
+        spectra = (char_polynomial(random_manifold(rng, m=3, r=3, zero_eigs=0)),
+                   char_polynomial(random_manifold(rng, m=3, r=3, zero_eigs=0)))
+        svd_callers.clear()
+        for P1, P2 in (signatures, spectra):
+            verdict = almost_equivalent(P1, P2)
+            assert verdict.verdict == "no"
+        assert "spectra" in verdict.reason
+        assert svd_callers == []
+
+
 class TestEigensolverCounts:
     """Eigendecompositions per top-level call, for every k."""
 
@@ -1118,6 +1243,17 @@ class TestSearchCertificate:
             found = search_certificate(P, P2, entry_bound=3, tol=1e-7)
             assert found is not None
             assert verify_equivalence(P, P2, found, 1e-6)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_unimodular_table_is_built_once_and_read_only(self, m):
+        for bound in range(1, 6):
+            table = classify._unimodular_stack(m, bound)
+            assert classify._unimodular_stack(m, bound) is table
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0, 0] = 7.0
+            det = table[:, 0, 0] if m == 1 else table[:, 0, 0] * table[:, 1, 1] - table[:, 0, 1] * table[:, 1, 0]
+            assert table.shape[1:] == (m, m) and (np.abs(det) == 1).all() and np.abs(table).max() <= bound
 
     def test_entry_bound_must_be_integral(self):
         for bound in (2.5, 3.0, "3", None):
