@@ -41,12 +41,15 @@ decomposing again.  Each criterion has one home on the analysis:
 ``inertia`` gives PSD-ness and r, and ``positive`` decides Q(s) > 0
 (the constant block and the Hautus test, or a linearization where no
 C-gauge decides); ``check_positive_all_s`` reads ``positive`` of a
-fresh analysis.  The SVD ``reduction`` to blockdiag(K, Q_moving(s))
-serves ``realize``, ``reduce_degenerate`` and that linearization.  The
-analysis keeps one A-gauge attribute, A^{-1/2} (``inv_root``):
-``realize`` forms B~, A^{1/2} and G = C~ - B~^2 of the moving part from
-it, ``schur_condition`` the matrix C - B A^{-1} B, and ``positive`` its
-linearization.
+fresh analysis.  The analysis keeps one A-gauge attribute, a frame Z
+with Z^T A Z = I (``a_frame``): A^{-1/2} when C has full rank, and
+otherwise [U K^{-1/2} | Y (Y^T A Y)^{-1/2}] from the constant block's
+eigenpairs and the gauge's moving frame Y, so that within the ker C
+bands Z^T Q(s) Z = blockdiag(I, I + 2s B~ + s^2 C~).  ``realize`` forms
+B~, C~, G = C~ - B~^2 and the lattice Z^T A from it, ``schur_condition``
+the matrix C - (Z^T B)^T (Z^T B), and ``positive`` its linearization.
+The SVD ``reduction`` to blockdiag(K, Q_moving(s)) serves
+``reduce_degenerate`` alone: no verdict and no realization reads it.
 """
 
 from __future__ import annotations
@@ -204,29 +207,24 @@ class ParabolaAnalysis:
     the band span ker C, the constant block K = U^T A U must be positive
     definite, and Y = V_c - U K^{-1} U^T A V_c is A-orthogonal to ker C,
     so within the ker C bands Q(s) is blockdiag(I, F^T Q(s) F) in the
-    frame [E | F], E^T A E = I (``_constant_frame``).  C is the leading
+    frame [E | F], E^T A E = I (``_frames``).  C is the leading
     coefficient, so the gauge does not move under s -> s + beta, and H
     is the Schur complement of C in [[A, B], [B, C]] (in the gauge),
     with the inertia of D = C - B A^{-1} B.  One gauge serves every k:
     no second parabola is formed.  Where an eigenvalue of C could
     overflow, C is decomposed in units of an even power of two
-    (``_c_units``) and W rescaled exactly.  The SVD ``reduction`` and
-    the moving part's analysis (``reduced``) are built only when read.
-    The one A-gauge attribute is A^{-1/2} (``inv_root``), which
-    ``realize``, :func:`_schur` and the linearization of ``positive``
-    read.  Each attribute is computed on first use and kept.  Raises
-    NonFiniteInput unless 0 <= tol < inf.
+    (``_c_units``) and W rescaled exactly.  The one A-gauge attribute is
+    the frame ``a_frame`` (Z^T A Z = I), built from the same U, (kappa,
+    R) and Y, which ``realize``, :func:`_schur` and the linearization of
+    ``positive`` read; the SVD ``reduction`` is built only for
+    :func:`reduce_degenerate`.  Each attribute is computed on first use
+    and kept.  Raises NonFiniteInput unless 0 <= tol < inf.
     """
 
     def __init__(self, P: MatrixParabola, tol=DEFAULT_TOL):
         self.P, self.tol = P, float(tol)
         if not 0.0 <= self.tol < math.inf:
             raise NonFiniteInput(f"tol must be finite and nonnegative, got {self.tol}")
-
-    @cached_property
-    def inv_root(self):
-        """A^{-1/2}, or None when A is not positive definite."""
-        return symmat.pd_inv_sqrt(self.P.A, self.tol)
 
     @cached_property
     def _c_units(self):
@@ -256,17 +254,17 @@ class ParabolaAnalysis:
     @cached_property
     def c_gauge(self):
         """The :class:`CGauge`, or None when C has a negative eigenvalue
-        beyond the ``kernel`` band, when a column of B U has a 2-norm above
-        tol * max|B| (B does not vanish on ker C), or when the constant
-        block is not positive definite.
+        beyond the ``kernel`` band, when B does not vanish on ker C
+        (``_b_vanishes_on_kernel``), or when the constant block is not
+        positive definite.
 
         The frame is W = Y lambda_c^{-1/2} from the eigenpairs
-        (lambda_c, V_c) of C off the band, with Y = V_c - E E^T A V_c
-        A-orthogonal to ker C (``_constant_frame``; Y = V when C has
-        full rank).  At the elliptic point (ker C is everything) W has no
-        columns and the gauge is empty, with inertia (True, 0).
+        (lambda_c, V_c) of C off the band, with Y the moving frame of
+        ``_frames`` (Y = V_c when C has full rank).  At the elliptic
+        point (ker C is everything) W has no columns and the gauge is
+        empty, with inertia (True, 0).
         """
-        P, tol = self.P, self.tol
+        P = self.P
         if P.dim == 0:
             return None
         values, vectors = self.c_eig
@@ -277,34 +275,70 @@ class ParabolaAnalysis:
         if not k:
             W = vectors / np.sqrt(values)
         else:
-            leak = np.hypot.reduce(P.B @ vectors[:, :k], axis=0)
-            if leak.max() > tol * symmat.max_norm(P.B) or (E := self._constant_frame) is None:
+            if not self._b_vanishes_on_kernel or self._frames is None:
                 return None
             if k == P.dim:
                 return CGauge(np.zeros((k, 0)), np.zeros(0), np.zeros((0, 0)), np.zeros(0), 0.0)
-            V = vectors[:, k:]
-            W = (V - E @ (E.T @ P.A @ V)) / np.sqrt(values[k:])
+            W = self._frames[2] / np.sqrt(values[k:])
         if exponent := self._c_units[0]:  # eigenvalues in units of 2^e, e even: exact
             W = W * math.ldexp(1.0, -exponent // 2)
         mu, U = symmat.sym_eig(symmat.congruence(P.B, W))
         F = W @ U
-        A_hat = symmat.congruence(P.A, F)
-        H = A_hat - np.diag(mu * mu)
-        size = max(float(np.abs(A_hat).max()), max(-mu[0], mu[-1]) ** 2)
+        H = symmat.congruence(P.A, F)
+        size = max(float(np.abs(H).max()), max(-mu[0], mu[-1]) ** 2)
+        H.flat[:: mu.size + 1] -= mu * mu  # H = F^T A F - diag(mu^2)
         return CGauge(F, mu, H, np.linalg.eigvalsh(H), size)
 
     @cached_property
-    def _constant_frame(self):
-        """E = U R kappa^{-1/2}, so that E^T A E = I, from the eigenvectors
-        U of C on the ``kernel`` band and the eigenpairs (kappa, R) of the
-        constant block K = U^T A U; None unless K is positive definite
-        (lambda_min clears tol * max|K|).  Read only when C is singular."""
-        U = self.c_eig.vectors[:, self.kernel]
+    def _b_vanishes_on_kernel(self):
+        """Whether every column of B U, for the eigenvectors U of C on the
+        ``kernel`` band, has a 2-norm within tol * max|B| (vacuously when
+        C has full rank): the one rule by which B vanishes on ker C."""
+        leak = np.hypot.reduce(self.P.B @ self.c_eig.vectors[:, self.kernel], axis=0)
+        return bool(leak.max(initial=0.0) <= self.tol * symmat.max_norm(self.P.B))
+
+    @cached_property
+    def _frames(self):
+        """(E, R, Y) from the eigenvectors U of C on the ``kernel`` band
+        and the eigenpairs (kappa, R) of the constant block K = U^T A U:
+        the constant frame E = U R kappa^{-1/2} (E^T A E = I) and the
+        moving frame Y = V_c - E E^T A V_c, the eigenvectors V_c of C off
+        the band made A-orthogonal to ker C.  None unless K is positive
+        definite (lambda_min clears tol * max|K|).  Read only when C is
+        singular."""
+        kernel, vectors = self.kernel, self.c_eig.vectors
+        U = vectors[:, kernel]
         K = symmat.congruence(self.P.A, U)
         kappa, R = symmat.sym_eig(K)
         if not kappa[0] > self.tol * symmat.max_norm(K):
             return None
-        return (U @ R) / np.sqrt(kappa)
+        E = (U @ R) / np.sqrt(kappa)
+        # ker C comes first unless C is indefinite; BLAS rounds a slice of
+        # the eigenvectors and a copy of it differently.
+        V = vectors[:, U.shape[1]:] if kernel[0] else vectors[:, ~kernel]
+        return E, R, V - E @ (E.T @ self.P.A @ V)
+
+    @cached_property
+    def a_frame(self):
+        """A frame Z with Z^T A Z = I, or None where a block it is built
+        from is not positive definite at its own band.
+
+        When C has full rank Z = A^{-1/2} (:func:`symmat.pd_inv_sqrt`).
+        Otherwise Z = [U K^{-1/2} | Y (Y^T A Y)^{-1/2}] from the
+        ``_frames`` (E, R, Y), with U K^{-1/2} = E R^T, so that
+        (Y^T A Y)^{-1/2} is the one decomposition added.  The first k
+        columns span ker C, so within the ker C bands
+        Z^T Q(s) Z = blockdiag(I, I + 2s B~ + s^2 C~) with
+        (B~, C~) = Z_mov^T (B, C) Z_mov on the moving columns Z_mov, and
+        Z Z^T = A^{-1}.  At the elliptic point Z = U K^{-1/2}.
+        """
+        if not self.kernel.any():
+            return symmat.pd_inv_sqrt(self.P.A, self.tol)
+        if self._frames is None:
+            return None
+        E, R, Y = self._frames
+        root = symmat.pd_inv_sqrt(symmat.congruence(self.P.A, Y), self.tol)
+        return None if root is None else np.hstack([E @ R.T, Y @ root])
 
     @cached_property
     def reduction(self):
@@ -319,11 +353,10 @@ class ParabolaAnalysis:
         pure translations), so B U must vanish, else
         InvalidCharacteristic.  One stacked product T = X^T [A, B, C] X
         gives both: the constant block is the k x k corner of T_A and the
-        reduced parabola the trailing blocks.  The membership decision
-        does not read it (the C-gauge splits off ker C by itself); it
-        serves ``realize``, :func:`reduce_degenerate` and the
-        linearization that ``positive`` runs on the moving part where the
-        C-gauge cannot decide.
+        reduced parabola the trailing blocks.  It serves
+        :func:`reduce_degenerate` alone: no verdict and no realization
+        reads it (the C-gauge and ``a_frame`` split off ker C by
+        themselves).
         """
         P, tol, kernel = self.P, self.tol, self.kernel
         if not kernel.any():
@@ -339,22 +372,6 @@ class ParabolaAnalysis:
         T = symmat.congruence(P.coeffs, X)
         _verify_reduction(P, T, k, tol)
         return ReductionResult(X, T[0, :k, :k], MatrixParabola._of_symmetric(T[:, k:, k:]))
-
-    @property
-    def reduced(self):
-        """The analysis of the moving part of the ``reduction``, or None
-        when the reduction fails (InvalidCharacteristic): ``self`` when
-        the ``kernel`` mask is empty (returned, not stored: an analysis
-        that referred to itself would be freed only by the cycle
-        collector)."""
-        return self._moving if self.kernel.any() else self
-
-    @cached_property
-    def _moving(self):
-        try:
-            return ParabolaAnalysis(self.reduction.reduced, self.tol)
-        except InvalidCharacteristic:
-            return None
 
     @cached_property
     def positive(self):
@@ -376,15 +393,16 @@ class ParabolaAnalysis:
         empty gauge of the elliptic point leaves the constant block.
 
         Otherwise (no C-gauge, or H indefinite) the linearization
-        decides, on the moving part of the ``reduction`` when C is
-        singular and on P itself when C has full rank or the reduction
-        fails: Q(0) = A must be definite, and Q(s) must never become
-        singular for real s (eigenvalues move continuously in s).  Q(s)
-        is congruent to Q~(s) = I + 2s B~ + s^2 C~
-        (B~ = A^{-1/2} B A^{-1/2}, C~ = A^{-1/2} C A^{-1/2}), which is
-        singular at s = 1/mu exactly when mu is an eigenvalue of the
-        2m x 2m linearization [[0, I], [-C~, -2B~]].  One batched
-        eigvalsh over the stacked Q~(1/Re mu) then requires
+        decides in the ``a_frame`` Z: Q(0) = A must be definite (Z
+        exists), and Q(s) must never become singular for real s
+        (eigenvalues move continuously in s).  Q(s) is congruent to
+        Z^T Q(s) Z = I + 2s Z^T B Z + s^2 Z^T C Z; where B vanishes on
+        ker C (``_b_vanishes_on_kernel``) its constant columns split off
+        as I, and Q~(s) = I + 2s B~ + s^2 C~ is read on the moving
+        columns, otherwise on all of them.  Q~(s) is singular at
+        s = 1/mu exactly when mu is an eigenvalue of the linearization
+        [[0, I], [-C~, -2B~]].  One batched eigvalsh over the stacked
+        Q~(1/Re mu) then requires
         lambda_min(Q~(s)) > tol * max(1, 2|s| max|B~|, s^2 max|C~|),
         the largest of its three terms (1 = max|I|), for every mu with
         |Re mu| > tol * max|mu|; smaller mu are singular points at
@@ -398,15 +416,13 @@ class ParabolaAnalysis:
         caught because every real part is tested.  A direction of ker C
         would put a 2 x 2 Jordan block at mu = 0, which rounding splits
         to about sqrt(eps) max|mu|, above the floor; that is why the
-        reduction runs first.
+        constant columns split off first.
 
         Verdicts inside a band resolve to False (strictness preserved).
         """
         P, tol = self.P, self.tol
         if P.dim == 0:
             return True
-        if self.kernel.any() and self._constant_frame is None:
-            return False
         g = self.c_gauge
         if g is not None and self.inertia[0]:
             if not g.mu.size:
@@ -416,12 +432,11 @@ class ParabolaAnalysis:
                 return bool((g.H.diagonal() > tol * g.size).all())
             cells = symmat.clusters(g.mu, band)
             return all(_lambda_min(g.H[c, c]) > tol * g.size for c in cells)
-        if self.kernel.any() and self._moving is not None:
-            return self._moving.positive
-        if self.inv_root is None:
+        if (Z := self.a_frame) is None:
             return False
-        B, C = symmat.congruence(P.coeffs[1:], self.inv_root)
-        m = P.dim
+        k = int(self.kernel.sum()) if self._b_vanishes_on_kernel else 0  # constant columns split off
+        B, C = symmat.congruence(P.coeffs[1:], Z[:, k:])
+        m = B.shape[0]
         companion = np.block([[np.zeros((m, m)), np.eye(m)], [-C, -2.0 * B]])
         mu = np.linalg.eigvals(companion)
         floor = tol * np.max(np.abs(mu), initial=0.0)
@@ -460,23 +475,23 @@ def _lambda_min(S):
 
 
 def _schur(analysis) -> SchurResult:
-    """D = C - B A^{-1} B, formed as C - (A^{-1/2} B)^T (A^{-1/2} B), with
-    its PSD verdict and rank; raises SingularA unless A is positive
-    definite.
+    """D = C - B A^{-1} B, formed as C - (Z^T B)^T (Z^T B) from the
+    ``a_frame`` Z (Z Z^T = A^{-1}), with its PSD verdict and rank; raises
+    SingularA where Z is None (A, or at k >= 1 the constant block or
+    the moving block Y^T A Y, is not positive definite at its band).
 
     As in the membership decision, D vanishes on ker C and its inertia
     is that of H in the C-gauge (:attr:`ParabolaAnalysis.inertia`).
     Where no C-gauge exists (C indefinite, B not vanishing on ker C, or
     a constant block that is not definite), the eigenvalues of D are
-    read against tol * max(max|C|, max|A^{-1/2} B|^2).
+    read against tol * max(max|C|, max|Z^T B|^2).
     """
-    if analysis.inv_root is None:
+    if analysis.a_frame is None:
         raise SingularA("constant coefficient A is not positive definite at this tolerance")
-    P, half = analysis.P, analysis.inv_root @ analysis.P.B
+    P, half = analysis.P, analysis.a_frame.T @ analysis.P.B
     D = symmat.symmetrize(P.C - half.T @ half)
     band = analysis.tol * max(symmat.max_norm(P.C), symmat.max_norm(half) ** 2)
-    inertia = analysis.inertia  # None where no C-gauge decides
-    return SchurResult(D, *(inertia or _inertia(np.linalg.eigvalsh(D), band)))
+    return SchurResult(D, *(analysis.inertia or _inertia(np.linalg.eigvalsh(D), band)))
 
 
 class MembershipVerdict(tuple):
@@ -503,7 +518,7 @@ def check_positive_all_s(P: MatrixParabola, tol=DEFAULT_TOL):
 def schur_condition(P: MatrixParabola, tol=DEFAULT_TOL) -> SchurResult:
     """D = C - B A^{-1} B with its PSD verdict and rank (:func:`_schur`
     of a fresh analysis: the moving part's inertia of H where it has a
-    C-gauge); raises SingularA unless A is positive definite."""
+    C-gauge); raises SingularA unless the analysis's ``a_frame`` exists."""
     return _schur(ParabolaAnalysis(P, tol))
 
 

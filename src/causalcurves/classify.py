@@ -22,14 +22,15 @@ up to the choice of lattice).  This module can
   that fits is returned.
 
 Realization reads the membership verdict's :class:`ParabolaAnalysis`
-through its reduction X^T Q(s) X = blockdiag(K, Q_moving(s)), one
-assembly for every k, from the empty reduction (X = I, Q itself) when C
-has full rank to the elliptic point k = m, whose moving part is 0 x 0:
-from the moving part's A^{-1/2} it forms a' = B~, a'' = the rank-r root
-of G = C~ - B~^2 (the one place G is formed) and the lattice A^{1/2}.
-``almost_equivalent`` reads the two verdicts' C-gauges, which split off
-ker C themselves, so it builds no reduction, validates no manifold data
-and analyses no parabola beyond the two membership decisions.
+through its frame Z with Z^T A Z = I (``a_frame``), one assembly for
+every k, from Z = A^{-1/2} when C has full rank to the elliptic point
+k = m, whose moving part is 0 x 0: from the moving columns of Z it forms
+a' = B~, a'' = the rank-r root of G = C~ - B~^2 (the one place G is
+formed), and the lattice is Z^{-1} = Z^T A.  ``realize`` and
+``almost_equivalent`` read the verdicts' analyses, which split off
+ker C themselves, so neither builds a reduction nor analyses a parabola
+beyond its membership decisions, and ``almost_equivalent`` validates no
+manifold data.
 """
 
 from __future__ import annotations
@@ -245,34 +246,29 @@ def _spectrum(analysis):
 def realize(P: MatrixParabola, n, tol=DEFAULT_TOL) -> ManifoldData:
     """Manifold data whose characteristic parabola is P.
 
-    With X^T Q(s) X = blockdiag(K, Q_moving(s)) from the reduction,
-    normalizing the moving part by A^{-1/2} writes it as a sum of squares
-    A^{1/2}((1 + s B~)^2 + s^2 (C~ - B~^2)) A^{1/2}: a' = blockdiag(0, B~),
+    In the ``a_frame`` Z of the membership verdict's analysis,
+    Z^T Q(s) Z = blockdiag(I, (1 + s B~)^2 + s^2 (C~ - B~^2)) within the
+    ker C bands, with (B~, C~) = Z_mov^T (B, C) Z_mov on the moving
+    columns Z_mov (the last m - k): a' = blockdiag(0, B~),
     a'' = [0 | a''_moving] with a''_moving any root of G = C~ - B~^2 of
-    the right rank, and the lattice is blockdiag(K^{1/2}, A^{1/2}) X^{-1}.
-    When C has full rank, X = I and K is 0 x 0, so the lattice is
-    A^{1/2}; at the elliptic point (k = m) the moving part is 0 x 0.  The
-    composition with char_polynomial is the identity on parabolas up to
-    roundoff.  B~, A^{1/2} = A A^{-1/2} and G are formed from the
-    A^{-1/2} of the moving part of the membership verdict's analysis,
-    and the reduction is the verdict's.
+    the right rank, and the lattice is Z^{-1} = Z^T A.  When C has full
+    rank Z = A^{-1/2} and the lattice is A^{1/2} = A A^{-1/2},
+    symmetrized; at the elliptic point (k = m) the moving part is
+    0 x 0.  The composition with char_polynomial is the identity on
+    parabolas up to roundoff.  No parabola is analysed beyond the
+    membership decision, and no SVD or inverse is formed.
     """
     ok, sig = verdict = is_characteristic(P, n, tol)
     if not ok:
         raise NotCharacteristic(
             f"parabola fails the membership criteria at n={n}"
         )
-    analysis, m, r, k = verdict.analysis, P.dim, sig.r, sig.k
-    moving = analysis.reduced
-    B_t, C_t = symmat.congruence(moving.P.coeffs[1:], moving.inv_root)
-    a_prime, a_dblprime, lattice = np.zeros((m, m)), np.zeros((r, m)), np.zeros((m, m))
+    m, r, k, Z = P.dim, sig.r, sig.k, verdict.analysis.a_frame
+    B_t, C_t = symmat.congruence(P.coeffs[1:], Z[:, k:])
+    a_prime, a_dblprime = np.zeros((m, m)), np.zeros((r, m))
     a_prime[k:, k:] = B_t
     a_dblprime[:, k:] = _transverse_root(B_t, C_t, r)
-    lattice[k:, k:] = symmat.symmetrize(moving.P.A @ moving.inv_root)
-    if k:  # X = I and K is 0 x 0 when C has full rank.
-        red = analysis.reduction
-        lattice[:k, :k] = symmat.psd_sqrt(red.constant_block, tol)
-        lattice = lattice @ np.linalg.inv(red.X)
+    lattice = Z.T @ P.A if k else symmat.symmetrize(P.A @ Z)
     return build(sig.n, a_prime, a_dblprime, lattice, tol)
 
 
@@ -457,7 +453,7 @@ def almost_equivalent(P1, P2, tol=DEFAULT_TOL, n=None) -> AlmostVerdict:
         return witness
     X, alpha, beta = witness
     if sig1.k:  # E1 -> E2: the constant directions.
-        X = X + a2._constant_frame @ (a1._constant_frame.T @ P1.A)
+        X = X + a2._frames[0] @ (a1._frames[0].T @ P1.A)
     return _yes(P1, P2, X, alpha, beta, tol)
 
 

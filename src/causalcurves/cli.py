@@ -261,11 +261,11 @@ def _cmd_validate_parabola(P, args):
     ok, sig = verdict = charpoly.is_characteristic(P, args.n, args.tol)
     analysis = verdict.analysis
     # The Schur condition needs A positive definite, and a positive Q(s)
-    # has A = Q(0) definite: its inertia is then that of the C-gauge's H,
-    # without A^{-1/2}.  Where no C-gauge decides, D is formed from
-    # A^{-1/2}; it is null when A is not definite.
+    # has A = Q(0) definite: its inertia is then that of the C-gauge's H.
+    # Where no C-gauge decides, D is formed from the frame Z^T A Z = I;
+    # it is null where that frame does not exist.
     inertia = analysis.inertia if analysis.positive else None
-    if inertia is None and analysis.inv_root is not None:
+    if inertia is None and analysis.a_frame is not None:
         schur = charpoly._schur(analysis)
         inertia = schur.psd, schur.rank
     psd, rank = inertia or (None, None)

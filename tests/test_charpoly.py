@@ -12,6 +12,7 @@ from causalcurves import (
     InvalidCharacteristic,
     MatrixParabola,
     NonFiniteInput,
+    NotCharacteristic,
     NotDegenerate,
     Signature,
     SignatureInconsistent,
@@ -277,7 +278,7 @@ class TestSchur:
         for m in (2, 3, 5, 8):
             P = random_characteristic_parabola(rng, m=m)
             r = is_characteristic(P, 2 * m + 2)[1].r
-            B_t, C_t = symmat.congruence(P.coeffs[1:], charpoly.ParabolaAnalysis(P).inv_root)
+            B_t, C_t = symmat.congruence(P.coeffs[1:], charpoly.ParabolaAnalysis(P).a_frame)
             C_t = rounding_asymmetric(C_t)
             G = C_t - B_t @ B_t
             assert not np.array_equal(G, G.T)
@@ -291,7 +292,7 @@ class TestDiagnosticsReduceFirst:
     membership decision does.  The linearization of a parabola with
     singular C has a 2 x 2 Jordan block at mu = 0 per direction of
     ker C; rounding splits it to about sqrt(eps) max|mu|, above the
-    s = infinity floor tol * max|mu|, so without the reduction these
+    s = infinity floor tol * max|mu|, so without that split these
     members read as not positive, and under wide maps the A-gauge
     misreads their Schur rank."""
 
@@ -301,12 +302,21 @@ class TestDiagnosticsReduceFirst:
         assert is_characteristic(P, 2 * P.dim + 2)[0]
         assert check_positive_all_s(P)
 
-    @pytest.mark.parametrize("seed", [7, 19, 73, 127])
+    # From 27 on, A is definite only below its band, so A^{-1/2} does not
+    # exist; the frame Z^T A Z = I does, its blocks K and Y^T A Y being
+    # definite.
+    @pytest.mark.parametrize("seed", [7, 19, 73, 127, 27, 67, 163, 199, 203, 335, 347, 355])
     def test_schur_rank_is_the_signature_rank(self, seed):
         P, r = wide_degenerate_member(seed)
         assert is_characteristic(P, 2 * P.dim + 2)[1].r == r
         schur = schur_condition(P)
         assert (schur.psd, schur.rank) == (True, r)
+
+    def test_realize_round_trip_where_a_is_definite_only_below_its_band(self):
+        P, r = wide_degenerate_member(199)
+        M = realize(P, 2 * P.dim + 2)
+        assert M.a_dblprime.shape[0] == r
+        assert char_polynomial(M).close_to(P, 1e-12)
 
     def test_zero_order_part_needs_no_eigensolver(self, monkeypatch):
         # The elliptic point's moving part is 0 x 0: positive, with
@@ -330,6 +340,76 @@ class TestDiagnosticsReduceFirst:
         assert not check_positive_all_s(P)
         schur = schur_condition(P)
         assert (schur.psd, schur.rank) == (False, 2)
+
+
+class TestOneAnalysisPerCall:
+    """Each top-level call analyses its parabola once: realize, the
+    positivity linearization and the Schur diagnostic read the frame
+    Z^T A Z = I of that analysis, and no analysis of a moving part is
+    built."""
+
+    @staticmethod
+    def parabola(kind):
+        rng = np.random.default_rng(31)
+        if kind == "k0":
+            return random_characteristic_parabola(rng, m=3)
+        member = char_polynomial(random_manifold(rng, m=3, r=1, k=1))
+        if kind == "k1":
+            return member
+        if kind == "b_leaking":
+            u, x = np.linalg.eigh(member.C)[1][:, 0], rng.standard_normal(3)
+            return MatrixParabola(member.A, member.B + 1e-2 * (np.outer(u, x) + np.outer(x, u)), member.C)
+        # (s + diag(0, 1))^2 + diag(1, -1/2) beside one constant direction:
+        # H is indefinite, and Q(-1) is not definite.
+        mu = np.array([0.0, 1.0])
+        moving = np.array([np.diag(mu * mu) + np.diag([1.0, -0.5]), np.diag(mu), I2])
+        return _assembled(np.eye(1), moving, random_real_invertible(rng, 3))
+
+    @pytest.mark.parametrize("kind", ["k0", "k1", "h_indefinite", "b_leaking"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda P: is_characteristic(P, 2 * P.dim + 2),
+            lambda P: realize(P, 2 * P.dim + 2),
+            check_positive_all_s,
+            schur_condition,
+        ],
+        ids=["is_characteristic", "realize", "check_positive_all_s", "schur_condition"],
+    )
+    def test_one_analysis(self, monkeypatch, kind, call):
+        P = self.parabola(kind)
+        member = kind in ("k0", "k1")
+        assert is_characteristic(P, 2 * P.dim + 2)[0] == check_positive_all_s(P) == member
+        analyses = []
+        init = charpoly.ParabolaAnalysis.__init__
+
+        def counted(analysis, *args, **kwargs):
+            analyses.append(analysis)
+            init(analysis, *args, **kwargs)
+
+        monkeypatch.setattr(charpoly.ParabolaAnalysis, "__init__", counted)
+        try:
+            call(P)
+        except NotCharacteristic:
+            assert not member
+        assert len(analyses) == 1
+
+    def test_realize_forms_no_svd_or_inverse(self, monkeypatch):
+        P, calls = self.parabola("k1"), []
+
+        def recorded(name, function):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+
+            return call
+
+        for name in ("svd", "inv"):
+            monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(classify, "build", recorded("build", classify.build))
+        M = realize(P, 2 * P.dim + 2)
+        assert calls[: calls.index("build")] == []
+        assert char_polynomial(M).close_to(P, 1e-12)
 
 
 class TestIsCharacteristic:
@@ -591,17 +671,15 @@ class TestIsCharacteristic:
 
 class TestReduction:
     def test_full_rank_builds_no_empty_reduction(self, monkeypatch, rng):
-        # The moving part of a full-rank C is the analysis itself, read
-        # from the kernel mask; neither membership, realize nor
-        # reduce_degenerate (which raises NotDegenerate) asks for the
-        # empty reduction X = I.
+        # Neither membership, realize nor reduce_degenerate (which raises
+        # NotDegenerate) asks for the empty reduction X = I.
         def built(*args):
             raise AssertionError("empty reduction built")
 
         monkeypatch.setattr(charpoly, "ReductionResult", built)
         P = random_characteristic_parabola(rng, m=3)
         verdict = is_characteristic(P, 2 * P.dim + 2)
-        assert verdict[0] and verdict.analysis.reduced is verdict.analysis
+        assert verdict[0]
         assert char_polynomial(realize(P, 2 * P.dim + 2)).close_to(P, 1e-8)
         with pytest.raises(NotDegenerate):
             reduce_degenerate(P)
@@ -670,7 +748,7 @@ class TestReduction:
 
     def test_full_rank_is_the_empty_reduction(self, monkeypatch):
         # X = I, a 0 x 0 constant block and P itself, with no SVD and no
-        # block check; the moving part's analysis is the analysis itself.
+        # block check.
         def refused(*args, **kwargs):
             raise AssertionError("reduction computed for full-rank C")
 
@@ -682,7 +760,6 @@ class TestReduction:
         np.testing.assert_array_equal(red.X, np.eye(2))
         assert red.constant_block.shape == (0, 0)
         assert red.reduced is P
-        assert analysis.reduced is analysis
 
     def test_full_rank_rejected(self):
         with pytest.raises(NotDegenerate):
@@ -738,9 +815,9 @@ def _assembled(K, moving, X):
 
 class TestConstantDirectionsAgainstReduction:
     """The decision splits ker C off inside the C-gauge; the SVD
-    reduction, which realize and reduce_degenerate keep, is the
-    reference: a definite constant block, then the moving part's verdict
-    at n - k, with k added back to its signature."""
+    reduction, which reduce_degenerate keeps, is the reference: a
+    definite constant block, then the moving part's verdict at n - k,
+    with k added back to its signature."""
 
     @staticmethod
     def through_reduction(P, n):

@@ -252,7 +252,7 @@ STABLE_OUTPUT = {
         {"A": [[1.0, 1.0], [1.0, 3.0]], "B": [[0.5, 0.5], [0.5, 0.5]], "C": [[1.0, 1.0], [1.0, 1.0]]},
         5,
         {"A": [[14.0, 8.0], [8.0, 5.0]], "B": [[12.0, 6.0], [6.0, 3.0]], "C": [[16.0, 8.0], [8.0, 4.0]]},
-        '{"error": null, "ok": true, "result": {"a_dblprime": [[0.0, 0.866025403784]], "a_prime": [[0.0, 0.0], [0.0, 0.5]], "lattice": [[0.0, 1.41421356237], [-1.0, -1.0]], "n": 5}}\n',
+        '{"error": null, "ok": true, "result": {"a_dblprime": [[0.0, 0.866025403784]], "a_prime": [[0.0, 0.0], [0.0, 0.5]], "lattice": [[0.0, 1.41421356237], [1.0, 1.0]], "n": 5}}\n',
         '{"error": null, "ok": true, "result": {"A": [[1.0, 1.0], [1.0, 2.99999999999]], "B": [[0.5, 0.5], [0.5, 0.5]], "C": [[0.999999999999, 0.999999999999], [0.999999999999, 0.999999999999]]}}\n',
         '{"error": null, "ok": true, "result": {"certificate": {"X": [[-1, 0], [1, -1]], "alpha": 0.5, "beta": -0.5, "integral": true}, "reason": "verified witness", "verdict": "yes"}}\n',
     ),
@@ -310,7 +310,7 @@ class TestValidateParabola:
         # A is positive definite only below the band, so A^{-1/2} is
         # None; the Schur verdict is the moving part's inertia of H.
         P, r = wide_degenerate_member(seed)
-        assert causalcurves.ParabolaAnalysis(P).inv_root is None
+        assert causalcurves.symmat.pd_inv_sqrt(P.A) is None
         payload = {"A": P.A.tolist(), "B": P.B.tolist(), "C": P.C.tolist()}
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
         assert main(["validate-parabola", "--n", str(2 * P.dim + 2)]) == 0

@@ -1,4 +1,6 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion, with numpy's RuntimeWarnings as
+errors: the warnings policy of pyproject.toml does not reach a
+subprocess."""
 
 import os
 import subprocess
@@ -14,7 +16,7 @@ DEMOS = sorted(name for name in os.listdir(os.path.join(ROOT, "demos")) if name.
 def test_demo_exits_cleanly(demo):
     path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "demos", demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", os.path.join(ROOT, "demos", demo)],
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
