@@ -80,9 +80,7 @@ _FLOAT_MAX = sys.float_info.max
 @dataclass(frozen=True, eq=False)
 class MatrixParabola:
     """Coefficient triple (A, B, C) of equal order: the rows of one (3, m, m)
-    stack ``coeffs``, checked finite and symmetrized on entry (a stack
-    that is exactly symmetric already, as a reduction's is, is held as
-    given)."""
+    stack ``coeffs``, checked finite and symmetrized on entry."""
 
     A: np.ndarray
     B: np.ndarray
@@ -93,18 +91,10 @@ class MatrixParabola:
         A = symmat.as_square(self.A, "A")
         if np.shape(self.B) != A.shape or np.shape(self.C) != A.shape:
             raise DimensionMismatch(f"coefficient shapes differ: {A.shape}, {np.shape(self.B)}, {np.shape(self.C)}")
-        self._hold(symmat.symmetrize(_finite(np.array((A, self.B, self.C), dtype=float))))
-
-    @classmethod
-    def _of_symmetric(cls, coeffs):
-        """The parabola of a (3, m, m) stack that is already exactly
-        symmetric, such as a slice of :func:`symmat.congruence` output:
-        checked finite and held as given, neither copied nor symmetrized."""
-        P = object.__new__(cls)
-        P._hold(_finite(coeffs))
-        return P
-
-    def _hold(self, coeffs):
+        coeffs = np.array((A, self.B, self.C), dtype=float)
+        if not np.isfinite(coeffs).all():
+            raise NonFiniteInput(f"{'ABC'[np.isfinite(coeffs).all(axis=(1, 2)).argmin()]} has non-finite entries")
+        coeffs = symmat.symmetrize(coeffs)
         vars(self).update(coeffs=coeffs, A=coeffs[0], B=coeffs[1], C=coeffs[2])
 
     @property
@@ -122,14 +112,6 @@ class MatrixParabola:
     def close_to(self, other, tol=DEFAULT_TOL):
         """Coefficient-wise comparison at tol relative to this parabola."""
         return other.dim == self.dim and symmat.max_norm(self.coeffs - other.coeffs) <= tol * self.coeff_scale()
-
-
-def _finite(coeffs):
-    """``coeffs``, a (3, m, m) stack, unless an entry is not finite:
-    NonFiniteInput naming the first such coefficient."""
-    if not np.isfinite(coeffs).all():
-        raise NonFiniteInput(f"{'ABC'[np.isfinite(coeffs).all(axis=(1, 2)).argmin()]} has non-finite entries")
-    return coeffs
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,14 +193,16 @@ class ParabolaAnalysis:
     coefficient, so the gauge does not move under s -> s + beta, and H
     is the Schur complement of C in [[A, B], [B, C]] (in the gauge),
     with the inertia of D = C - B A^{-1} B.  One gauge serves every k:
-    no second parabola is formed.  Where an eigenvalue of C could
-    overflow, C is decomposed in units of an even power of two
-    (``_c_units``) and W rescaled exactly.  The one A-gauge attribute is
-    the frame ``a_frame`` (Z^T A Z = I), built from the same U, (kappa,
-    R) and Y, which ``realize``, :func:`_schur` and the linearization of
-    ``positive`` read; the SVD ``reduction`` is built only for
-    :func:`reduce_degenerate`.  Each attribute is computed on first use
-    and kept.  Raises NonFiniteInput unless 0 <= tol < inf.
+    no second parabola is formed.  Where an eigenvalue of C, of K or of
+    Y^T A Y could overflow, C (for W) or A (for E and ``a_frame``) is
+    decomposed in units of an even power of two (:func:`_units`) and the
+    frame rescaled exactly.
+    The one A-gauge attribute is the frame ``a_frame`` (Z^T A Z = I),
+    built from the same U, (kappa, R) and Y, which ``realize``,
+    :func:`_schur` and the linearization of ``positive`` read; the SVD
+    ``reduction`` is built only for :func:`reduce_degenerate`.  Each
+    attribute is computed on first use and kept.  Raises NonFiniteInput
+    unless 0 <= tol < inf.
     """
 
     def __init__(self, P: MatrixParabola, tol=DEFAULT_TOL):
@@ -229,22 +213,13 @@ class ParabolaAnalysis:
     @cached_property
     def _c_units(self):
         """(e, max|C| / 2^e): the eigenvalues of C are read in units of
-        2^e.  e = 0 unless m max|C|, which bounds every |eigenvalue|,
-        exceeds the float maximum; then e is the even exponent at or
-        above that of max|C| (``math.frexp``), so that the exactly scaled
-        2^-e C has finite eigenvalues."""
-        top = symmat.max_norm(self.P.C)
-        if self.P.dim * top <= _FLOAT_MAX:
-            return 0, top
-        exponent = math.frexp(top)[1]
-        exponent += exponent % 2
-        return exponent, math.ldexp(top, -exponent)
+        2^e (:func:`_units`)."""
+        return _units(self.P.C)
 
     @cached_property
     def c_eig(self):
         """Eigenpairs of C, the eigenvalues in the units of ``_c_units``."""
-        exponent = self._c_units[0]
-        return symmat.sym_eig(self.P.C * math.ldexp(1.0, -exponent) if exponent else self.P.C)
+        return symmat.sym_eig(_in_units(self.P.C, self._c_units[0]))
 
     @cached_property
     def kernel(self):
@@ -280,8 +255,7 @@ class ParabolaAnalysis:
             if k == P.dim:
                 return CGauge(np.zeros((k, 0)), np.zeros(0), np.zeros((0, 0)), np.zeros(0), 0.0)
             W = self._frames[2] / np.sqrt(values[k:])
-        if exponent := self._c_units[0]:  # eigenvalues in units of 2^e, e even: exact
-            W = W * math.ldexp(1.0, -exponent // 2)
+        W = _in_units(W, self._c_units[0] // 2)  # eigenvalues in units of 2^e, e even: exact
         mu, U = symmat.sym_eig(symmat.congruence(P.B, W))
         F = W @ U
         H = symmat.congruence(P.A, F)
@@ -304,11 +278,15 @@ class ParabolaAnalysis:
         the constant frame E = U R kappa^{-1/2} (E^T A E = I) and the
         moving frame Y = V_c - E E^T A V_c, the eigenvectors V_c of C off
         the band made A-orthogonal to ker C.  None unless K is positive
-        definite (lambda_min clears tol * max|K|).  Read only when C is
+        definite (lambda_min clears tol * max|K|).  A is read in the
+        units 2^e of :func:`_units`, so that K and E^T A V_c stay finite,
+        and E is rescaled by the exact 2^(-e/2).  Read only when C is
         singular."""
         kernel, vectors = self.kernel, self.c_eig.vectors
+        exponent = _units(self.P.A)[0]
+        A = _in_units(self.P.A, exponent)
         U = vectors[:, kernel]
-        K = symmat.congruence(self.P.A, U)
+        K = symmat.congruence(A, U)
         kappa, R = symmat.sym_eig(K)
         if not kappa[0] > self.tol * symmat.max_norm(K):
             return None
@@ -316,7 +294,8 @@ class ParabolaAnalysis:
         # ker C comes first unless C is indefinite; BLAS rounds a slice of
         # the eigenvectors and a copy of it differently.
         V = vectors[:, U.shape[1]:] if kernel[0] else vectors[:, ~kernel]
-        return E, R, V - E @ (E.T @ self.P.A @ V)
+        Y = V - E @ (E.T @ A @ V)
+        return _in_units(E, exponent // 2), R, Y
 
     @cached_property
     def a_frame(self):
@@ -326,8 +305,9 @@ class ParabolaAnalysis:
         When C has full rank Z = A^{-1/2} (:func:`symmat.pd_inv_sqrt`).
         Otherwise Z = [U K^{-1/2} | Y (Y^T A Y)^{-1/2}] from the
         ``_frames`` (E, R, Y), with U K^{-1/2} = E R^T, so that
-        (Y^T A Y)^{-1/2} is the one decomposition added.  The first k
-        columns span ker C, so within the ker C bands
+        (Y^T A Y)^{-1/2} is the one decomposition added, read in the
+        units of :func:`_units` like K.  The first k columns span ker C,
+        so within the ker C bands
         Z^T Q(s) Z = blockdiag(I, I + 2s B~ + s^2 C~) with
         (B~, C~) = Z_mov^T (B, C) Z_mov on the moving columns Z_mov, and
         Z Z^T = A^{-1}.  At the elliptic point Z = U K^{-1/2}.
@@ -337,8 +317,9 @@ class ParabolaAnalysis:
         if self._frames is None:
             return None
         E, R, Y = self._frames
-        root = symmat.pd_inv_sqrt(symmat.congruence(self.P.A, Y), self.tol)
-        return None if root is None else np.hstack([E @ R.T, Y @ root])
+        exponent = _units(self.P.A)[0]
+        root = symmat.pd_inv_sqrt(symmat.congruence(_in_units(self.P.A, exponent), Y), self.tol)
+        return None if root is None else np.hstack([E @ R.T, _in_units(Y @ root, exponent // 2)])
 
     @cached_property
     def reduction(self):
@@ -371,7 +352,7 @@ class ParabolaAnalysis:
         X = np.hstack([U, vh[k:].T])
         T = symmat.congruence(P.coeffs, X)
         _verify_reduction(P, T, k, tol)
-        return ReductionResult(X, T[0, :k, :k], MatrixParabola._of_symmetric(T[:, k:, k:]))
+        return ReductionResult(X, T[0, :k, :k], MatrixParabola(*T[:, k:, k:]))
 
     @cached_property
     def positive(self):
@@ -462,6 +443,26 @@ class ParabolaAnalysis:
             return True, 0
         g = self.c_gauge
         return None if g is None else _inertia(g.h, self.tol * g.size)
+
+
+def _units(S):
+    """(e, max|S| / 2^e) for a square S, to be decomposed in units of 2^e.
+    e = 0 unless m max|S|, which bounds every |eigenvalue| of S and every
+    entry of U^T S V for orthonormal U and V, exceeds the float maximum;
+    then e is the even exponent at or above that of max|S|
+    (``math.frexp``), so that the exactly scaled 2^-e S has finite
+    eigenvalues and congruences, and a factor 2^(-e/2) is exact too."""
+    top = symmat.max_norm(S)
+    if S.shape[0] * top <= _FLOAT_MAX:
+        return 0, top
+    exponent = math.frexp(top)[1]
+    exponent += exponent % 2
+    return exponent, math.ldexp(top, -exponent)
+
+
+def _in_units(S, exponent):
+    """2^-exponent S, exactly; S itself when the exponent is 0."""
+    return S * math.ldexp(1.0, -exponent) if exponent else S
 
 
 def _inertia(values, band):

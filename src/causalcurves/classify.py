@@ -38,8 +38,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from typing import NamedTuple
+from functools import cache
 
 import numpy as np
 
@@ -174,26 +173,26 @@ class AffineSpectrum:
 
     Canonical form: smallest value 0, largest 1; a spectrum whose values
     all coincide is flagged degenerate and canonicalized to zeros.  The
-    uncanonicalized eigenvalues are kept in ``raw`` (they fix the affine
-    alignment between two matching spectra).
+    uncanonicalized eigenvalues are kept in ascending ``raw``, with their
+    lowest value ``low`` and ``spread`` (largest minus lowest), which fix
+    the affine alignment between two matching spectra, and ``size`` =
+    max|raw| / spread, the size of the operands of the canonical values
+    (1 for a degenerate spectrum); the three are Python floats.
     """
 
     values: np.ndarray
     degenerate: bool
     raw: np.ndarray
-
-    @cached_property
-    def size(self):
-        """max|raw| / spread, the size of the operands of the canonical
-        values (1 for a degenerate spectrum)."""
-        return 1.0 if self.degenerate else symmat.max_norm(self.raw) / np.ptp(self.raw)
+    low: float
+    spread: float
+    size: float
 
     def matches(self, other, tol=SPECTRUM_TOL):
         """Equality of canonical forms at tol times the larger size."""
         if self.degenerate != other.degenerate or self.values.size != other.values.size:
             return False
         band = tol * max(self.size, other.size)
-        return bool(np.all(np.abs(self.values - other.values) <= band))
+        return bool(np.abs(self.values - other.values).max(initial=0.0) <= band)
 
 
 def affine_spectrum(P: MatrixParabola, tol=DEFAULT_TOL) -> AffineSpectrum:
@@ -210,37 +209,18 @@ def affine_spectrum(P: MatrixParabola, tol=DEFAULT_TOL) -> AffineSpectrum:
 
 
 def _affine_spectrum(analysis):
-    """:func:`affine_spectrum` from the C-gauge of ``analysis``, which
-    must exist: C^{-1/2} B C^{-1/2} is orthogonally similar to W^T B W,
-    whose eigenvalues the gauge holds (on the moving directions when C
-    is singular)."""
-    reading = _spectrum(analysis)
-    return AffineSpectrum(reading.values, reading.degenerate, analysis.c_gauge.mu)
-
-
-class _Spectrum(NamedTuple):
-    """What the equivalence decision reads of an affine spectrum, its
-    scalars as Python floats: the lowest of the raw values, their
-    spread, ``size`` = max|raw| / spread (1 when degenerate), the
-    ``degenerate`` flag and the canonical ``values`` of
-    :class:`AffineSpectrum`."""
-
-    low: float
-    spread: float
-    size: float
-    degenerate: bool
-    values: np.ndarray
-
-
-def _spectrum(analysis):
-    """The :class:`_Spectrum` of a nonempty C-gauge, from the two ends of
-    its ascending mu: max|mu| is the larger of their magnitudes."""
+    """The :class:`AffineSpectrum` of a nonempty C-gauge of ``analysis``:
+    C^{-1/2} B C^{-1/2} is orthogonally similar to W^T B W, whose
+    eigenvalues mu the gauge holds in ascending order (on the moving
+    directions when C is singular).  Everything is read from the two
+    ends of mu, max|mu| being the larger of their magnitudes; the
+    spectrum is degenerate when the spread is within tol * max|mu|."""
     mu = analysis.c_gauge.mu
     low, high = float(mu[0]), float(mu[-1])
     spread, top = high - low, max(abs(low), abs(high))
     if spread <= analysis.tol * top:
-        return _Spectrum(low, spread, 1.0, True, np.zeros_like(mu))
-    return _Spectrum(low, spread, top / spread, False, (mu - low) / spread)
+        return AffineSpectrum(np.zeros_like(mu), True, mu, low, spread, 1.0)
+    return AffineSpectrum((mu - low) / spread, False, mu, low, spread, top / spread)
 
 
 def realize(P: MatrixParabola, n, tol=DEFAULT_TOL) -> ManifoldData:
@@ -340,7 +320,7 @@ def _signs(S, band):
 
 def _normal_form(analysis, spectrum):
     """(H, band, G, scale) of a k = 0 member with affine spectrum
-    ``spectrum`` (a :class:`_Spectrum`), before its signs are fixed:
+    ``spectrum`` (an :class:`AffineSpectrum`), before its signs are fixed:
     G^T C G = I and G^T Q(s) G = (s + diag mu)^2 + scale^2 H, and
     ``band`` is the resolution of H.
 
@@ -465,12 +445,8 @@ def _moving_witness(a1, a2):
     always pair, with X = 0."""
     if not a1.c_gauge.mu.size:
         return np.zeros((a1.P.dim, a1.P.dim)), 1.0, 0.0
-    # Equal signatures give mu of equal length; the canonical values of
-    # two degenerate spectra are zeros, which always match.
-    sp1, sp2 = _spectrum(a1), _spectrum(a2)
-    if sp1.degenerate != sp2.degenerate or not sp1.degenerate and (
-        np.abs(sp1.values - sp2.values).max() > SPECTRUM_TOL * max(sp1.size, sp2.size)
-    ):
+    sp1, sp2 = _affine_spectrum(a1), _affine_spectrum(a2)
+    if not sp1.matches(sp2):
         return AlmostVerdict("no", None, "affine spectra differ")
     try:
         H1, band1, G1, scale1 = _normal_form(a1, sp1)

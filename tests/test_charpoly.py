@@ -613,6 +613,32 @@ class TestIsCharacteristic:
         g = analysis.c_gauge
         np.testing.assert_allclose(symmat.congruence(Q.C, g.F), np.eye(3), atol=1e-9)
 
+    def test_largest_finite_a_decides_like_the_member(self):
+        # Draws of a seeded scan of members with k <= 2 at max|entry| =
+        # 1.7e308: the constant block K = U^T A U and E^T A V_c overflowed
+        # (46 and 268) or read r = 2 for r = 1 (61), and Y^T A Y in the
+        # frame Z^T A Z = I overflowed in schur_condition and realize (12).
+        # A is decomposed as 2^-e A and the frames rescaled by 2^(-e/2).
+        rng = np.random.default_rng(11)
+        members = []
+        for _ in range(269):
+            m = int(rng.integers(1, 9))
+            k = int(rng.integers(0, min(m, 3))) if m > 1 else 0
+            r = int(rng.integers(1, m - k + 1))
+            members.append(char_polynomial(random_manifold(rng, m=m, r=r, k=k, zero_eigs=0)))
+        for draw in (12, 46, 61, 268):
+            P = members[draw]
+            Q = MatrixParabola(*(P.coeffs * (1.7e308 / np.abs(P.coeffs).max())))
+            n = 2 * P.dim + 2
+            verdict = is_characteristic(Q, n)
+            assert verdict == is_characteristic(P, n)
+            ok, sig = verdict
+            assert ok and sig.k >= 1
+            Z = verdict.analysis.a_frame
+            np.testing.assert_allclose(symmat.congruence(Q.A, Z), np.eye(P.dim), atol=1e-9)
+            assert (schur_condition(Q).psd, schur_condition(Q).rank) == (True, sig.r)
+            assert char_polynomial(realize(Q, n)).close_to(Q, 1e-8)
+
     def test_rank_bookkeeping(self, rng):
         for _ in range(40):
             k = int(rng.integers(0, 2))

@@ -330,10 +330,11 @@ def spectrum_members(rng):
 
 
 class TestSpectrumReading:
-    """The equivalence decision reads the affine spectrum's lowest value,
+    """The one builder of the affine spectrum reads its lowest value,
     spread, size and degenerate flag as floats from the ends of the
     ascending mu, and the normal form's scale from the ends of the
-    ascending h: the same numbers as the public records, bit for bit."""
+    ascending h: the same numbers as the np.ptp and max_norm reference,
+    bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_the_record(self, seed):
@@ -341,20 +342,23 @@ class TestSpectrumReading:
         for kind, P in spectrum_members(rng).items():
             analysis = is_characteristic(P, 2 * P.dim + 2).analysis
             mu = analysis.c_gauge.mu
-            reading = classify._spectrum(analysis)
+            spectrum = classify._affine_spectrum(analysis)
             values, degenerate, size = reference_affine_spectrum(analysis)
-            assert reading.degenerate is degenerate is (kind == "degenerate")
-            np.testing.assert_array_equal(reading.values, values)
-            assert reading.size == size and type(reading.size) is float
-            assert (reading.low, reading.spread) == (mu[0], float(mu[-1] - mu[0]))
+            assert spectrum.degenerate is degenerate is (kind == "degenerate")
+            np.testing.assert_array_equal(spectrum.values, values)
+            np.testing.assert_array_equal(spectrum.raw, mu)
+            assert spectrum.size == size
+            assert (spectrum.low, spectrum.spread) == (mu[0], float(mu[-1] - mu[0]))
+            assert {type(x) for x in (spectrum.low, spectrum.spread, spectrum.size)} == {float}
             if kind == "cluster":
-                gaps = np.diff(reading.values)
-                assert (gaps <= classify.SPECTRUM_TOL * reading.size).sum() == 1
+                gaps = np.diff(spectrum.values)
+                assert (gaps <= classify.SPECTRUM_TOL * spectrum.size).sum() == 1
             if not analysis.kernel.any():
                 record = affine_spectrum(P)
-                np.testing.assert_array_equal(reading.values, record.values)
-                assert (reading.degenerate, reading.size) == (record.degenerate, record.size)
-                np.testing.assert_array_equal(record.raw, mu)
+                for name in ("values", "raw"):
+                    np.testing.assert_array_equal(getattr(record, name), getattr(spectrum, name))
+                assert (record.degenerate, record.low, record.spread, record.size) == (
+                    spectrum.degenerate, spectrum.low, spectrum.spread, spectrum.size)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_normal_form_scale_and_band(self, seed):
@@ -363,14 +367,69 @@ class TestSpectrumReading:
         rng = np.random.default_rng(seed)
         for kind, P in spectrum_members(rng).items():
             analysis = is_characteristic(P, 2 * P.dim + 2).analysis
-            g, reading = analysis.c_gauge, classify._spectrum(analysis)
-            H, band, G, scale = classify._normal_form(analysis, reading)
-            scale2 = symmat.max_norm(g.h) if reading.degenerate else float(g.mu[-1] - g.mu[0]) ** 2
+            g, spectrum = analysis.c_gauge, classify._affine_spectrum(analysis)
+            H, band, G, scale = classify._normal_form(analysis, spectrum)
+            scale2 = symmat.max_norm(g.h) if spectrum.degenerate else float(g.mu[-1] - g.mu[0]) ** 2
             assert scale == np.sqrt(scale2)
-            assert band == classify.SPECTRUM_TOL * (g.size / scale2 + 2.0 * reading.size * symmat.max_norm(H))
+            assert band == classify.SPECTRUM_TOL * (g.size / scale2 + 2.0 * spectrum.size * symmat.max_norm(H))
             if kind in ("k0", "k2"):
                 assert G is g.F
                 np.testing.assert_array_equal(H, g.H / scale2)
+
+
+def normal_form_member(mu, H):
+    """The k = 0 member (s + diag mu)^2 + H, with C = I."""
+    return MatrixParabola(np.diag(mu * mu) + H, np.diag(mu), np.eye(mu.size))
+
+
+class TestSpectrumBandEdge:
+    """On k = 0 pairs of equal signature, almost_equivalent answers
+    "affine spectra differ" exactly when the public records do not
+    match: canonical spectra half and twice the band apart, and a
+    degenerate spectrum against one spread by half and twice the
+    degenerate band.  The second member is mapped by a real X and
+    s -> alpha s, which keep the spectrum's size and so its band."""
+
+    @staticmethod
+    def _pair(rng, mu1, mu2):
+        m = mu1.size
+        root = rng.standard_normal((m, m))
+        H = root @ root.T + np.eye(m)
+        cert = EquivalenceCertificate(random_real_invertible(rng, m), float(10.0 ** rng.uniform(-1, 1)), 0.0)
+        return normal_form_member(mu1, H), apply_certificate(normal_form_member(mu2, H), cert)
+
+    @staticmethod
+    def _check(P1, P2, expect_match):
+        matches = affine_spectrum(P1).matches(affine_spectrum(P2))
+        assert matches is expect_match
+        verdict = almost_equivalent(P1, P2)
+        assert (verdict.reason == "affine spectra differ") is (not matches)
+        assert verdict.verdict == "no" or matches
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_canonical_values_at_the_band(self, factor):
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            m = int(rng.integers(3, 7))
+            mu = np.sort(rng.uniform(-2.0, 2.0, m))
+            spread = mu[-1] - mu[0]
+            band = classify.SPECTRUM_TOL * np.abs(mu).max() / spread
+            moved = mu.copy()
+            moved[1:-1] += factor * band * spread * rng.choice([-1.0, 1.0], m - 2)
+            self._check(*self._pair(rng, mu, moved), expect_match=factor < 1.0)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_degenerate_against_spread(self, factor):
+        rng = np.random.default_rng(26)
+        for _ in range(20):
+            m = int(rng.integers(2, 7))
+            mu = np.full(m, rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]))
+            moved = mu.copy()
+            moved[-1] += factor * symmat.DEFAULT_TOL * mu[0]  # away from 0: max|mu| is moved[-1]
+            P1, P2 = self._pair(rng, mu, moved)
+            assert affine_spectrum(P1).degenerate
+            assert affine_spectrum(P2).degenerate is (factor < 1.0)
+            self._check(P1, P2, expect_match=factor < 1.0)
 
 
 class TestSimpleSpectrumForm:
@@ -518,7 +577,7 @@ class TestNormalForm:
     @staticmethod
     def _form(P):
         analysis = is_characteristic(P, 2 * P.dim + 2).analysis
-        spectrum = classify._spectrum(analysis)
+        spectrum = classify._affine_spectrum(analysis)
         return analysis.c_gauge, spectrum, classify._normal_form(analysis, spectrum)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
