@@ -200,31 +200,24 @@ class ParabolaAnalysis:
     The one A-gauge attribute is the frame ``a_frame`` (Z^T A Z = I),
     built from the same U, (kappa, R) and Y, which ``realize``,
     :func:`_schur` and the linearization of ``positive`` read; the SVD
-    ``reduction`` is built only for :func:`reduce_degenerate`.  Each
-    attribute is computed on first use and kept.  Raises NonFiniteInput
-    unless 0 <= tol < inf.
+    ``reduction`` is built only for :func:`reduce_degenerate`.
+
+    Every criterion reads the eigenpairs of C first, so the constructor
+    sets them: ``_c_units`` (e, max|C| / 2^e), the eigenvalues of C
+    being read in units of 2^e (:func:`_units`); ``c_eig``, the
+    eigenpairs of C in those units; and ``kernel``, the mask of the
+    eigenvalues inside the band tol * max|C|.  Every other attribute is
+    computed on first use and kept.  Raises NonFiniteInput unless
+    0 <= tol < inf.
     """
 
     def __init__(self, P: MatrixParabola, tol=DEFAULT_TOL):
         self.P, self.tol = P, float(tol)
         if not 0.0 <= self.tol < math.inf:
             raise NonFiniteInput(f"tol must be finite and nonnegative, got {self.tol}")
-
-    @cached_property
-    def _c_units(self):
-        """(e, max|C| / 2^e): the eigenvalues of C are read in units of
-        2^e (:func:`_units`)."""
-        return _units(self.P.C)
-
-    @cached_property
-    def c_eig(self):
-        """Eigenpairs of C, the eigenvalues in the units of ``_c_units``."""
-        return symmat.sym_eig(_in_units(self.P.C, self._c_units[0]))
-
-    @cached_property
-    def kernel(self):
-        """Mask of the eigenvalues of C inside the band tol * max|C|."""
-        return np.abs(self.c_eig.values) <= self.tol * self._c_units[1]
+        self._c_units = _units(P.C)
+        self.c_eig = symmat.sym_eig(_in_units(P.C, self._c_units[0]))
+        self.kernel = np.abs(self.c_eig.values) <= self.tol * self._c_units[1]
 
     @cached_property
     def c_gauge(self):
@@ -259,9 +252,9 @@ class ParabolaAnalysis:
         mu, U = symmat.sym_eig(symmat.congruence(P.B, W))
         F = W @ U
         H = symmat.congruence(P.A, F)
-        size = max(float(np.abs(H).max()), max(-mu[0], mu[-1]) ** 2)
+        size = max(float(np.abs(H).max()), float(max(-mu[0], mu[-1])) ** 2)
         H.flat[:: mu.size + 1] -= mu * mu  # H = F^T A F - diag(mu^2)
-        return CGauge(F, mu, H, np.linalg.eigvalsh(H), size)
+        return CGauge(F, mu, H, symmat.sym_eig(H, vectors=False), size)
 
     @cached_property
     def _b_vanishes_on_kernel(self):
@@ -382,7 +375,7 @@ class ParabolaAnalysis:
         as I, and Q~(s) = I + 2s B~ + s^2 C~ is read on the moving
         columns, otherwise on all of them.  Q~(s) is singular at
         s = 1/mu exactly when mu is an eigenvalue of the linearization
-        [[0, I], [-C~, -2B~]].  One batched eigvalsh over the stacked
+        [[0, I], [-C~, -2B~]].  One batched sym_eig over the stacked
         Q~(1/Re mu) then requires
         lambda_min(Q~(s)) > tol * max(1, 2|s| max|B~|, s^2 max|C~|),
         the largest of its three terms (1 = max|I|), for every mu with
@@ -408,9 +401,11 @@ class ParabolaAnalysis:
         if g is not None and self.inertia[0]:
             if not g.mu.size:
                 return True
-            band = tol * max(-g.mu[0], g.mu[-1])
-            if (g.mu[1:] - g.mu[:-1] > band).all():
-                return bool((g.H.diagonal() > tol * g.size).all())
+            mu = g.mu.tolist()
+            band = tol * max(-mu[0], mu[-1])
+            if all(high - low > band for low, high in zip(mu, mu[1:])):
+                floor = tol * g.size
+                return all(h > floor for h in g.H.diagonal().tolist())
             cells = symmat.clusters(g.mu, band)
             return all(_lambda_min(g.H[c, c]) > tol * g.size for c in cells)
         if (Z := self.a_frame) is None:
@@ -426,7 +421,7 @@ class ParabolaAnalysis:
         q = np.eye(m) + 2.0 * s * B + s * s * C
         terms = np.maximum(2.0 * np.abs(s) * symmat.max_norm(B), s * s * symmat.max_norm(C))
         band = tol * np.maximum(1.0, terms)
-        return bool(np.all(np.linalg.eigvalsh(q) > band[:, 0]))
+        return bool(np.all(symmat.sym_eig(q, vectors=False) > band[:, 0]))
 
     @cached_property
     def inertia(self):
@@ -466,13 +461,15 @@ def _in_units(S, exponent):
 
 
 def _inertia(values, band):
-    """(PSD, rank) of a symmetric matrix from its eigenvalues at band."""
-    return bool((values >= -band).all()), int((np.abs(values) > band).sum())
+    """(PSD, rank) of a symmetric matrix from its eigenvalues at band,
+    compared as Python floats."""
+    values = values.tolist()
+    return all(v >= -band for v in values), sum(abs(v) > band for v in values)
 
 
 def _lambda_min(S):
     """Smallest eigenvalue of a symmetric block; a 1 x 1 block is its entry."""
-    return S[0, 0] if S.shape[0] == 1 else np.linalg.eigvalsh(S)[0]
+    return S[0, 0] if S.shape[0] == 1 else symmat.sym_eig(S, vectors=False)[0]
 
 
 def _schur(analysis) -> SchurResult:
@@ -492,7 +489,7 @@ def _schur(analysis) -> SchurResult:
     P, half = analysis.P, analysis.a_frame.T @ analysis.P.B
     D = symmat.symmetrize(P.C - half.T @ half)
     band = analysis.tol * max(symmat.max_norm(P.C), symmat.max_norm(half) ** 2)
-    return SchurResult(D, *(analysis.inertia or _inertia(np.linalg.eigvalsh(D), band)))
+    return SchurResult(D, *(analysis.inertia or _inertia(symmat.sym_eig(D, vectors=False), band)))
 
 
 class MembershipVerdict(tuple):

@@ -5,11 +5,13 @@ reconstruction) reduces to eigenvalues of symmetric matrices of order
 m <= ~10.  Matrices are plain float ndarrays; polynomials are coefficient
 arrays in ascending degree order (numpy's polynomial convention).
 
-There is one eigen kernel: :func:`sym_eig` is LAPACK's symmetric solver
-(``numpy.linalg.eigh``), and every predicate and square root here goes
-through it, reading S as given: each matrix is symmetrized once, where
-it is formed.  There is one congruence kernel: :func:`congruence` forms
-every X^T S X in the package, exactly symmetric; it and
+There is one eigen kernel: :func:`sym_eig` calls LAPACK's symmetric
+solver through the gufuncs that ``numpy.linalg.eigh`` and ``eigvalsh``
+wrap (their Python wrappers cost more than LAPACK does at m <= 8), and
+every symmetric eigenproblem of the package, here and in the criteria,
+goes through it, reading S as given: each matrix is symmetrized once,
+where it is formed.  There is one congruence kernel: :func:`congruence`
+forms every X^T S X in the package, exactly symmetric; it and
 :func:`symmetrize` take one matrix or stacks.  Real roots of scalar
 polynomials come from the eigenvalues of the companion matrix
 (``numpy.polynomial``, imported on first use: no verdict reads them),
@@ -18,9 +20,11 @@ clustered so that a multiple root is reported once.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import (
     DimensionMismatch,
@@ -78,12 +82,27 @@ def require_finite(S, name="matrix"):
     return S
 
 
-def sym_eig(S):
-    """Eigendecomposition of a symmetric matrix by LAPACK (``eigh``), which
-    reads S as given (its lower triangle): pass symmetrize(S) for a
-    computed S that rounding may leave asymmetric."""
-    values, vectors = np.linalg.eigh(S)
-    return EigenDecomposition(values, vectors)
+def sym_eig(S, vectors=True):
+    """Eigendecomposition of a symmetric matrix, or of a stack of them on
+    the leading axes, by LAPACK (``syevd``), which reads S as given (its
+    lower triangle): pass symmetrize(S) for a computed S that rounding
+    may leave asymmetric.  With ``vectors=False`` only the ascending
+    eigenvalues are computed and returned.
+
+    Calls the gufuncs ``eigh_lo`` and ``eigvalsh_lo`` of
+    ``numpy.linalg._umath_linalg`` directly, so the results are those of
+    ``numpy.linalg.eigh`` and ``eigvalsh`` bit for bit.  The one check of
+    their wrappers that can fire is kept: where LAPACK does not converge
+    the gufunc fills that matrix's output with NaN, and this raises
+    LinAlgError (as it does for NaN input)."""
+    if vectors:
+        values, V = _umath_linalg.eigh_lo(S, signature="d->dd")
+    else:
+        values = _umath_linalg.eigvalsh_lo(S, signature="d->d")
+    # A sum of squares is NaN exactly when an entry is.
+    if math.isnan(np.vdot(values, values)):
+        raise LinAlgError("Eigenvalues did not converge")
+    return EigenDecomposition(values, V) if vectors else values
 
 
 def is_pd(S, tol=DEFAULT_TOL):

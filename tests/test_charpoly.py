@@ -320,13 +320,15 @@ class TestDiagnosticsReduceFirst:
 
     def test_zero_order_part_needs_no_eigensolver(self, monkeypatch):
         # The elliptic point's moving part is 0 x 0: positive, with
-        # inertia (True, 0), read without a decomposition.
+        # inertia (True, 0), read without a decomposition beyond the
+        # constructor's of the 0 x 0 C.
         def refused(*args, **kwargs):
             raise AssertionError("eigensolver on an empty matrix")
 
         analysis = charpoly.ParabolaAnalysis(MatrixParabola(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0))))
-        monkeypatch.setattr(np.linalg, "eigh", refused)
-        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        monkeypatch.setattr(symmat, "sym_eig", refused)
+        monkeypatch.setattr(np.linalg, "eigvals", refused)
+        monkeypatch.setattr(np.linalg, "eig", refused)
         assert analysis.positive is True
         assert analysis.inertia == (True, 0)
 

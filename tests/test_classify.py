@@ -1024,18 +1024,21 @@ class TestSvdCounts:
 
 
 class TestEigensolverCounts:
-    """Eigendecompositions per top-level call, for every k."""
+    """Eigendecompositions per top-level call, for every k: every
+    symmetric one is a symmat.sym_eig call, and the linearization's is
+    numpy's general eigensolver."""
 
     @pytest.fixture
     def eig_calls(self, monkeypatch):
         calls = []
-        for name in ("eigh", "eigvalsh", "eigvals", "eig"):
+        solvers = [(symmat, "sym_eig"), (np.linalg, "eigvals"), (np.linalg, "eig")]
+        for module, name in solvers:
 
-            def counting(*args, _solver=getattr(np.linalg, name), **kwargs):
+            def counting(*args, _solver=getattr(module, name), **kwargs):
                 calls.append(_solver.__name__)
                 return _solver(*args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, name, counting)
+            monkeypatch.setattr(module, name, counting)
         return calls
 
     @staticmethod
@@ -1050,9 +1053,9 @@ class TestEigensolverCounts:
         P = char_polynomial(M)
         # C, W^T B W and H; realize adds A^{-1/2}, G and build's freeness
         # test, and validate-parabola reads the Schur inertia of H.
-        assert self._count(eig_calls, lambda: charpoly.is_characteristic(P, M.n)) <= 3
-        assert self._count(eig_calls, lambda: realize(P, M.n)) <= 6
-        assert self._count(eig_calls, lambda: _validate_parabola(monkeypatch, P, M.n)) <= 3
+        assert self._count(eig_calls, lambda: charpoly.is_characteristic(P, M.n)) == 3
+        assert self._count(eig_calls, lambda: realize(P, M.n)) == 6
+        assert self._count(eig_calls, lambda: _validate_parabola(monkeypatch, P, M.n)) == 3
         assert json.loads(capsys.readouterr().out)["result"]["characteristic"]
 
     def test_validate_parabola_constant_direction(self, eig_calls, monkeypatch, capsys, rng):
@@ -1061,7 +1064,7 @@ class TestEigensolverCounts:
         # moving part of the reduction).
         M = random_manifold(rng, m=3, r=1, k=1, zero_eigs=0)
         P = char_polynomial(M)
-        assert self._count(eig_calls, lambda: _validate_parabola(monkeypatch, P, M.n)) <= 4
+        assert self._count(eig_calls, lambda: _validate_parabola(monkeypatch, P, M.n)) == 4
         assert json.loads(capsys.readouterr().out)["result"]["poabc"]
 
     @pytest.mark.parametrize("m", [1, 3, 8])
@@ -1070,7 +1073,7 @@ class TestEigensolverCounts:
         # decomposition, and its inertia (True, 0) is the Schur verdict.
         M = random_elliptic(rng, m=m)
         P = char_polynomial(M)
-        assert self._count(eig_calls, lambda: _validate_parabola(monkeypatch, P, M.n)) <= 2
+        assert self._count(eig_calls, lambda: _validate_parabola(monkeypatch, P, M.n)) == 2
         assert json.loads(capsys.readouterr().out)["result"]["poabc"]
 
     def test_membership_degenerate(self, eig_calls, rng):
@@ -1079,7 +1082,7 @@ class TestEigensolverCounts:
         # while the reduced parabola's C was decomposed again).
         M = random_manifold(rng, m=3, r=1, k=1, zero_eigs=0)
         P = char_polynomial(M)
-        assert self._count(eig_calls, lambda: charpoly.is_characteristic(P, M.n)) <= 4
+        assert self._count(eig_calls, lambda: charpoly.is_characteristic(P, M.n)) == 4
 
     def test_membership_indefinite_constant_block(self, eig_calls, rng):
         # C, then the constant block, which rejects: the C-gauge's
@@ -1093,7 +1096,7 @@ class TestEigensolverCounts:
         verdict = charpoly.is_characteristic(P, M.n)
         assert not verdict[0]
         assert charpoly.reduce_degenerate(P).constant_block[0, 0] < 0.0
-        assert self._count(eig_calls, lambda: charpoly.is_characteristic(P, M.n)) <= 2
+        assert self._count(eig_calls, lambda: charpoly.is_characteristic(P, M.n)) == 2
 
     @pytest.mark.parametrize("m", [1, 3, 8])
     def test_membership_elliptic(self, eig_calls, rng, m):
@@ -1101,16 +1104,16 @@ class TestEigensolverCounts:
         # C-gauge needs no decomposition.
         M = random_elliptic(rng, m=m)
         P = char_polynomial(M)
-        assert self._count(eig_calls, lambda: charpoly.is_characteristic(P, M.n)) <= 2
+        assert self._count(eig_calls, lambda: charpoly.is_characteristic(P, M.n)) == 2
 
     @pytest.mark.parametrize("m, r, k", [(3, 1, 1), (5, 2, 2)])
     def test_realize_constant_directions(self, eig_calls, rng, m, r, k):
-        # The four of membership; realize adds A^{-1/2} and G of the
-        # moving part of its reduction, the root of the constant block
-        # and build's freeness test.
+        # The four of membership; realize adds (Y^T A Y)^{-1/2} of the
+        # a_frame, G and build's freeness test (eight while realize read
+        # the moving part of the SVD reduction).
         M = random_manifold(rng, m=m, r=r, k=k, zero_eigs=0)
         P = char_polynomial(M)
-        assert self._count(eig_calls, lambda: realize(P, M.n)) <= 8
+        assert self._count(eig_calls, lambda: realize(P, M.n)) == 7
 
     def test_almost_equivalent_order_eight(self, eig_calls, rng):
         P = char_polynomial(random_manifold(rng, m=8, zero_eigs=0))
@@ -1119,7 +1122,7 @@ class TestEigensolverCounts:
         assert almost_equivalent(P, P2).is_yes
         # Three per membership decision; a simple spectrum needs no
         # refinement.
-        assert len(eig_calls) <= 6
+        assert len(eig_calls) == 6
 
     def test_almost_equivalent_constant_direction(self, eig_calls, rng):
         P = char_polynomial(random_manifold(rng, m=3, r=1, k=1, zero_eigs=0))
@@ -1129,7 +1132,7 @@ class TestEigensolverCounts:
         # Four per membership decision; the witness reads the constant
         # frames the decisions built (ten while each decision read its
         # reduced parabola's C-gauge).
-        assert len(eig_calls) <= 8
+        assert len(eig_calls) == 8
 
     def test_almost_equivalent_two_constant_directions(self, eig_calls, rng):
         P = char_polynomial(random_manifold(rng, m=5, r=2, k=2, zero_eigs=0))
@@ -1137,7 +1140,7 @@ class TestEigensolverCounts:
         eig_calls.clear()
         assert almost_equivalent(P, P2).is_yes
         # Four per membership decision; the witness needs none.
-        assert len(eig_calls) <= 8
+        assert len(eig_calls) == 8
 
     def test_almost_equivalent_degenerate_spectrum(self, eig_calls):
         # B = b C: each membership decision adds lambda_min of H on the
@@ -1148,7 +1151,7 @@ class TestEigensolverCounts:
         P2 = apply_certificate(P, random_certificate(rng, 3).inverse())
         eig_calls.clear()
         assert almost_equivalent(P, P2).is_yes
-        assert len(eig_calls) <= 10
+        assert len(eig_calls) == 10
 
 
 class TestSymmetrizeCounts:

@@ -1,19 +1,23 @@
 """Symmetric-matrix kit: golden cases, cross-checks against LAPACK and
 root-sampling oracles, and algebraic property tests."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.linalg import LinAlgError, _umath_linalg
 
-from causalcurves import symmat
+from causalcurves import char_polynomial, is_characteristic, symmat
 from causalcurves.errors import (
     DimensionMismatch,
     NotPSD,
     ZeroPolynomial,
 )
+from conftest import random_manifold
 
 SQRT3 = np.sqrt(3.0)
 
@@ -34,12 +38,35 @@ class TestSymEig:
         np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-12)
 
     def test_symmetric_input_is_eigh_bit_for_bit(self, rng):
-        # S is read as given: no second symmetrization moves a bit.
-        for m in range(1, 9):
-            S = symmat.symmetrize(rng.standard_normal((m, m)))
-            ours, theirs = symmat.sym_eig(S), np.linalg.eigh(S)
-            np.testing.assert_array_equal(ours.values, theirs.eigenvalues)
-            np.testing.assert_array_equal(ours.vectors, theirs.eigenvectors)
+        # S is read as given: no second symmetrization moves a bit.  One
+        # matrix and a stack, against numpy's wrappers of the same gufuncs.
+        for m in range(9):
+            stack = symmat.symmetrize(rng.standard_normal((4, m, m)))
+            for S in (stack[0], stack):
+                ours, theirs = symmat.sym_eig(S), np.linalg.eigh(S)
+                assert _same_bits(ours.values, theirs.eigenvalues)
+                assert _same_bits(ours.vectors, theirs.eigenvectors)
+                assert _same_bits(symmat.sym_eig(S, vectors=False), np.linalg.eigvalsh(S))
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (3, 5, 5)])
+    def test_nonconvergence_raises(self, monkeypatch, rng, vectors, shape):
+        # The last matrix fails: in a stack, the earlier ones converge.
+        _fail_to_converge(monkeypatch)
+        with pytest.raises(LinAlgError):
+            symmat.sym_eig(symmat.symmetrize(rng.standard_normal(shape)), vectors)
+
+    def test_nonconvergence_leaves_no_verdict(self, monkeypatch, rng):
+        M = random_manifold(rng, m=5, zero_eigs=0)
+        P = char_polynomial(M)
+        assert is_characteristic(P, M.n)[0]
+        _fail_to_converge(monkeypatch)
+        with pytest.raises(LinAlgError):
+            is_characteristic(P, M.n)
+
+    def test_nan_input_raises(self):
+        with pytest.raises(LinAlgError):
+            symmat.sym_eig(np.full((2, 2), np.nan), vectors=False)
 
     def test_matches_lapack(self, rng):
         for _ in range(30):
@@ -75,6 +102,28 @@ class TestSymEig:
         scale = 1.0 + np.max(np.abs(s))
         assert np.max(np.abs(vectors @ np.diag(values) @ vectors.T - s)) <= 1e-10 * scale
         assert symmat.max_norm(vectors.T @ vectors - np.eye(4)) <= 1e-10
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _fail_to_converge(monkeypatch):
+    """Make the LAPACK gufuncs behind sym_eig fail on the last matrix of
+    their operand, as LAPACK does when it does not converge: numpy then
+    fills that matrix's output with NaN."""
+
+    def failing(gufunc):
+        def call(S, signature):
+            out = gufunc(S, signature=signature)
+            for array in out if isinstance(out, tuple) else (out,):
+                array[(-1,) * (np.ndim(S) - 2)] = np.nan
+            return out
+
+        return call
+
+    eigh, eigvalsh = failing(_umath_linalg.eigh_lo), failing(_umath_linalg.eigvalsh_lo)
+    monkeypatch.setattr(symmat, "_umath_linalg", SimpleNamespace(eigh_lo=eigh, eigvalsh_lo=eigvalsh))
 
 
 class TestPredicates:
