@@ -54,6 +54,7 @@ The SVD ``reduction`` to blockdiag(K, Q_moving(s)) serves
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass, field
@@ -77,29 +78,38 @@ from .symmat import DEFAULT_TOL
 _FLOAT_MAX = sys.float_info.max
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MatrixParabola:
-    """Coefficient triple (A, B, C) of equal order: the rows of one (3, m, m)
-    stack ``coeffs``, checked finite and symmetrized on entry."""
+    """Coefficient triple (A, B, C) of equal order ``dim``: the rows of one
+    (3, m, m) stack ``coeffs``, checked finite and symmetrized on entry,
+    with ``scales`` = (max|A|, max|B|, max|C|) as Python floats, the
+    max-norms every band on a whole coefficient reads."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     coeffs: np.ndarray = field(init=False, repr=False)
+    dim: int = field(init=False, repr=False)
+    scales: tuple = field(init=False, repr=False)
 
-    def __post_init__(self):
-        A = symmat.as_square(self.A, "A")
-        if np.shape(self.B) != A.shape or np.shape(self.C) != A.shape:
-            raise DimensionMismatch(f"coefficient shapes differ: {A.shape}, {np.shape(self.B)}, {np.shape(self.C)}")
-        coeffs = np.array((A, self.B, self.C), dtype=float)
-        if not np.isfinite(coeffs).all():
-            raise NonFiniteInput(f"{'ABC'[np.isfinite(coeffs).all(axis=(1, 2)).argmin()]} has non-finite entries")
-        coeffs = symmat.symmetrize(coeffs)
-        vars(self).update(coeffs=coeffs, A=coeffs[0], B=coeffs[1], C=coeffs[2])
-
-    @property
-    def dim(self):
-        return self.A.shape[0]
+    def __init__(self, A, B, C):
+        try:
+            coeffs = np.array((A, B, C), dtype=float)
+        except ValueError:  # a ragged triple or non-numeric entries
+            coeffs = None
+        if coeffs is None or coeffs.ndim != 3 or coeffs.shape[1] != coeffs.shape[2]:
+            _reject_shapes(A, B, C)
+        coeffs *= 0.5  # S/2 + S^T/2, halved before adding so that no finite entry overflows
+        # The sum of squares is NaN or inf exactly when an entry is, or
+        # exceeds 1e154 in magnitude; only then are the entries tested,
+        # before an inf and a -inf could meet in the sum (and warn).
+        if not math.isfinite(np.vdot(coeffs, coeffs)):
+            finite = np.isfinite(coeffs).all(axis=(1, 2)).tolist()
+            if not all(finite):
+                raise NonFiniteInput(f"{'ABC'[finite.index(False)]} has non-finite entries")
+        coeffs = coeffs + coeffs.transpose(0, 2, 1)
+        scales = tuple(np.maximum.reduce(np.abs(coeffs), axis=(1, 2), initial=0.0).tolist())
+        vars(self).update(coeffs=coeffs, A=coeffs[0], B=coeffs[1], C=coeffs[2], dim=coeffs.shape[1], scales=scales)
 
     def __call__(self, s):
         """Evaluate Q(s) = A + 2sB + s^2 C."""
@@ -107,11 +117,21 @@ class MatrixParabola:
 
     def coeff_scale(self):
         """Largest absolute entry across the three coefficients."""
-        return symmat.max_norm(self.coeffs)
+        return max(self.scales)
 
     def close_to(self, other, tol=DEFAULT_TOL):
         """Coefficient-wise comparison at tol relative to this parabola."""
         return other.dim == self.dim and symmat.max_norm(self.coeffs - other.coeffs) <= tol * self.coeff_scale()
+
+
+def _reject_shapes(A, B, C):
+    """Raise the error of a triple that does not stack as (3, m, m):
+    DimensionMismatch unless A is square 2-D and B and C have its shape,
+    else numpy's ValueError for entries that are not numbers."""
+    A = symmat.as_square(A, "A")
+    if np.shape(B) == A.shape == np.shape(C):
+        np.array((B, C), dtype=float)  # raises for B's or C's entries
+    raise DimensionMismatch(f"coefficient shapes differ: {A.shape}, {np.shape(B)}, {np.shape(C)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,29 +222,38 @@ class ParabolaAnalysis:
     :func:`_schur` and the linearization of ``positive`` read; the SVD
     ``reduction`` is built only for :func:`reduce_degenerate`.
 
-    Every criterion reads the eigenpairs of C first, so the constructor
-    sets them: ``_c_units`` (e, max|C| / 2^e), the eigenvalues of C
-    being read in units of 2^e (:func:`_units`); ``c_eig``, the
-    eigenpairs of C in those units; and ``kernel``, the mask of the
-    eigenvalues inside the band tol * max|C|.  Every other attribute is
-    computed on first use and kept.  Raises NonFiniteInput unless
-    0 <= tol < inf.
+    Every criterion reads the eigenpairs of C first, and every
+    consumer but :func:`reduce_degenerate` the C-gauge and its inertia,
+    so the constructor sets them: ``_c_units`` (e, max|C| / 2^e), the
+    eigenvalues of C being read in units of 2^e (:func:`_units`);
+    ``c_eig``, the eigenpairs of C in those units; ``kernel``, the mask
+    of the eigenvalues inside the band tol * max|C|; ``c_gauge``; and
+    ``inertia``, the (PSD, rank) of D = C - B A^{-1} B, read from the
+    eigenvalues of H against tol * size, or None without a C-gauge, and
+    (True, 0) for a 0 x 0 parabola and for the empty gauge of the
+    elliptic point.  D and H are the two Schur complements of
+    [[A, B], [B, C]], so with A and C definite they share their
+    inertia; D vanishes on ker C, so with C singular H is that of the
+    moving directions, and the rank counts them only.  Every other
+    attribute is computed on first use and kept.  Raises NonFiniteInput
+    unless 0 <= tol < inf.
     """
 
     def __init__(self, P: MatrixParabola, tol=DEFAULT_TOL):
         self.P, self.tol = P, float(tol)
         if not 0.0 <= self.tol < math.inf:
             raise NonFiniteInput(f"tol must be finite and nonnegative, got {self.tol}")
-        self._c_units = _units(P.C)
+        self._c_units = _units(P.scales[2], P.dim)
         self.c_eig = symmat.sym_eig(_in_units(P.C, self._c_units[0]))
         self.kernel = np.abs(self.c_eig.values) <= self.tol * self._c_units[1]
+        self.c_gauge = g = self._c_gauge()
+        self.inertia = (True, 0) if P.dim == 0 else None if g is None else _inertia(g.h, self.tol * g.size)
 
-    @cached_property
-    def c_gauge(self):
-        """The :class:`CGauge`, or None when C has a negative eigenvalue
-        beyond the ``kernel`` band, when B does not vanish on ker C
-        (``_b_vanishes_on_kernel``), or when the constant block is not
-        positive definite.
+    def _c_gauge(self):
+        """The :class:`CGauge` for ``c_gauge``, or None when C has a
+        negative eigenvalue beyond the ``kernel`` band, when B does not
+        vanish on ker C (``_b_vanishes_on_kernel``), or when the constant
+        block is not positive definite.
 
         The frame is W = Y lambda_c^{-1/2} from the eigenpairs
         (lambda_c, V_c) of C off the band, with Y the moving frame of
@@ -239,7 +268,7 @@ class ParabolaAnalysis:
         kernel = self.kernel
         if values[0] < 0.0 and not kernel[0]:
             return None
-        k = int(kernel.sum())  # ker C comes first: every other eigenvalue is positive
+        k = np.count_nonzero(kernel)  # ker C comes first: every other eigenvalue is positive
         if not k:
             W = vectors / np.sqrt(values)
         else:
@@ -252,8 +281,8 @@ class ParabolaAnalysis:
         mu, U = symmat.sym_eig(symmat.congruence(P.B, W))
         F = W @ U
         H = symmat.congruence(P.A, F)
-        size = max(float(np.abs(H).max()), float(max(-mu[0], mu[-1])) ** 2)
-        H.flat[:: mu.size + 1] -= mu * mu  # H = F^T A F - diag(mu^2)
+        size = max(float(np.abs(H).max()), max(-mu[0].item(), mu[-1].item()) ** 2)
+        H.ravel()[:: mu.size + 1] -= mu * mu  # H = F^T A F - diag(mu^2); H is contiguous, so a view
         return CGauge(F, mu, H, symmat.sym_eig(H, vectors=False), size)
 
     @cached_property
@@ -262,7 +291,7 @@ class ParabolaAnalysis:
         ``kernel`` band, has a 2-norm within tol * max|B| (vacuously when
         C has full rank): the one rule by which B vanishes on ker C."""
         leak = np.hypot.reduce(self.P.B @ self.c_eig.vectors[:, self.kernel], axis=0)
-        return bool(leak.max(initial=0.0) <= self.tol * symmat.max_norm(self.P.B))
+        return bool(leak.max(initial=0.0) <= self.tol * self.P.scales[1])
 
     @cached_property
     def _frames(self):
@@ -276,7 +305,7 @@ class ParabolaAnalysis:
         and E is rescaled by the exact 2^(-e/2).  Read only when C is
         singular."""
         kernel, vectors = self.kernel, self.c_eig.vectors
-        exponent = _units(self.P.A)[0]
+        exponent = _units(self.P.scales[0], self.P.dim)[0]
         A = _in_units(self.P.A, exponent)
         U = vectors[:, kernel]
         K = symmat.congruence(A, U)
@@ -310,7 +339,7 @@ class ParabolaAnalysis:
         if self._frames is None:
             return None
         E, R, Y = self._frames
-        exponent = _units(self.P.A)[0]
+        exponent = _units(self.P.scales[0], self.P.dim)[0]
         root = symmat.pd_inv_sqrt(symmat.congruence(_in_units(self.P.A, exponent), Y), self.tol)
         return None if root is None else np.hstack([E @ R.T, _in_units(Y @ root, exponent // 2)])
 
@@ -336,7 +365,7 @@ class ParabolaAnalysis:
         if not kernel.any():
             return ReductionResult(np.eye(P.dim), np.zeros((0, 0)), P)
         U = self.c_eig.vectors[:, kernel]
-        if symmat.max_norm(P.B @ U) > tol * symmat.max_norm(P.B):
+        if symmat.max_norm(P.B @ U) > tol * P.scales[1]:
             raise InvalidCharacteristic(
                 "B does not vanish on ker C; no manifold produces this parabola"
             )
@@ -405,7 +434,7 @@ class ParabolaAnalysis:
             band = tol * max(-mu[0], mu[-1])
             if all(high - low > band for low, high in zip(mu, mu[1:])):
                 floor = tol * g.size
-                return all(h > floor for h in g.H.diagonal().tolist())
+                return min(g.H.diagonal().tolist()) > floor
             cells = symmat.clusters(g.mu, band)
             return all(_lambda_min(g.H[c, c]) > tol * g.size for c in cells)
         if (Z := self.a_frame) is None:
@@ -423,32 +452,16 @@ class ParabolaAnalysis:
         band = tol * np.maximum(1.0, terms)
         return bool(np.all(symmat.sym_eig(q, vectors=False) > band[:, 0]))
 
-    @cached_property
-    def inertia(self):
-        """(PSD, rank) of D = C - B A^{-1} B, read from the eigenvalues
-        of H against tol * size, or None without a C-gauge; (True, 0) for
-        a 0 x 0 parabola and for the empty gauge of the elliptic point.
 
-        D and H are the two Schur complements of [[A, B], [B, C]], so
-        with A and C definite they share their inertia.  D vanishes on
-        ker C, so with C singular H is that of the moving directions, and
-        the rank counts them only.
-        """
-        if self.P.dim == 0:
-            return True, 0
-        g = self.c_gauge
-        return None if g is None else _inertia(g.h, self.tol * g.size)
-
-
-def _units(S):
-    """(e, max|S| / 2^e) for a square S, to be decomposed in units of 2^e.
-    e = 0 unless m max|S|, which bounds every |eigenvalue| of S and every
-    entry of U^T S V for orthonormal U and V, exceeds the float maximum;
-    then e is the even exponent at or above that of max|S|
-    (``math.frexp``), so that the exactly scaled 2^-e S has finite
-    eigenvalues and congruences, and a factor 2^(-e/2) is exact too."""
-    top = symmat.max_norm(S)
-    if S.shape[0] * top <= _FLOAT_MAX:
+def _units(top, m):
+    """(e, top / 2^e) for a square S of order m and max-norm top =
+    max|S|, to be decomposed in units of 2^e.  e = 0 unless m max|S|,
+    which bounds every |eigenvalue| of S and every entry of U^T S V for
+    orthonormal U and V, exceeds the float maximum; then e is the even
+    exponent at or above that of max|S| (``math.frexp``), so that the
+    exactly scaled 2^-e S has finite eigenvalues and congruences, and a
+    factor 2^(-e/2) is exact too."""
+    if m * top <= _FLOAT_MAX:
         return 0, top
     exponent = math.frexp(top)[1]
     exponent += exponent % 2
@@ -461,10 +474,12 @@ def _in_units(S, exponent):
 
 
 def _inertia(values, band):
-    """(PSD, rank) of a symmetric matrix from its eigenvalues at band,
-    compared as Python floats."""
+    """(PSD, rank) of a symmetric matrix from its ascending eigenvalues at
+    band, compared as Python floats: the lowest must clear -band, and the
+    rank counts those above band and those below -band."""
     values = values.tolist()
-    return all(v >= -band for v in values), sum(abs(v) > band for v in values)
+    rank = len(values) - bisect.bisect_right(values, band) + bisect.bisect_left(values, -band)
+    return not values or values[0] >= -band, rank
 
 
 def _lambda_min(S):
@@ -488,7 +503,7 @@ def _schur(analysis) -> SchurResult:
         raise SingularA("constant coefficient A is not positive definite at this tolerance")
     P, half = analysis.P, analysis.a_frame.T @ analysis.P.B
     D = symmat.symmetrize(P.C - half.T @ half)
-    band = analysis.tol * max(symmat.max_norm(P.C), symmat.max_norm(half) ** 2)
+    band = analysis.tol * max(P.scales[2], symmat.max_norm(half) ** 2)
     return SchurResult(D, *(analysis.inertia or _inertia(symmat.sym_eig(D, vectors=False), band)))
 
 
@@ -539,7 +554,7 @@ def _verify_reduction(P, T, k, tol):
     blockdiag(constant block, reduced Q(s)) for every s."""
     error = np.abs(T[:, :k, k:]).max(axis=(1, 2), initial=0.0)
     error[1:] = np.maximum(error[1:], np.abs(T[1:, :k, :k]).max(axis=(1, 2)))
-    bad = error > tol * np.abs(P.coeffs).max(axis=(1, 2))
+    bad = error > tol * np.array(P.scales)
     if bad.any():
         raise InvalidCharacteristic(f"reduction is not block-diagonal in {'ABC'[bad.argmax()]}")
 

@@ -84,7 +84,7 @@ class EquivalenceCertificate:
             object.__setattr__(self, name, value)
         if not self.alpha > 0.0:
             raise BadCertificate(f"alpha must be positive, got {self.alpha}")
-        sv = np.linalg.svd(X, compute_uv=False)  # descending
+        sv = symmat.singular_values(X)  # descending
         if sv.size and sv[-1] <= 1e-12 * sv[0]:
             raise BadCertificate("certificate matrix X is singular")
 

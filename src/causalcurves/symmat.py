@@ -10,12 +10,15 @@ solver through the gufuncs that ``numpy.linalg.eigh`` and ``eigvalsh``
 wrap (their Python wrappers cost more than LAPACK does at m <= 8), and
 every symmetric eigenproblem of the package, here and in the criteria,
 goes through it, reading S as given: each matrix is symmetrized once,
-where it is formed.  There is one congruence kernel: :func:`congruence`
-forms every X^T S X in the package, exactly symmetric; it and
-:func:`symmetrize` take one matrix or stacks.  Real roots of scalar
-polynomials come from the eigenvalues of the companion matrix
-(``numpy.polynomial``, imported on first use: no verdict reads them),
-clustered so that a multiple root is reported once.
+where it is formed.  Next to it, :func:`singular_values` calls the
+gufunc behind ``numpy.linalg.svd(X, compute_uv=False)`` the same way,
+for the singularity check of an equivalence certificate.  There is one
+congruence kernel: :func:`congruence` forms every X^T S X in the
+package, exactly symmetric; it and :func:`symmetrize` take one matrix
+or stacks.  Real roots of scalar polynomials come from the eigenvalues
+of the companion matrix (``numpy.polynomial``, imported on first use:
+no verdict reads them), clustered so that a multiple root is reported
+once.
 """
 
 from __future__ import annotations
@@ -105,6 +108,22 @@ def sym_eig(S, vectors=True):
     return EigenDecomposition(values, V) if vectors else values
 
 
+def singular_values(X):
+    """Singular values of a matrix, or of a stack of them on the leading
+    axes, in descending order, by LAPACK (``gesdd``) through the gufunc
+    ``svd`` of ``numpy.linalg._umath_linalg`` that
+    ``numpy.linalg.svd(X, compute_uv=False)`` wraps, so the values are
+    its values bit for bit.  As in :func:`sym_eig`, a NaN in the output
+    (LAPACK did not converge, or X was not finite) raises LinAlgError;
+    no errstate is entered, so where LAPACK flags an invalid operation
+    numpy first reports it as the caller's errstate says (by default a
+    RuntimeWarning)."""
+    values = _umath_linalg.svd(X, signature="d->d")
+    if math.isnan(np.vdot(values, values)):
+        raise LinAlgError("SVD did not converge")
+    return values
+
+
 def is_pd(S, tol=DEFAULT_TOL):
     """Strict positive definiteness: min eigenvalue > tol * max|S|.
 
@@ -167,7 +186,8 @@ def congruence(S, X):
     X = np.asarray(X, dtype=float)
     if S.ndim < 2 or X.ndim < 2 or not S.shape[-1] == S.shape[-2] == X.shape[-2]:
         raise DimensionMismatch(f"congruence needs square S and X with as many rows: {S.shape}, {X.shape}")
-    half = 0.5 * (X.swapaxes(-1, -2) @ S @ X)
+    half = X.swapaxes(-1, -2) @ S @ X
+    half *= 0.5
     return half + half.swapaxes(-1, -2)
 
 

@@ -951,3 +951,81 @@ class TestParabolaType:
         coeffs[2][0, 1] = np.inf
         with pytest.raises(NonFiniteInput, match=f"^{'ABC'[which]} "):
             MatrixParabola(*coeffs)
+
+
+class TestOneStackValidation:
+    """MatrixParabola validates in one pass: one conversion of the
+    triple, one sum of squares as the finiteness check (the entries are
+    tested only when it is not finite), one reduction of the symmetrized
+    stack for ``scales``; the error path keeps the exception types and
+    messages of the checks it replaces."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", range(3))
+    def test_non_finite_names_the_coefficient(self, which, bad):
+        coeffs = [np.eye(2), np.zeros((2, 2)), np.eye(2)]
+        coeffs[which][1, 1] = bad
+        with pytest.raises(NonFiniteInput, match=f"^{'ABC'[which]} has non-finite entries$"):
+            MatrixParabola(*coeffs)
+
+    def test_opposite_infinities_name_a(self):
+        # inf/2 + (-inf)/2 would be NaN in the symmetrized stack, and the
+        # sum would warn (an error in this suite): still A, quietly.
+        A = np.eye(2)
+        A[0, 1], A[1, 0] = np.inf, -np.inf
+        with pytest.raises(NonFiniteInput, match="^A has non-finite entries$"):
+            MatrixParabola(A, np.zeros((2, 2)), np.eye(2))
+
+    def test_non_finite_beside_entries_whose_squares_overflow(self):
+        # The sum of squares is inf for 1e200 as well; the entries decide.
+        with pytest.raises(NonFiniteInput, match="^C has non-finite entries$"):
+            MatrixParabola(1e200 * np.eye(2), np.zeros((2, 2)), np.diag([1.0, np.nan]))
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_largest_finite_entries_accepted(self, rng, m):
+        # Halving before adding keeps every symmetrized entry finite.
+        raw = 1.7e308 * rng.choice([-1.0, 1.0], size=(3, m, m))
+        P = MatrixParabola(*raw)
+        assert all(type(s) is float and np.isfinite(s) for s in P.scales)
+        assert P.scales == tuple(symmat.max_norm(S) for S in symmat.symmetrize(raw))
+        assert P.dim == m and type(P.dim) is int
+
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            ((np.zeros((2, 3)),) * 3, "A must be square 2-D, got shape (2, 3)"),
+            ((np.ones(2),) * 3, "A must be square 2-D, got shape (2,)"),
+            ((np.eye(2), np.ones(2), np.eye(2)), "coefficient shapes differ: (2, 2), (2,), (2, 2)"),
+            ((np.eye(2), np.eye(2), np.eye(3)), "coefficient shapes differ: (2, 2), (2, 2), (3, 3)"),
+            ((np.eye(3), np.eye(2), np.eye(2)), "coefficient shapes differ: (3, 3), (2, 2), (2, 2)"),
+        ],
+        ids=["non-square", "1-D", "1-D B", "ragged C", "ragged A"],
+    )
+    def test_shape_messages(self, coeffs, message):
+        with pytest.raises(DimensionMismatch) as caught:
+            MatrixParabola(*coeffs)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_non_numeric_entries_keep_value_error(self, which):
+        coeffs = [np.eye(2).tolist() for _ in range(3)]
+        coeffs[which][0][1] = "x"
+        with pytest.raises(ValueError, match="could not convert string to float") as caught:
+            MatrixParabola(*coeffs)
+        assert not isinstance(caught.value, DimensionMismatch)
+
+    def test_ragged_rows_keep_value_error(self):
+        with pytest.raises(ValueError, match="inhomogeneous") as caught:
+            MatrixParabola([[1.0, 0.0], [0.0]], np.eye(2), np.eye(2))
+        assert not isinstance(caught.value, DimensionMismatch)
+
+    def test_order_zero(self):
+        P = MatrixParabola(*np.zeros((3, 0, 0)))
+        assert P.scales == (0.0, 0.0, 0.0) and P.dim == 0 and P.coeff_scale() == 0.0
+
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_scales_are_the_coefficient_max_norms(self, rng, m):
+        P = MatrixParabola(*(rng.standard_normal((3, m, m)) * [[[1.0]], [[1e-3]], [[1e3]]]))
+        assert P.scales == tuple(symmat.max_norm(S) for S in (P.A, P.B, P.C))
+        assert all(type(s) is float for s in P.scales)
+        assert P.coeff_scale() == symmat.max_norm(P.coeffs)

@@ -938,13 +938,16 @@ class TestMembershipDecidedOnce:
         def refused(*args, **kwargs):
             raise AssertionError("A-gauge on the decision path")
 
-        svd = np.linalg.svd
+        singular_values = symmat.singular_values
 
         def svd_of_a_certificate(*args, **kwargs):
             # The one SVD left is EquivalenceCertificate's singularity
             # check of the witness it is handed; no reduction is built.
             assert sys._getframe(1).f_code.co_name == "__post_init__", "SVD on the decision path"
-            return svd(*args, **kwargs)
+            return singular_values(*args, **kwargs)
+
+        def numpy_svd(*args, **kwargs):
+            raise AssertionError("numpy.linalg.svd on the decision path")
 
         reparametrized = classify._reparametrized
 
@@ -966,7 +969,8 @@ class TestMembershipDecidedOnce:
         monkeypatch.setattr(symmat, "pd_inv_sqrt", refused)
         monkeypatch.setattr(classify, "_reparametrized", reparametrize_in_verification)
         monkeypatch.setattr(charpoly.ParabolaAnalysis, "__init__", counting)
-        monkeypatch.setattr(np.linalg, "svd", svd_of_a_certificate)
+        monkeypatch.setattr(symmat, "singular_values", svd_of_a_certificate)
+        monkeypatch.setattr(np.linalg, "svd", numpy_svd)
         assert [is_characteristic(Q, n)[0] for Q, n, _ in kinds] == [ok for _, _, ok in kinds]
         assert is_characteristic(P, 2 * m + 2)[0]
         analyses.clear()
@@ -988,18 +992,27 @@ class TestMembershipDecidedOnce:
 
 class TestSvdCounts:
     """The one SVD of the equivalence decision is the singularity check
-    of the certificate it returns."""
+    of the certificate it returns, by symmat.singular_values; numpy's
+    svd wrapper is not called."""
 
     @pytest.fixture
     def svd_callers(self, monkeypatch):
+        # The caller of each singular_values call, and "numpy.linalg.svd"
+        # for each call of numpy's wrapper, which the exact lists refuse
+        # (the test inputs are drawn with it before the list is cleared).
         callers = []
-        svd = np.linalg.svd
+        singular_values, svd = symmat.singular_values, np.linalg.svd
 
         def counting(*args, **kwargs):
             callers.append(sys._getframe(1).f_code.co_name)
+            return singular_values(*args, **kwargs)
+
+        def numpy_svd(*args, **kwargs):
+            callers.append("numpy.linalg.svd")
             return svd(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        monkeypatch.setattr(symmat, "singular_values", counting)
+        monkeypatch.setattr(np.linalg, "svd", numpy_svd)
         return callers
 
     @pytest.mark.parametrize("m, r, k", [(1, 1, 0), (3, 2, 0), (5, 2, 0), (3, 1, 1), (5, 2, 2)])
@@ -1152,6 +1165,73 @@ class TestEigensolverCounts:
         eig_calls.clear()
         assert almost_equivalent(P, P2).is_yes
         assert len(eig_calls) == 10
+
+
+class TestScaleCounts:
+    """Max-norms per top-level call.  Every max-norm of a whole
+    coefficient is read from MatrixParabola.scales, so a membership
+    decision calls symmat.max_norm only for the band of the constant
+    block K at k >= 1 (when the max-norms were computed on use, it took
+    1 call at k = 0, max|C|, and 4 at k >= 1: max|C|, max|B|, max|A|
+    and max|K|).  The certificate's singularity check is
+    symmat.singular_values, so no equivalence path calls numpy's svd."""
+
+    @pytest.fixture
+    def max_norms(self, monkeypatch):
+        calls = []
+        max_norm = symmat.max_norm
+        monkeypatch.setattr(symmat, "max_norm", lambda S: calls.append(np.shape(S)) or max_norm(S))
+        return calls
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    def test_membership_full_rank(self, max_norms, rng, m):
+        M = random_manifold(rng, m=m, zero_eigs=0)
+        P = char_polynomial(M)
+        max_norms.clear()
+        assert is_characteristic(P, M.n)[0]
+        assert max_norms == []
+
+    @pytest.mark.parametrize("m, r, k", [(2, 1, 1), (3, 1, 1), (5, 2, 2), (8, 3, 3)])
+    def test_membership_constant_directions(self, max_norms, rng, m, r, k):
+        M = random_manifold(rng, m=m, r=r, k=k, zero_eigs=0)
+        P = char_polynomial(M)
+        max_norms.clear()
+        assert is_characteristic(P, M.n)[0]
+        assert max_norms == [(k, k)]
+
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_membership_elliptic(self, max_norms, rng, m):
+        M = random_elliptic(rng, m=m)
+        P = char_polynomial(M)
+        max_norms.clear()
+        assert is_characteristic(P, M.n)[0]
+        assert max_norms == [(m, m)]
+
+    def test_no_numpy_svd_on_any_equivalence_path(self, monkeypatch, rng):
+        pairs = []
+        for m, r, k in [(1, 1, 0), (3, 2, 0), (8, 3, 0), (3, 1, 1), (5, 2, 2)]:
+            P = char_polynomial(random_manifold(rng, m=m, r=r, k=k, zero_eigs=0))
+            pairs.append((P, apply_certificate(P, random_certificate(rng, m).inverse()), "yes"))
+        E = char_polynomial(random_elliptic(rng, m=3))
+        pairs.append((E, apply_certificate(E, random_certificate(rng, 3).inverse()), "yes"))
+        t, member = proportional_b_members(np.random.default_rng(5), 3)
+        pairs.append((member(t), apply_certificate(member(t), random_certificate(rng, 3).inverse()), "yes"))
+        pairs.append((char_polynomial(random_manifold(rng, m=3, r=1, zero_eigs=0)),
+                      char_polynomial(random_manifold(rng, m=3, r=2, zero_eigs=0)), "no"))
+        pairs.append((char_polynomial(random_manifold(rng, m=3, r=3, zero_eigs=0)),
+                      char_polynomial(random_manifold(rng, m=3, r=3, zero_eigs=0)), "no"))
+        x = random_unimodular(rng, 2, ops=2)
+        P = random_characteristic_parabola(rng, m=2)
+        P2 = apply_certificate(P, EquivalenceCertificate(x, 1.5, 0.5).inverse())
+
+        def refused(*args, **kwargs):
+            raise AssertionError("numpy.linalg.svd on an equivalence path")
+
+        monkeypatch.setattr(np.linalg, "svd", refused)
+        assert [almost_equivalent(P1, P2).verdict for P1, P2, _ in pairs] == [v for _, _, v in pairs]
+        found = search_certificate(P, P2, entry_bound=3)
+        assert found is not None and verify_equivalence(P, P2, found)
+        assert verify_equivalence(P2, P, found.inverse(), 1e-6)
 
 
 class TestSymmetrizeCounts:

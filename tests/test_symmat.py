@@ -104,14 +104,38 @@ class TestSymEig:
         assert symmat.max_norm(vectors.T @ vectors - np.eye(4)) <= 1e-10
 
 
+class TestSingularValues:
+    def test_numpy_svd_bit_for_bit(self, rng):
+        # One matrix and a stack, square and rectangular, against numpy's
+        # wrapper of the same gufunc.
+        for m in range(9):
+            for shape in ((4, m, m), (4, m, m + 1), (4, m + 1, m)):
+                stack = rng.standard_normal(shape)
+                for X in (stack[0], stack):
+                    ours = symmat.singular_values(X)
+                    assert _same_bits(ours, np.linalg.svd(X, compute_uv=False))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (3, 5, 5)])
+    def test_nonconvergence_raises(self, monkeypatch, rng, shape):
+        _fail_to_converge(monkeypatch)
+        with pytest.raises(LinAlgError):
+            symmat.singular_values(rng.standard_normal(shape))
+
+    def test_nan_input_raises(self):
+        # LAPACK flags the NaN as an invalid operation, which numpy
+        # reports first, as the caller's errstate says (a warning here).
+        with pytest.raises(LinAlgError), pytest.warns(RuntimeWarning, match="invalid value"):
+            symmat.singular_values(np.full((2, 2), np.nan))
+
+
 def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _fail_to_converge(monkeypatch):
-    """Make the LAPACK gufuncs behind sym_eig fail on the last matrix of
-    their operand, as LAPACK does when it does not converge: numpy then
-    fills that matrix's output with NaN."""
+    """Make the LAPACK gufuncs behind sym_eig and singular_values fail on
+    the last matrix of their operand, as LAPACK does when it does not
+    converge: numpy then fills that matrix's output with NaN."""
 
     def failing(gufunc):
         def call(S, signature):
@@ -123,7 +147,8 @@ def _fail_to_converge(monkeypatch):
         return call
 
     eigh, eigvalsh = failing(_umath_linalg.eigh_lo), failing(_umath_linalg.eigvalsh_lo)
-    monkeypatch.setattr(symmat, "_umath_linalg", SimpleNamespace(eigh_lo=eigh, eigvalsh_lo=eigvalsh))
+    svd = failing(_umath_linalg.svd)
+    monkeypatch.setattr(symmat, "_umath_linalg", SimpleNamespace(eigh_lo=eigh, eigvalsh_lo=eigvalsh, svd=svd))
 
 
 class TestPredicates:
