@@ -234,8 +234,10 @@ class ParabolaAnalysis:
     elliptic point.  D and H are the two Schur complements of
     [[A, B], [B, C]], so with A and C definite they share their
     inertia; D vanishes on ker C, so with C singular H is that of the
-    moving directions, and the rank counts them only.  Every other
-    attribute is computed on first use and kept.  Raises NonFiniteInput
+    moving directions, and the rank counts them only.  The gauge pass
+    also sets ``_b_vanishes_on_kernel`` and ``_frames`` where C is
+    positive semidefinite with k >= 1.  Every other attribute is
+    computed on first use and kept.  Raises NonFiniteInput
     unless 0 <= tol < inf.
     """
 
@@ -253,7 +255,9 @@ class ParabolaAnalysis:
         """The :class:`CGauge` for ``c_gauge``, or None when C has a
         negative eigenvalue beyond the ``kernel`` band, when B does not
         vanish on ker C (``_b_vanishes_on_kernel``), or when the constant
-        block is not positive definite.
+        block is not positive definite.  At k >= 1 it sets
+        ``_b_vanishes_on_kernel`` and ``_frames`` from the leading k
+        eigenvectors of C, which span ker C.
 
         The frame is W = Y lambda_c^{-1/2} from the eigenpairs
         (lambda_c, V_c) of C off the band, with Y the moving frame of
@@ -272,52 +276,65 @@ class ParabolaAnalysis:
         if not k:
             W = vectors / np.sqrt(values)
         else:
-            if not self._b_vanishes_on_kernel or self._frames is None:
+            # ker C is the leading k columns.  U is copied: BLAS rounds a
+            # strided slice of the eigenvectors and a copy of it differently.
+            U = vectors[:, :k].copy()
+            self._b_vanishes_on_kernel = leak_free = self._leak_free(U)
+            if not leak_free:
+                return None
+            self._frames = frames = self._constant_frames(U, vectors[:, k:])
+            if frames is None:
                 return None
             if k == P.dim:
                 return CGauge(np.zeros((k, 0)), np.zeros(0), np.zeros((0, 0)), np.zeros(0), 0.0)
-            W = self._frames[2] / np.sqrt(values[k:])
+            W = frames[2] / np.sqrt(values[k:])
         W = _in_units(W, self._c_units[0] // 2)  # eigenvalues in units of 2^e, e even: exact
-        mu, U = symmat.sym_eig(symmat.congruence(P.B, W))
-        F = W @ U
+        mu, R = symmat.sym_eig(symmat.congruence(P.B, W))
+        F = W @ R
         H = symmat.congruence(P.A, F)
         size = max(float(np.abs(H).max()), max(-mu[0].item(), mu[-1].item()) ** 2)
         H.ravel()[:: mu.size + 1] -= mu * mu  # H = F^T A F - diag(mu^2); H is contiguous, so a view
         return CGauge(F, mu, H, symmat.sym_eig(H, vectors=False), size)
 
-    @cached_property
-    def _b_vanishes_on_kernel(self):
-        """Whether every column of B U, for the eigenvectors U of C on the
+    def _leak_free(self, U):
+        """Whether every column of B U, for eigenvectors U of C on the
         ``kernel`` band, has a 2-norm within tol * max|B| (vacuously when
         C has full rank): the one rule by which B vanishes on ker C."""
-        leak = np.hypot.reduce(self.P.B @ self.c_eig.vectors[:, self.kernel], axis=0)
+        leak = np.hypot.reduce(self.P.B @ U, axis=0)
         return bool(leak.max(initial=0.0) <= self.tol * self.P.scales[1])
 
-    @cached_property
-    def _frames(self):
-        """(E, R, Y) from the eigenvectors U of C on the ``kernel`` band
-        and the eigenpairs (kappa, R) of the constant block K = U^T A U:
-        the constant frame E = U R kappa^{-1/2} (E^T A E = I) and the
-        moving frame Y = V_c - E E^T A V_c, the eigenvectors V_c of C off
-        the band made A-orthogonal to ker C.  None unless K is positive
-        definite (lambda_min clears tol * max|K|).  A is read in the
-        units 2^e of :func:`_units`, so that K and E^T A V_c stay finite,
-        and E is rescaled by the exact 2^(-e/2).  Read only when C is
-        singular."""
-        kernel, vectors = self.kernel, self.c_eig.vectors
+    def _constant_frames(self, U, V):
+        """(E, R, Y) from the eigenvectors U of C on the ``kernel`` band,
+        the others V, and the eigenpairs (kappa, R) of the constant block
+        K = U^T A U: the constant frame E = U R kappa^{-1/2} (E^T A E = I)
+        and the moving frame Y = V - E E^T A V, made A-orthogonal to
+        ker C.  None unless K is positive definite (lambda_min clears
+        tol * max|K|).  A is read in the units 2^e of :func:`_units`, so
+        that K and E^T A V stay finite, and E is rescaled by the exact
+        2^(-e/2)."""
         exponent = _units(self.P.scales[0], self.P.dim)[0]
         A = _in_units(self.P.A, exponent)
-        U = vectors[:, kernel]
         K = symmat.congruence(A, U)
         kappa, R = symmat.sym_eig(K)
         if not kappa[0] > self.tol * symmat.max_norm(K):
             return None
         E = (U @ R) / np.sqrt(kappa)
-        # ker C comes first unless C is indefinite; BLAS rounds a slice of
-        # the eigenvectors and a copy of it differently.
-        V = vectors[:, U.shape[1]:] if kernel[0] else vectors[:, ~kernel]
         Y = V - E @ (E.T @ A @ V)
         return _in_units(E, exponent // 2), R, Y
+
+    # The gauge pass sets these two as plain attributes where C is
+    # positive semidefinite with k >= 1 (the frames unless B leaks onto
+    # ker C); elsewhere the linearization of ``positive`` and ``a_frame``
+    # compute them here, on first use.
+    @cached_property
+    def _b_vanishes_on_kernel(self):
+        return self._leak_free(self.c_eig.vectors[:, self.kernel])
+
+    @cached_property
+    def _frames(self):
+        vectors, kernel = self.c_eig.vectors, self.kernel
+        V = vectors[:, np.count_nonzero(kernel):] if kernel[0] else vectors[:, ~kernel]
+        return self._constant_frames(vectors[:, kernel], V)
 
     @cached_property
     def a_frame(self):

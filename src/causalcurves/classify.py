@@ -9,7 +9,8 @@ up to the choice of lattice).  This module can
 * rebuild manifold data realizing any member (``realize``),
 * apply certificates, one stacked ``symmat.congruence`` of the
   reparametrized (A, B, C), and verify them (``verify_equivalence``)
-  with the one check every witness passes (``_fits``),
+  with the one check every witness passes (``_fits``, which reads T
+  entries-first for one witness and for a stack alike),
 * compute the affine spectrum of B C^{-1}, an isometry invariant up to
   orientation-preserving affine maps of the parameter,
 * compute the simple-spectrum normal form of manifold data (eigenvalues
@@ -18,8 +19,9 @@ up to the choice of lattice).  This module can
   (s + diag mu)^2 + H of each member's C-gauge, and
 * exhaustively search tiny integer certificates (``search_certificate``):
   every bounded unimodular X, from a read-only table built once per
-  (m, bound), is checked in one congruence of the stack, and the first
-  that fits is returned.
+  (m, bound), is formed by one product with a read-only table of their
+  Kronecker squares and checked in one pass of ``_fits`` over the
+  entries-first stack, and the first that fits is returned.
 
 Realization reads the membership verdict's :class:`ParabolaAnalysis`
 through its frame Z with Z^T A Z = I (``a_frame``), one assembly for
@@ -130,18 +132,21 @@ def apply_certificate(P: MatrixParabola, cert: EquivalenceCertificate) -> Matrix
 
 def _fits(coeffs1, T, alpha, beta, tol):
     """The one check of every certificate: whether ``coeffs1`` = (A1, B1, C1)
-    is X^T Q2(alpha s + beta) X, one bool per X, from T = X^T [A2, B2, C2] X
-    for one X or a stack (``coeffs1``, alpha and beta then broadcast
-    against it).  The image, T reparametrized, is summed from the terms
-    T_A, 2 beta T_B and beta^2 T_C (A), alpha T_B and alpha beta T_C (B)
-    and alpha^2 T_C (C); each coefficient must match within tol times the
-    largest of its own entries in P1 and its terms."""
-    size, error, (a, b, c) = (np.maximum.reduce(np.abs(D), axis=(-2, -1), keepdims=True, initial=0.0)
+    is X^T Q2(alpha s + beta) X, from T = X^T [A2, B2, C2] X laid out
+    entries-first: (3, m^2) for one X, with coeffs1 (3, m^2) and scalar
+    alpha and beta, or (3, m^2, N) for a stack of N, one bool per X, with
+    coeffs1 (3, m^2, 1) and alpha and beta of length N.  Every operand
+    is reduced along its entries axis, axis 1.  The image, T
+    reparametrized, is summed from the terms T_A, 2 beta T_B and
+    beta^2 T_C (A), alpha T_B and alpha beta T_C (B) and alpha^2 T_C (C);
+    each coefficient must match within tol times the largest of its own
+    entries in P1 and its terms."""
+    size, error, (a, b, c) = (np.maximum.reduce(np.abs(D), axis=1, initial=0.0)
                               for D in (coeffs1, coeffs1 - _reparametrized(T, alpha, beta), T))
     shift = abs(beta)
     terms = (np.maximum(a, np.maximum(2.0 * shift * b, shift * shift * c)),
              alpha * np.maximum(b, shift * c), alpha * alpha * c)
-    return np.logical_and.reduce(error <= tol * np.maximum(size, terms))[..., 0, 0]
+    return np.logical_and.reduce(error <= tol * np.maximum(size, terms))
 
 
 def _common_n(P1, P2, n):
@@ -164,7 +169,8 @@ def verify_equivalence(P1, P2, cert, tol=DEFAULT_TOL, n=None):
     ok2, sig2 = is_characteristic(P2, n, tol)
     if not (ok1 and ok2) or sig1 != sig2:
         return False
-    return bool(_fits(P1.coeffs, symmat.congruence(P2.coeffs, cert.X), cert.alpha, cert.beta, tol))
+    T = symmat.congruence(P2.coeffs, cert.X)
+    return bool(_fits(P1.coeffs.reshape(3, -1), T.reshape(3, -1), cert.alpha, cert.beta, tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,7 +388,8 @@ def _yes(P1, P2, X, alpha, beta, tol):
     """Package a candidate witness that :func:`_fits` at
     max(tol, SPECTRUM_TOL), else "unknown"."""
     cert = EquivalenceCertificate(X, alpha, beta)
-    if not _fits(P1.coeffs, symmat.congruence(P2.coeffs, cert.X), cert.alpha, cert.beta, max(tol, SPECTRUM_TOL)):
+    T = symmat.congruence(P2.coeffs, cert.X)
+    if not _fits(P1.coeffs.reshape(3, -1), T.reshape(3, -1), cert.alpha, cert.beta, max(tol, SPECTRUM_TOL)):
         return AlmostVerdict("unknown", None, "invariants match but the assembled witness failed verification")
     return AlmostVerdict("yes", cert, "verified witness")
 
@@ -484,17 +491,36 @@ def _unimodular_stack(m, bound):
     return stack
 
 
+@cache
+def _squares_table(m, bound):
+    """The Kronecker squares of the :func:`_unimodular_stack` (m, bound)
+    X_0, ..., X_{N-1}, laid out for one product:
+    table[k m + l, (i m + j) N + n] = X_n[k, i] X_n[l, j], so that the
+    row-major entries of S times it are those of X_n^T S X_n,
+    entries-first (the columns of candidate n are np.kron(X_n, X_n)).
+    Exact (products of integers), built once per (m, bound) and
+    read-only: 79 KB at m = 2 and bound 5."""
+    Xs = _unimodular_stack(m, bound)
+    table = np.einsum("nki,nlj->klijn", Xs, Xs).reshape(m * m, -1)
+    table.flags.writeable = False
+    return table
+
+
 def search_certificate(P1, P2, entry_bound=3, tol=DEFAULT_TOL):
     """Exhaustive integer certificate search for orders one and two.
 
-    Stacks every unimodular X with entries bounded by ``entry_bound`` in
-    lexicographic order and checks them in one array pass over one
-    ``symmat.congruence`` T = X^T [A2, B2, C2] X of the stack: alpha and
-    beta are forced by trace identities (tr C1 = alpha^2 tr T_C, then
-    the trace of the linear coefficient), traces within tol times P1's
-    scale counting as zero, and the first candidate that :func:`_fits`
-    at tol is returned, or None.  The search is complete only within
-    the bound; a tol outside [0, inf) raises NonFiniteInput.
+    Reads every unimodular X with entries bounded by ``entry_bound``, in
+    lexicographic order, from one product of P2's stacked entries with
+    the read-only :func:`_squares_table`, the one place besides
+    ``symmat.congruence`` where X^T S X is formed: T = X^T [A2, B2, C2] X
+    for every X, entries-first, symmetrized in the congruence's form
+    S/2 + S^T/2 by swapping the entry axes i and j.  alpha and beta are
+    forced by trace identities (tr C1 = alpha^2 tr T_C, then the trace
+    of the linear coefficient), traces within tol times P1's scale
+    counting as zero, and the first candidate that :func:`_fits` at tol,
+    in one pass over the candidates that survive the traces, is
+    returned, or None.  The search is complete only within the bound; a
+    tol outside [0, inf) raises NonFiniteInput.
     """
     m = P1.dim
     if P2.dim != m:
@@ -517,18 +543,21 @@ def search_certificate(P1, P2, entry_bound=3, tol=DEFAULT_TOL):
         raise NonFiniteInput(f"tol must be finite and nonnegative, got {tol}")
     tr_b1, tr_c1 = np.trace(P1.coeffs[1:], axis1=1, axis2=2)
     band = tol * P1.coeff_scale()
-    Xs = _unimodular_stack(m, entry_bound)
-    T = symmat.congruence(P2.coeffs[:, None], Xs)
-    tr_b2x, tr_c2x = np.trace(T[1:], axis1=2, axis2=3)
+    half = (P2.coeffs.reshape(3, -1) @ _squares_table(m, entry_bound)).reshape(3, m, m, -1)
+    half *= 0.5
+    T = (half + half.swapaxes(1, 2)).reshape(3, m * m, -1)
+    tr_b2x, tr_c2x = T[1:, :: m + 1].sum(axis=1)
     # Both traces tiny force alpha = 1, beta = 0; exactly one tiny rules X out.
     if tr_c1 <= band:
-        keep = tr_c2x <= band
-        alpha, beta = np.ones(keep.sum()), np.zeros(keep.sum())
+        keep = np.flatnonzero(tr_c2x <= band)
+        alpha, beta = np.ones(keep.size), np.zeros(keep.size)
     else:
-        keep = tr_c2x > band
-        tr_b2x, tr_c2x = tr_b2x[keep], tr_c2x[keep]
+        keep = np.flatnonzero(tr_c2x > band)
+        tr_b2x, tr_c2x = tr_b2x.take(keep), tr_c2x.take(keep)
         alpha = np.sqrt(tr_c1 / tr_c2x)
         beta = (tr_b1 / alpha - tr_b2x) / tr_c2x
-    Xs, T = Xs[keep], T[:, keep]
-    fits = np.flatnonzero(_fits(P1.coeffs[:, None], T, alpha[:, None, None], beta[:, None, None], tol))
-    return EquivalenceCertificate(Xs[fits[0]].copy(), alpha[fits[0]], beta[fits[0]]) if fits.size else None
+    fits = np.flatnonzero(_fits(P1.coeffs.reshape(3, -1, 1), T.take(keep, axis=2), alpha, beta, tol))
+    if not fits.size:
+        return None
+    first = fits[0]
+    return EquivalenceCertificate(_unimodular_stack(m, entry_bound)[keep[first]].copy(), alpha[first], beta[first])

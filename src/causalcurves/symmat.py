@@ -13,12 +13,15 @@ goes through it, reading S as given: each matrix is symmetrized once,
 where it is formed.  Next to it, :func:`singular_values` calls the
 gufunc behind ``numpy.linalg.svd(X, compute_uv=False)`` the same way,
 for the singularity check of an equivalence certificate.  There is one
-congruence kernel: :func:`congruence` forms every X^T S X in the
-package, exactly symmetric; it and :func:`symmetrize` take one matrix
-or stacks.  Real roots of scalar polynomials come from the eigenvalues
-of the companion matrix (``numpy.polynomial``, imported on first use:
-no verdict reads them), clustered so that a multiple root is reported
-once.
+congruence kernel: :func:`congruence` forms X^T S X, exactly
+symmetric, everywhere in the package but one place, the integer
+certificate search, whose candidates' images are one product of the
+entries of S with a table of Kronecker squares (``classify``),
+symmetrized in the same form; it and :func:`symmetrize` take one
+matrix or stacks.  Real roots of scalar polynomials come from the
+eigenvalues of the companion matrix (``numpy.polynomial``, imported on
+first use: no verdict reads them), clustered so that a multiple root
+is reported once.
 """
 
 from __future__ import annotations
@@ -177,7 +180,9 @@ def clusters(values, band):
 
 
 def congruence(S, X):
-    """symmetrize(X^T S X): the one place the package forms X^T S X.
+    """symmetrize(X^T S X): the one congruence kernel of the package (the
+    integer certificate search forms its candidates' images by a table
+    product instead).
 
     X may be rectangular (m x p), and S and X may be stacks on their
     leading axes, which broadcast; the last two axes are the matrices.

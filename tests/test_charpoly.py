@@ -396,6 +396,34 @@ class TestOneAnalysisPerCall:
             assert not member
         assert len(analyses) == 1
 
+    @pytest.mark.parametrize(
+        "kind, kept",
+        [("k0", set()), ("k1", {"_b_vanishes_on_kernel", "_frames"}),
+         ("h_indefinite", {"_b_vanishes_on_kernel", "_frames"}), ("b_leaking", {"_b_vanishes_on_kernel"}),
+         ("c_indefinite", set())],
+    )
+    def test_gauge_pass_keeps_the_constant_directions(self, kind, kept):
+        # Where C is positive semidefinite with k >= 1 the constructor
+        # keeps the test of B on ker C and, unless B leaks, the constant
+        # frames as plain attributes, read from the leading eigenvectors
+        # of C; elsewhere they are computed on first use, from the kernel
+        # mask, and both ways give the same bits.
+        if kind == "c_indefinite":
+            P = MatrixParabola(np.eye(3), np.zeros((3, 3)), np.diag([-1.0, 0.0, 1.0]))
+        else:
+            P = self.parabola(kind)
+        analysis = charpoly.ParabolaAnalysis(P)
+        assert kept == {"_b_vanishes_on_kernel", "_frames"} & set(vars(analysis))
+        for name in kept:
+            lazy = getattr(charpoly.ParabolaAnalysis, name).func(analysis)
+            if name == "_frames":
+                assert all(np.array_equal(a, b) for a, b in zip(vars(analysis)[name], lazy, strict=True))
+            else:
+                assert vars(analysis)[name] is lazy
+        if kind == "c_indefinite":  # ker C is the middle column: a_frame reads the mask
+            assert analysis.c_gauge is None and analysis.a_frame is not None
+            np.testing.assert_allclose(symmat.congruence(P.A, analysis.a_frame), np.eye(3), atol=1e-12)
+
     def test_realize_forms_no_svd_or_inverse(self, monkeypatch):
         P, calls = self.parabola("k1"), []
 

@@ -5,6 +5,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -894,7 +895,7 @@ class TestMembershipDecidedOnce:
 
         monkeypatch.setattr(classify, "_fits", counting)
         assert almost_equivalent(P, P2).is_yes
-        assert calls == [(3, m, m)]
+        assert calls == [(3, m * m)]
 
     def test_validate_parabola(self, monkeypatch, rng, capsys):
         # The CLI calls charpoly.is_characteristic at call time, so the
@@ -1269,11 +1270,12 @@ class TestSymmetrizeCounts:
 class TestCongruenceCounts:
     """symmat.congruence calls per top-level call.  A witness is checked
     from the one product T = X^T [A2, B2, C2] X: the image is T
-    reparametrized, and the band reads T's terms.  When the check formed
-    the image by apply_certificate and its terms by a second congruence,
-    a k = 0 yes of almost_equivalent took 8 at every m, and a found
-    search_certificate 3 (traces, the screened images and the re-check
-    of the first survivor)."""
+    reparametrized, and the band reads T's terms.  The integer search
+    forms its candidates' T from the table of Kronecker squares instead.
+    When the check formed the image by apply_certificate and its terms by
+    a second congruence, a k = 0 yes of almost_equivalent took 8 at every
+    m, and a found search_certificate 3 (traces, the screened images and
+    the re-check of the first survivor)."""
 
     @pytest.fixture
     def congruences(self, monkeypatch):
@@ -1295,13 +1297,15 @@ class TestCongruenceCounts:
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_search_found(self, congruences, rng, m):
-        # One stacked T serves the traces and every candidate's check.
+        # The candidates' T is one product with the table of Kronecker
+        # squares, which serves the traces and every candidate's check
+        # (one stacked congruence while the search formed T by congruence).
         x = [[-1.0]] if m == 1 else random_unimodular(rng, 2, ops=2)
         P = random_characteristic_parabola(rng, m=m)
         P2 = apply_certificate(P, EquivalenceCertificate(x, 1.5, 0.5).inverse())
         congruences.clear()
         assert search_certificate(P, P2, entry_bound=3) is not None
-        assert len(congruences) <= 1
+        assert len(congruences) == 0
 
 
 def scalar_search(P1, P2, entry_bound, tol=symmat.DEFAULT_TOL):
@@ -1315,14 +1319,16 @@ def scalar_search(P1, P2, entry_bound, tol=symmat.DEFAULT_TOL):
         if abs(det) != 1:
             continue
         X = np.array(entries, dtype=float).reshape(m, m)
-        tr_c2x = float(np.trace(symmat.congruence(P2.C, X)))
+        # X^T S X by the search's product, vec(S) against np.kron(X, X).
+        _, T_B, T_C = symmat.symmetrize((P2.coeffs.reshape(3, m * m) @ np.kron(X, X)).reshape(3, m, m))
+        tr_c2x = float(np.trace(T_C))
         if tr_c1 <= tiny and tr_c2x <= tiny:
             alpha, beta = 1.0, 0.0
         elif tr_c1 <= tiny or tr_c2x <= tiny:
             continue
         else:
             alpha = float(np.sqrt(tr_c1 / tr_c2x))
-            tr_b2x = float(np.trace(symmat.congruence(P2.B, X)))
+            tr_b2x = float(np.trace(T_B))
             beta = (tr_b1 / alpha - tr_b2x) / tr_c2x
         cert = EquivalenceCertificate(X, alpha, beta)
         if P1.close_to(apply_certificate(P2, cert), tol):
@@ -1396,6 +1402,61 @@ class TestSearchCertificate:
                 table[0, 0, 0] = 7.0
             det = table[:, 0, 0] if m == 1 else table[:, 0, 0] * table[:, 1, 1] - table[:, 0, 1] * table[:, 1, 0]
             assert table.shape[1:] == (m, m) and (np.abs(det) == 1).all() and np.abs(table).max() <= bound
+            squares = classify._squares_table(m, bound)
+            assert classify._squares_table(m, bound) is squares
+            assert not squares.flags.writeable
+            with pytest.raises(ValueError):
+                squares[0, 0] = 7.0
+            # Candidate n's columns are np.kron(X_n, X_n), entries-first.
+            blocks = squares.reshape(m * m, m * m, len(table))
+            for n, X in enumerate(table):
+                np.testing.assert_array_equal(blocks[:, :, n], np.kron(X, X))
+        assert classify._squares_table(2, 5).nbytes <= 80_000
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_squares_table_images_are_congruences(self, rng, m):
+        # vec(S) times the table is vec(X^T S X) for every candidate X,
+        # against the congruence kernel, at every bound.
+        for bound in range(1, 6):
+            Xs = classify._unimodular_stack(m, bound)
+            S = symmetrize(rng.standard_normal((3, m, m)) * 10.0 ** rng.uniform(-3.0, 3.0, (3, 1, 1)))
+            images = (S.reshape(3, m * m) @ classify._squares_table(m, bound)).reshape(3, m, m, len(Xs))
+            expected = symmat.congruence(S[:, None], Xs)  # (3, N, m, m)
+            scale = np.abs(S).max(axis=(1, 2))[:, None, None, None] * np.abs(Xs).max() ** 2
+            np.testing.assert_allclose(images.transpose(0, 3, 1, 2), expected, rtol=0, atol=1e-14 * scale.max())
+
+    def test_fits_on_a_stack_is_fits_on_each_candidate(self, monkeypatch, rng):
+        # _fits reads one layout for a stack and for one witness: the
+        # search's verdict on candidate n is _fits on T[:, :, n] alone,
+        # for forced alpha and beta, where both traces are tiny
+        # (alpha = 1, beta = 0) and where exactly one is (for every
+        # candidate, or for some of them).
+        stacks = []
+        fits = classify._fits
+
+        def recording(coeffs1, T, alpha, beta, tol):
+            verdicts = fits(coeffs1, T, alpha, beta, tol)
+            stacks.append((coeffs1, T, alpha, beta, tol, verdicts))
+            return verdicts
+
+        monkeypatch.setattr(classify, "_fits", recording)
+        pairs = [pair for pair, _ in self._trace_edge_pairs()]
+        for m in (1, 2):
+            pairs.extend(itertools.islice(self._pairs(rng, m, 2), 4))
+        for P1, P2 in pairs:
+            search_certificate(P1, P2, 3, tol=1e-7)
+        assert len(stacks) == len(pairs)
+        assert any(alpha.size and (alpha == 1.0).all() and not beta.any() for _, _, alpha, beta, _, _ in stacks)
+        candidates = len(classify._unimodular_stack(2, 3))
+        assert any(T.shape[2] == 0 for _, T, _, _, _, _ in stacks)
+        assert any(0 < T.shape[2] < candidates and T.shape[1] == 4 for _, T, _, _, _, _ in stacks)
+        assert any(verdicts.any() for *_, verdicts in stacks) and any(not verdicts.all() for *_, verdicts in stacks)
+        for coeffs1, T, alpha, beta, tol, verdicts in stacks:
+            assert verdicts.shape == alpha.shape == beta.shape == (T.shape[2],)
+            m = math.isqrt(T.shape[1])  # every image exactly symmetric, as congruence's
+            np.testing.assert_array_equal(T, T.reshape(3, m, m, -1).swapaxes(1, 2).reshape(T.shape))
+            each = [fits(coeffs1[..., 0], T[:, :, n], alpha[n], beta[n], tol) for n in range(T.shape[2])]
+            np.testing.assert_array_equal(verdicts, np.array(each, dtype=bool))
 
     def test_entry_bound_must_be_integral(self):
         for bound in (2.5, 3.0, "3", None):
@@ -1438,6 +1499,22 @@ class TestSearchCertificate:
             yield P, P2
             yield MatrixParabola(c * P.A, c * P.B, c * P.C), P2
 
+    @staticmethod
+    def _trace_edge_pairs():
+        """Pairs at the edges of the trace rule, each with whether a
+        certificate with entries in [-2, 2] exists."""
+        x = np.array([[2.0, 1.0], [1.0, 1.0]])
+        zero = np.zeros((2, 2))
+        # Both traces tiny: alpha = 1, beta = 0.
+        elliptic = (MatrixParabola(np.eye(2), zero, zero), MatrixParabola(x.T @ x, zero, zero))
+        # C1 = 0 but C2 != 0: exactly one tiny trace rules every X out.
+        mixed = (MatrixParabola(np.eye(2), zero, zero), MatrixParabola(np.eye(2), zero, np.eye(2)))
+        # An indefinite C2: the candidates with tr X^T C2 X <= 0, among
+        # them the lexicographically first ones, drop out before the check.
+        P2 = MatrixParabola([[2.0, 0.3], [0.3, 1.0]], [[0.5, 0.1], [0.1, -0.2]], np.diag([1.0, -1.0]))
+        indefinite = (apply_certificate(P2, EquivalenceCertificate(x, 1.5, 0.5)), P2)
+        return [(elliptic, True), (mixed, False), (indefinite, True)]
+
     def test_matches_scalar_reference(self, rng):
         found = 0
         for m, bound in itertools.product((1, 2), range(1, 6)):
@@ -1446,13 +1523,7 @@ class TestSearchCertificate:
                 assert_same_search(batched, scalar_search(P1, P2, bound, tol=1e-7))
                 found += batched is not None
         assert found >= 10
-        x = np.array([[2.0, 1.0], [1.0, 1.0]])
-        zero = np.zeros((2, 2))
-        # Both traces tiny: alpha = 1, beta = 0.
-        elliptic = (MatrixParabola(np.eye(2), zero, zero), MatrixParabola(x.T @ x, zero, zero))
-        # C1 = 0 but C2 != 0: exactly one tiny trace rules every X out.
-        mixed = (MatrixParabola(np.eye(2), zero, zero), MatrixParabola(np.eye(2), zero, np.eye(2)))
-        for (P1, P2), expected in ((elliptic, True), (mixed, False)):
+        for (P1, P2), expected in self._trace_edge_pairs():
             for bound in range(1, 6):
                 batched = search_certificate(P1, P2, bound)
                 assert (batched is not None) == (expected and bound >= 2)
