@@ -16,14 +16,18 @@ iff Q(s) > 0 for all real s, the Schur complement C - B A^{-1} B is
 positive semidefinite of rank r, and m + r + 2 <= n; kernel directions
 of C (which must also kill B) split off as an s-independent block, so
 every member reads X^T Q(s) X = blockdiag(K, Q_moving(s)) with k = dim
-ker C from 0 (the empty reduction, X = I) to m (the elliptic point
-B = C = 0, whose moving part is the 0 x 0 parabola).
+ker C from 0 to m (the elliptic point B = C = 0, whose moving part is
+the 0 x 0 parabola).
 
 Every criterion reads one :class:`ParabolaAnalysis` per parabola and
-tolerance, whose attributes are each computed once.  Membership is
-decided in the C-gauge, for every k: from the eigenpairs of C, whose
-kernel band gives U, of the constant block K = U^T A U (k >= 1 only),
-of W^T B W and the eigenvalues of H,
+tolerance, whose attributes are each computed once.  It splits ker C
+off once, in its constructor: the eigenvectors U of C on the kernel
+band, the one test of B on ker C, and the frames of ker C from the
+eigenpairs of the constant block K = U^T A U (``_frames``), which the
+C-gauge, ``a_frame``, ``positive``, ``almost_equivalent`` and
+:func:`reduce_degenerate` (X = [U | Y]) all read.  Membership is
+decided in the C-gauge, for every k: from the eigenpairs of C, of K
+(k >= 1 only), of W^T B W and the eigenvalues of H,
 
     F^T Q(s) F = (s + diag mu)^2 + H,   F^T C F = I,   U^T A F = 0,
 
@@ -48,8 +52,8 @@ eigenpairs and the gauge's moving frame Y, so that within the ker C
 bands Z^T Q(s) Z = blockdiag(I, I + 2s B~ + s^2 C~).  ``realize`` forms
 B~, C~, G = C~ - B~^2 and the lattice Z^T A from it, ``schur_condition``
 the matrix C - (Z^T B)^T (Z^T B), and ``positive`` its linearization.
-The SVD ``reduction`` to blockdiag(K, Q_moving(s)) serves
-``reduce_degenerate`` alone: no verdict and no realization reads it.
+No verdict and no realization reads :func:`reduce_degenerate`, and
+nothing here runs an SVD.
 """
 
 from __future__ import annotations
@@ -145,10 +149,11 @@ class SchurResult:
 
 @dataclass(frozen=True, eq=False)
 class ReductionResult:
-    """Congruence X splitting off the s-independent block.
+    """Congruence X = [U | Y] splitting off the s-independent block.
 
     X^T Q(s) X = blockdiag(constant_block, reduced(s)) with the constant
-    block of size k = dim ker C.
+    block of size k = dim ker C; Y is A-orthogonal to ker C but not
+    orthonormal.
     """
 
     X: np.ndarray
@@ -206,39 +211,44 @@ class ParabolaAnalysis:
         F^T Q(s) F = (s + diag mu)^2 + H,   H = F^T A F - diag(mu^2).
 
     Y = V_c when C has full rank.  Otherwise the eigenvectors U of C on
-    the band span ker C, the constant block K = U^T A U must be positive
-    definite, and Y = V_c - U K^{-1} U^T A V_c is A-orthogonal to ker C,
-    so within the ker C bands Q(s) is blockdiag(I, F^T Q(s) F) in the
-    frame [E | F], E^T A E = I (``_frames``).  C is the leading
-    coefficient, so the gauge does not move under s -> s + beta, and H
-    is the Schur complement of C in [[A, B], [B, C]] (in the gauge),
-    with the inertia of D = C - B A^{-1} B.  One gauge serves every k:
+    the band span ker C, B must vanish on ker C, the constant block
+    K = U^T A U must be positive definite, and Y = V_c - U K^{-1} U^T A V_c
+    is A-orthogonal to ker C, so within the ker C bands Q(s) is
+    blockdiag(I, F^T Q(s) F) in the frame [E | F], E^T A E = I
+    (``_frames``).  C is the leading coefficient, so the gauge does not
+    move under s -> s + beta, and H is the Schur complement of C in
+    [[A, B], [B, C]] (in the gauge), with the inertia of
+    D = C - B A^{-1} B.  One gauge serves every k:
     no second parabola is formed.  Where an eigenvalue of C, of K or of
     Y^T A Y could overflow, C (for W) or A (for E and ``a_frame``) is
     decomposed in units of an even power of two (:func:`_units`) and the
     frame rescaled exactly.
     The one A-gauge attribute is the frame ``a_frame`` (Z^T A Z = I),
     built from the same U, (kappa, R) and Y, which ``realize``,
-    :func:`_schur` and the linearization of ``positive`` read; the SVD
-    ``reduction`` is built only for :func:`reduce_degenerate`.
+    :func:`_schur` and the linearization of ``positive`` read;
+    :func:`reduce_degenerate` reads U and Y.
 
-    Every criterion reads the eigenpairs of C first, and every
-    consumer but :func:`reduce_degenerate` the C-gauge and its inertia,
-    so the constructor sets them: ``_c_units`` (e, max|C| / 2^e), the
-    eigenvalues of C being read in units of 2^e (:func:`_units`);
-    ``c_eig``, the eigenpairs of C in those units; ``kernel``, the mask
-    of the eigenvalues inside the band tol * max|C|; ``c_gauge``; and
+    Every criterion reads the eigenpairs of C and the split of ker C
+    first, and every consumer but :func:`reduce_degenerate` the C-gauge
+    and its inertia, so the constructor sets them: ``_c_units``
+    (e, max|C| / 2^e), the eigenvalues of C being read in units of 2^e
+    (:func:`_units`); ``c_eig``, the eigenpairs of C in those units;
+    ``kernel``, the mask of the eigenvalues inside the band
+    tol * max|C|, which leads unless C is indefinite;
+    ``_b_vanishes_on_kernel``, the one rule by which B vanishes on
+    ker C (every column of B U has a 2-norm within tol * max|B|);
+    ``_frames``, the (E, R, Y) of :meth:`_constant_frames`, or None when
+    the constant block is singular (both vacuous, True and None, at
+    k = 0); ``c_gauge``; and
     ``inertia``, the (PSD, rank) of D = C - B A^{-1} B, read from the
     eigenvalues of H against tol * size, or None without a C-gauge, and
     (True, 0) for a 0 x 0 parabola and for the empty gauge of the
     elliptic point.  D and H are the two Schur complements of
     [[A, B], [B, C]], so with A and C definite they share their
     inertia; D vanishes on ker C, so with C singular H is that of the
-    moving directions, and the rank counts them only.  The gauge pass
-    also sets ``_b_vanishes_on_kernel`` and ``_frames`` where C is
-    positive semidefinite with k >= 1.  Every other attribute is
-    computed on first use and kept.  Raises NonFiniteInput
-    unless 0 <= tol < inf.
+    moving directions, and the rank counts them only.  ``a_frame`` and
+    ``positive`` are computed on first use and kept.  Raises
+    NonFiniteInput unless 0 <= tol < inf.
     """
 
     def __init__(self, P: MatrixParabola, tol=DEFAULT_TOL):
@@ -246,18 +256,28 @@ class ParabolaAnalysis:
         if not 0.0 <= self.tol < math.inf:
             raise NonFiniteInput(f"tol must be finite and nonnegative, got {self.tol}")
         self._c_units = _units(P.scales[2], P.dim)
-        self.c_eig = symmat.sym_eig(_in_units(P.C, self._c_units[0]))
-        self.kernel = np.abs(self.c_eig.values) <= self.tol * self._c_units[1]
-        self.c_gauge = g = self._c_gauge()
+        self.c_eig = values, vectors = symmat.sym_eig(_in_units(P.C, self._c_units[0]))
+        self.kernel = kernel = np.abs(values) <= self.tol * self._c_units[1]
+        self._b_vanishes_on_kernel, self._frames = True, None  # vacuously, at k = 0
+        if k := np.count_nonzero(kernel):
+            if kernel[0]:
+                # ker C comes first.  U is copied: BLAS rounds a strided
+                # slice of the eigenvectors and a copy of it differently.
+                U, V = vectors[:, :k].copy(), vectors[:, k:]
+            else:  # only an indefinite C has ker C in the middle
+                U, V = vectors[:, kernel], vectors[:, ~kernel]
+            leak = np.hypot.reduce(P.B @ U, axis=0)  # the 2-norms of the columns of B U
+            self._b_vanishes_on_kernel = bool(leak.max() <= self.tol * P.scales[1])
+            self._frames = self._constant_frames(U, V)
+        self.c_gauge = g = self._c_gauge(k)
         self.inertia = (True, 0) if P.dim == 0 else None if g is None else _inertia(g.h, self.tol * g.size)
 
-    def _c_gauge(self):
-        """The :class:`CGauge` for ``c_gauge``, or None when C has a
-        negative eigenvalue beyond the ``kernel`` band, when B does not
-        vanish on ker C (``_b_vanishes_on_kernel``), or when the constant
-        block is not positive definite.  At k >= 1 it sets
-        ``_b_vanishes_on_kernel`` and ``_frames`` from the leading k
-        eigenvectors of C, which span ker C.
+    def _c_gauge(self, k):
+        """The :class:`CGauge` for ``c_gauge`` at k = dim ker C, or None
+        when C has a negative eigenvalue beyond the ``kernel`` band, when
+        B does not vanish on ker C (``_b_vanishes_on_kernel``), or when
+        the constant block is not positive definite (``_frames`` has no
+        E).
 
         The frame is W = Y lambda_c^{-1/2} from the eigenpairs
         (lambda_c, V_c) of C off the band, with Y the moving frame of
@@ -269,25 +289,16 @@ class ParabolaAnalysis:
         if P.dim == 0:
             return None
         values, vectors = self.c_eig
-        kernel = self.kernel
-        if values[0] < 0.0 and not kernel[0]:
+        if values[0] < 0.0 and not self.kernel[0]:
             return None
-        k = np.count_nonzero(kernel)  # ker C comes first: every other eigenvalue is positive
         if not k:
             W = vectors / np.sqrt(values)
         else:
-            # ker C is the leading k columns.  U is copied: BLAS rounds a
-            # strided slice of the eigenvectors and a copy of it differently.
-            U = vectors[:, :k].copy()
-            self._b_vanishes_on_kernel = leak_free = self._leak_free(U)
-            if not leak_free:
-                return None
-            self._frames = frames = self._constant_frames(U, vectors[:, k:])
-            if frames is None:
+            if not self._b_vanishes_on_kernel or self._frames is None or self._frames[0] is None:
                 return None
             if k == P.dim:
                 return CGauge(np.zeros((k, 0)), np.zeros(0), np.zeros((0, 0)), np.zeros(0), 0.0)
-            W = frames[2] / np.sqrt(values[k:])
+            W = self._frames[2] / np.sqrt(values[k:])
         W = _in_units(W, self._c_units[0] // 2)  # eigenvalues in units of 2^e, e even: exact
         mu, R = symmat.sym_eig(symmat.congruence(P.B, W))
         F = W @ R
@@ -296,45 +307,29 @@ class ParabolaAnalysis:
         H.ravel()[:: mu.size + 1] -= mu * mu  # H = F^T A F - diag(mu^2); H is contiguous, so a view
         return CGauge(F, mu, H, symmat.sym_eig(H, vectors=False), size)
 
-    def _leak_free(self, U):
-        """Whether every column of B U, for eigenvectors U of C on the
-        ``kernel`` band, has a 2-norm within tol * max|B| (vacuously when
-        C has full rank): the one rule by which B vanishes on ker C."""
-        leak = np.hypot.reduce(self.P.B @ U, axis=0)
-        return bool(leak.max(initial=0.0) <= self.tol * self.P.scales[1])
-
     def _constant_frames(self, U, V):
         """(E, R, Y) from the eigenvectors U of C on the ``kernel`` band,
         the others V, and the eigenpairs (kappa, R) of the constant block
-        K = U^T A U: the constant frame E = U R kappa^{-1/2} (E^T A E = I)
-        and the moving frame Y = V - E E^T A V, made A-orthogonal to
-        ker C.  None unless K is positive definite (lambda_min clears
-        tol * max|K|).  A is read in the units 2^e of :func:`_units`, so
-        that K and E^T A V stay finite, and E is rescaled by the exact
-        2^(-e/2)."""
+        K = U^T A U, or None when K is singular (some |kappa| is within
+        tol * max|K|).  The moving frame Y = V - U R kappa^{-1} R^T U^T A V
+        is A-orthogonal to ker C.  When K is positive definite (kappa_min
+        clears tol * max|K|), E = U R kappa^{-1/2} is the constant frame
+        (E^T A E = I) and Y is formed as V - E E^T A V; otherwise E is
+        None.  A is read in the units 2^e of :func:`_units`, so that K and
+        U^T A V stay finite, and E is rescaled by the exact 2^(-e/2)."""
         exponent = _units(self.P.scales[0], self.P.dim)[0]
         A = _in_units(self.P.A, exponent)
         K = symmat.congruence(A, U)
         kappa, R = symmat.sym_eig(K)
-        if not kappa[0] > self.tol * symmat.max_norm(K):
+        band = self.tol * symmat.max_norm(K)
+        if kappa[0] > band:
+            E = (U @ R) / np.sqrt(kappa)
+            Y = V - E @ (E.T @ A @ V)
+            return _in_units(E, exponent // 2), R, Y
+        if np.abs(kappa).min() <= band:
             return None
-        E = (U @ R) / np.sqrt(kappa)
-        Y = V - E @ (E.T @ A @ V)
-        return _in_units(E, exponent // 2), R, Y
-
-    # The gauge pass sets these two as plain attributes where C is
-    # positive semidefinite with k >= 1 (the frames unless B leaks onto
-    # ker C); elsewhere the linearization of ``positive`` and ``a_frame``
-    # compute them here, on first use.
-    @cached_property
-    def _b_vanishes_on_kernel(self):
-        return self._leak_free(self.c_eig.vectors[:, self.kernel])
-
-    @cached_property
-    def _frames(self):
-        vectors, kernel = self.c_eig.vectors, self.kernel
-        V = vectors[:, np.count_nonzero(kernel):] if kernel[0] else vectors[:, ~kernel]
-        return self._constant_frames(vectors[:, kernel], V)
+        G = U @ R
+        return None, R, V - (G / kappa) @ (G.T @ A @ V)
 
     @cached_property
     def a_frame(self):
@@ -345,53 +340,20 @@ class ParabolaAnalysis:
         Otherwise Z = [U K^{-1/2} | Y (Y^T A Y)^{-1/2}] from the
         ``_frames`` (E, R, Y), with U K^{-1/2} = E R^T, so that
         (Y^T A Y)^{-1/2} is the one decomposition added, read in the
-        units of :func:`_units` like K.  The first k columns span ker C,
-        so within the ker C bands
+        units of :func:`_units` like K; None when there is no E.  The
+        first k columns span ker C, so within the ker C bands
         Z^T Q(s) Z = blockdiag(I, I + 2s B~ + s^2 C~) with
         (B~, C~) = Z_mov^T (B, C) Z_mov on the moving columns Z_mov, and
         Z Z^T = A^{-1}.  At the elliptic point Z = U K^{-1/2}.
         """
         if not self.kernel.any():
             return symmat.pd_inv_sqrt(self.P.A, self.tol)
-        if self._frames is None:
+        if self._frames is None or self._frames[0] is None:
             return None
         E, R, Y = self._frames
         exponent = _units(self.P.scales[0], self.P.dim)[0]
         root = symmat.pd_inv_sqrt(symmat.congruence(_in_units(self.P.A, exponent), Y), self.tol)
         return None if root is None else np.hstack([E @ R.T, _in_units(Y @ root, exponent // 2)])
-
-    @cached_property
-    def reduction(self):
-        """The :class:`ReductionResult` splitting off ker C.
-
-        When C has full rank this is the empty reduction: X = I, a 0 x 0
-        constant block and P itself.  Otherwise the congruence is
-        X = [U | V] with U the eigenvectors of C on the ``kernel`` mask
-        and V an orthonormal basis of the A-orthogonal complement
-        {w : U^T A w = 0} (from an SVD of U^T A); a parabola that comes
-        from a manifold has ker C inside ker B (those directions act by
-        pure translations), so B U must vanish, else
-        InvalidCharacteristic.  One stacked product T = X^T [A, B, C] X
-        gives both: the constant block is the k x k corner of T_A and the
-        reduced parabola the trailing blocks.  It serves
-        :func:`reduce_degenerate` alone: no verdict and no realization
-        reads it (the C-gauge and ``a_frame`` split off ker C by
-        themselves).
-        """
-        P, tol, kernel = self.P, self.tol, self.kernel
-        if not kernel.any():
-            return ReductionResult(np.eye(P.dim), np.zeros((0, 0)), P)
-        U = self.c_eig.vectors[:, kernel]
-        if symmat.max_norm(P.B @ U) > tol * P.scales[1]:
-            raise InvalidCharacteristic(
-                "B does not vanish on ker C; no manifold produces this parabola"
-            )
-        k = U.shape[1]
-        _, _, vh = np.linalg.svd(U.T @ P.A)
-        X = np.hstack([U, vh[k:].T])
-        T = symmat.congruence(P.coeffs, X)
-        _verify_reduction(P, T, k, tol)
-        return ReductionResult(X, T[0, :k, :k], MatrixParabola(*T[:, k:, k:]))
 
     @cached_property
     def positive(self):
@@ -553,14 +515,33 @@ def schur_condition(P: MatrixParabola, tol=DEFAULT_TOL) -> SchurResult:
 
 
 def reduce_degenerate(P: MatrixParabola, tol=DEFAULT_TOL) -> ReductionResult:
-    """Split off the kernel of C as an s-independent diagonal block
-    (:attr:`ParabolaAnalysis.reduction`); raises NotDegenerate when C
-    has full rank (the empty reduction) and InvalidCharacteristic when B
-    does not vanish on ker C."""
+    """Split off the kernel of C as an s-independent block: the
+    congruence X = [U | Y] from the analysis's ``_frames``, with U the
+    eigenvectors of C on the ``kernel`` band and Y the moving frame,
+    A-orthogonal to ker C but not orthonormal.  One stacked product
+    T = X^T [A, B, C] X gives the constant block K = U^T A U (its k x k
+    corner of T_A) and the reduced parabola (the trailing blocks).
+
+    Raises NotDegenerate when C has full rank, and InvalidCharacteristic
+    when B does not vanish on ker C (``_b_vanishes_on_kernel``: a
+    parabola that comes from a manifold has ker C inside ker B, those
+    directions acting by pure translations), when K is singular, or when
+    :func:`_verify_reduction` finds a block that should vanish."""
     analysis = ParabolaAnalysis(P, tol)
-    if not analysis.kernel.any():
+    kernel = analysis.kernel
+    if not kernel.any():
         raise NotDegenerate("C has full rank; nothing to reduce")
-    return analysis.reduction
+    if not analysis._b_vanishes_on_kernel:
+        raise InvalidCharacteristic("B does not vanish on ker C; no manifold produces this parabola")
+    if analysis._frames is None:
+        raise InvalidCharacteristic("the constant block U^T A U on ker C is singular")
+    k = np.count_nonzero(kernel)
+    X = np.hstack([analysis.c_eig.vectors[:, kernel], analysis._frames[2]])
+    T = symmat.congruence(P.coeffs, X)
+    # X is an operand of T and Y is not orthonormal: the bands scale with
+    # the largest squared column norm of X (1 on U, at least 1 on Y).
+    _verify_reduction(P, T, k, analysis.tol * float(np.square(X).sum(axis=0).max()))
+    return ReductionResult(X, T[0, :k, :k], MatrixParabola(*T[:, k:, k:]))
 
 
 def _verify_reduction(P, T, k, tol):
@@ -590,7 +571,7 @@ def is_characteristic(P: MatrixParabola, n, tol=DEFAULT_TOL):
     elliptic point k = m (C = 0 exactly, not merely small); then
     m + r + 2 <= n; then ``positive``, the Hautus test on the same
     gauge.  The inertia is None wherever the Hautus test cannot decide,
-    so neither the linearization nor the SVD ``reduction`` runs here.
+    so the linearization does not run here.
     Raises SignatureInconsistent unless n is an integer, and
     NonFiniteInput unless 0 <= tol < inf.
     """

@@ -372,7 +372,7 @@ _COMMANDS = {
         _parse_parabola, _cmd_validate_parabola, "membership test for characteristic parabolas", (_N,)),
     "realize": _Command(
         _parse_parabola, _cmd_realize, "reconstruct manifold data from a valid parabola", (_N,)),
-    "reduce": _Command(_parse_parabola, _cmd_reduce, "split off the s-independent block"),
+    "reduce": _Command(_parse_parabola, _cmd_reduce, "split off the s-independent block by X = [U | Y]"),
     "invariants": _Command(_parse_parabola, _cmd_invariants, "affine spectrum of a parabola"),
     "compare": _Command(
         _parse_pair, _cmd_compare, "almost-equivalence verdict for two parabolas", (_COMMON_N,)),

@@ -125,7 +125,7 @@ def _freeness_violation(a_prime, a_dblprime, tol=FREENESS_TOL):
         t = float(np.mean(values[c]))
         if abs(t) > band:
             block = a_dblprime @ vectors[:, c]
-            smin = float(np.linalg.svd(block, compute_uv=False)[-1]) if block.size else 0.0
+            smin = float(symmat.singular_values(block)[-1]) if block.size else 0.0
             if block.shape[0] < block.shape[1] or smin <= tol * symmat.max_norm(a_dblprime):
                 return t, vectors[:, c.start], smin
     return None
@@ -170,7 +170,7 @@ def build(n, a_prime, a_dblprime, lattice, tol=DEFAULT_TOL):
         )
     a_prime = symmat.symmetrize(a_prime)
 
-    sv = np.linalg.svd(lattice, compute_uv=False)
+    sv = symmat.singular_values(lattice)
     if sv[-1] <= tol * sv[0]:
         raise NotPositiveDefinite(
             "lattice generators are linearly dependent; their Gram matrix is "
@@ -178,7 +178,7 @@ def build(n, a_prime, a_dblprime, lattice, tol=DEFAULT_TOL):
         )
 
     if r > 0:
-        dsv = np.linalg.svd(a_dbl, compute_uv=False)
+        dsv = symmat.singular_values(a_dbl)
         if int(np.sum(dsv > tol * dsv[0])) < r:
             raise RankDeficientR(
                 f"a_dblprime has rank below {r}; its rows do not span R"
@@ -247,7 +247,7 @@ def gamma_apply(M: ManifoldData, x, v):
 def signature_of(M: ManifoldData, tol=DEFAULT_TOL):
     """(n, m, r, k) with k = dim(ker a' intersect ker a'')."""
     stacked = np.vstack([M.a_prime, M.a_dblprime])
-    sv = np.linalg.svd(stacked, compute_uv=False)
+    sv = symmat.singular_values(stacked)
     rank = int(np.sum(sv > tol * symmat.max_norm(sv)))
     return Signature(M.n, M.m, M.r, M.m - rank)
 

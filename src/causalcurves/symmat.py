@@ -10,9 +10,12 @@ solver through the gufuncs that ``numpy.linalg.eigh`` and ``eigvalsh``
 wrap (their Python wrappers cost more than LAPACK does at m <= 8), and
 every symmetric eigenproblem of the package, here and in the criteria,
 goes through it, reading S as given: each matrix is symmetrized once,
-where it is formed.  Next to it, :func:`singular_values` calls the
-gufunc behind ``numpy.linalg.svd(X, compute_uv=False)`` the same way,
-for the singularity check of an equivalence certificate.  There is one
+where it is formed.  There is one SVD kernel next to it:
+:func:`singular_values` calls the gufunc behind
+``numpy.linalg.svd(X, compute_uv=False)`` the same way, and every SVD
+of the package goes through it (the singularity check of an
+equivalence certificate, and the lattice, a'', freeness and signature
+tests of ``construction``).  There is one
 congruence kernel: :func:`congruence` forms X^T S X, exactly
 symmetric, everywhere in the package but one place, the integer
 certificate search, whose candidates' images are one product of the

@@ -398,31 +398,51 @@ class TestOneAnalysisPerCall:
 
     @pytest.mark.parametrize(
         "kind, kept",
-        [("k0", set()), ("k1", {"_b_vanishes_on_kernel", "_frames"}),
-         ("h_indefinite", {"_b_vanishes_on_kernel", "_frames"}), ("b_leaking", {"_b_vanishes_on_kernel"}),
-         ("c_indefinite", set())],
+        [("k0", (True, True)), ("k1", (True, True)), ("h_indefinite", (True, True)),
+         ("b_leaking", (False, False)), ("c_indefinite", (True, False))],
     )
     def test_gauge_pass_keeps_the_constant_directions(self, kind, kept):
-        # Where C is positive semidefinite with k >= 1 the constructor
-        # keeps the test of B on ker C and, unless B leaks, the constant
-        # frames as plain attributes, read from the leading eigenvectors
-        # of C; elsewhere they are computed on first use, from the kernel
-        # mask, and both ways give the same bits.
+        # The constructor sets the test of B on ker C and the constant
+        # frames as plain attributes on every analysis: vacuously (True,
+        # None) at k = 0, else from the eigenvectors U of C on the kernel
+        # band, whether B leaks or not, and whether ker C comes first (C
+        # PSD) or is the middle column of an indefinite C.  ``kept`` is
+        # (B vanishes on ker C, a C-gauge exists).
         if kind == "c_indefinite":
             P = MatrixParabola(np.eye(3), np.zeros((3, 3)), np.diag([-1.0, 0.0, 1.0]))
         else:
             P = self.parabola(kind)
         analysis = charpoly.ParabolaAnalysis(P)
-        assert kept == {"_b_vanishes_on_kernel", "_frames"} & set(vars(analysis))
-        for name in kept:
-            lazy = getattr(charpoly.ParabolaAnalysis, name).func(analysis)
-            if name == "_frames":
-                assert all(np.array_equal(a, b) for a, b in zip(vars(analysis)[name], lazy, strict=True))
-            else:
-                assert vars(analysis)[name] is lazy
+        assert {"_b_vanishes_on_kernel", "_frames"} <= set(vars(analysis))
+        assert (analysis._b_vanishes_on_kernel, analysis.c_gauge is not None) == kept
+        if kind == "k0":
+            assert analysis._frames is None
+            return
+        E, R, Y = analysis._frames
+        U = analysis.c_eig.vectors[:, analysis.kernel]
+        np.testing.assert_allclose(symmat.congruence(P.A, E), np.eye(1), atol=1e-12)
+        np.testing.assert_allclose(U.T @ P.A @ Y, np.zeros((1, 2)), atol=1e-12 * symmat.max_norm(P.A))
         if kind == "c_indefinite":  # ker C is the middle column: a_frame reads the mask
-            assert analysis.c_gauge is None and analysis.a_frame is not None
+            np.testing.assert_array_equal(np.abs(U[:, 0]), [0.0, 1.0, 0.0])
             np.testing.assert_allclose(symmat.congruence(P.A, analysis.a_frame), np.eye(3), atol=1e-12)
+
+    def test_frames_of_an_indefinite_constant_block(self):
+        # K = diag(-1, 2) is nonsingular but indefinite: the moving frame
+        # Y is still A-orthogonal to ker C, but there is no E, so neither
+        # the C-gauge nor a_frame exists, and reduce_degenerate still
+        # splits K off.  A singular K leaves no frames at all.
+        A = np.diag([-1.0, 2.0, 1.0])
+        A[:2, 2] = A[2, :2] = 0.5
+        P = MatrixParabola(A, np.zeros((3, 3)), np.diag([0.0, 0.0, 1.0]))
+        analysis = charpoly.ParabolaAnalysis(P)
+        E, R, Y = analysis._frames
+        assert E is None and analysis.c_gauge is None and analysis.a_frame is None
+        np.testing.assert_allclose(analysis.c_eig.vectors[:, :2].T @ A @ Y, np.zeros((2, 1)), atol=1e-15)
+        red = reduce_degenerate(P)
+        np.testing.assert_allclose(red.constant_block, A[:2, :2], atol=1e-15)
+        np.testing.assert_allclose(red.reduced.A, [[1.125]], atol=1e-15)  # 1 - (1/4)(-1 + 1/2)
+        A[1, 1] = 0.0
+        assert charpoly.ParabolaAnalysis(MatrixParabola(A, P.B, P.C))._frames is None
 
     def test_realize_forms_no_svd_or_inverse(self, monkeypatch):
         P, calls = self.parabola("k1"), []
@@ -436,6 +456,7 @@ class TestOneAnalysisPerCall:
 
         for name in ("svd", "inv"):
             monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(symmat, "singular_values", recorded("svd", symmat.singular_values))
         monkeypatch.setattr(classify, "build", recorded("build", classify.build))
         M = realize(P, 2 * P.dim + 2)
         assert calls[: calls.index("build")] == []
@@ -802,21 +823,6 @@ class TestReduction:
         for coeff in (red.reduced.A, red.reduced.B, red.reduced.C):
             assert coeff.shape == (0, 0)
 
-    def test_full_rank_is_the_empty_reduction(self, monkeypatch):
-        # X = I, a 0 x 0 constant block and P itself, with no SVD and no
-        # block check.
-        def refused(*args, **kwargs):
-            raise AssertionError("reduction computed for full-rank C")
-
-        monkeypatch.setattr(np.linalg, "svd", refused)
-        monkeypatch.setattr(charpoly, "_verify_reduction", refused)
-        P = MatrixParabola([[2.0, 0.5], [0.5, 1.0]], [[0.5, 0.0], [0.0, -0.25]], [[1.0, 0.25], [0.25, 0.5]])
-        analysis = charpoly.ParabolaAnalysis(P)
-        red = analysis.reduction
-        np.testing.assert_array_equal(red.X, np.eye(2))
-        assert red.constant_block.shape == (0, 0)
-        assert red.reduced is P
-
     def test_full_rank_rejected(self):
         with pytest.raises(NotDegenerate):
             reduce_degenerate(MatrixParabola([[1.0]], [[0.0]], [[1.0]]))
@@ -825,38 +831,80 @@ class TestReduction:
         with pytest.raises(InvalidCharacteristic):
             reduce_degenerate(MatrixParabola(I2, I2, np.zeros((2, 2))))
 
-    def test_off_diagonal_block_checked(self):
-        # ker C = span(e4), and B e4 = 0.9e-9 per entry passes the B U
-        # band (tol * max|B| = 1e-9), but the A-orthogonal complement V
-        # leans on e1..e3, so an entry of U^T B V exceeds the band.
-        A = 3.0 * np.eye(4)
-        A[:3, 3] = A[3, :3] = 1.0
-        B = np.zeros((4, 4))
-        B[0, 0] = 1.0
-        B[:3, 3] = B[3, :3] = 0.9e-9
-        P = MatrixParabola(A, B, np.diag([1.0, 1.0, 1.0, 0.0]))
-        with pytest.raises(InvalidCharacteristic, match="in B"):
+    def test_singular_constant_block_rejected(self):
+        # ker C = span(e1) with K = U^T A U = 0: no congruence splits it
+        # off (an SVD complement of U^T A = (0, 1) is e1 itself, so
+        # X = [e1 | e1] was singular).
+        P = MatrixParabola([[0.0, 1.0], [1.0, 1.0]], np.zeros((2, 2)), np.diag([0.0, 1.0]))
+        with pytest.raises(InvalidCharacteristic, match="constant block"):
             reduce_degenerate(P)
-        assert is_characteristic(P, 10) == (False, None)
+        assert is_characteristic(P, 6) == (False, None)
 
+    def test_off_diagonal_block_checked(self):
+        # The safety check on a hand-built T = X^T [A, B, C] X: a block
+        # that must vanish is measured against tol * max|S| of its own
+        # coefficient S, and the first coefficient over its band is named.
+        P = MatrixParabola(4.0 * np.eye(3), np.diag([0.0, 1.0, -1.0]), np.diag([0.0, 2.0, 2.0]))
+        T = P.coeffs.copy()
+        charpoly._verify_reduction(P, T, 1, 1e-9)
+        for which, (i, j) in [(0, (0, 1)), (1, (0, 2)), (1, (0, 0)), (2, (0, 1)), (2, (0, 0))]:
+            for multiple, raised in ((0.9, False), (1.1, True)):
+                bad = T.copy()
+                bad[which, i, j] = bad[which, j, i] = multiple * 1e-9 * P.scales[which]
+                if raised:
+                    with pytest.raises(InvalidCharacteristic, match=f"block-diagonal in {'ABC'[which]}$"):
+                        charpoly._verify_reduction(P, bad, 1, 1e-9)
+                else:
+                    charpoly._verify_reduction(P, bad, 1, 1e-9)
 
     def test_b_on_ker_c_is_read_by_column_norm(self):
         # ker C = span(e4), A = I and B e4 = 0.9e-9 (1, 1, 1, 0): each
-        # entry of B U, and of U^T B V for the complement V = (e1, e2, e3),
-        # passes the band tol * max|B| = 1e-9 that the reduction reads,
-        # but the column's 2-norm, 0.9e-9 sqrt(3) = 1.56e-9, does not.
-        # The decision reads the column norm, which bounds every block
-        # of B that the reduction checks, for any orthonormal complement.
+        # entry of B U passes the band tol * max|B| = 1e-9, but the
+        # column's 2-norm, 0.9e-9 sqrt(3) = 1.56e-9, does not.  The
+        # decision and the reduction read the one column-norm rule.
         B = np.diag([1.0, 0.0, -1.0, 0.0])
         C = np.diag([4.0, 4.0, 4.0, 0.0])
         member = MatrixParabola(np.eye(4), B, C)
         assert is_characteristic(member, 10) == (True, Signature(10, 4, 3, 1))
+        assert reduce_degenerate(member).constant_block.shape == (1, 1)
         B[:3, 3] = B[3, :3] = 0.9e-9
         leaking = MatrixParabola(np.eye(4), B, C)
-        red = reduce_degenerate(leaking)
-        assert red.constant_block.shape == (1, 1)
+        with pytest.raises(InvalidCharacteristic, match="B does not vanish on ker C"):
+            reduce_degenerate(leaking)
         assert is_characteristic(leaking, 10) == (False, None)
         assert charpoly.ParabolaAnalysis(leaking).c_gauge is None
+
+    def test_one_rule_for_b_on_ker_c(self):
+        # A leak of 0.3-3 x the band tol * max|B| along a kernel vector u:
+        # reduce_degenerate raises exactly where the decision's rule
+        # (_b_vanishes_on_kernel) says B leaks.  Unperturbed, X is a
+        # congruence (|det X| = 1, as X = [U | V] times a unit upper
+        # triangle), K is positive definite, and the reduced parabola is
+        # a member at n - k with the Schur rank P is read with.
+        raised = 0
+        for seed in range(400):
+            P, _ = wide_degenerate_member(seed)
+            n = 2 * P.dim + 2
+            ok, sig = is_characteristic(P, n)
+            assert ok
+            red = reduce_degenerate(P)
+            k = red.constant_block.shape[0]
+            assert k == sig.k
+            assert abs(np.linalg.det(red.X)) == pytest.approx(1.0, rel=1e-6)
+            assert symmat.is_pd(red.constant_block)
+            assert is_characteristic(red.reduced, n - k) == (True, Signature(n - k, P.dim - k, sig.r, 0))
+            rng = np.random.default_rng(10_000 + seed)
+            u, x = red.X[:, 0], rng.standard_normal(P.dim)
+            leak = rng.uniform(0.3, 3.0) * 1e-9 * P.scales[1] / np.linalg.norm(x)
+            Q = MatrixParabola(P.A, P.B + leak * (np.outer(u, x) + np.outer(x, u)), P.C)
+            try:
+                reduce_degenerate(Q)
+            except InvalidCharacteristic:
+                raised += 1
+                assert not charpoly.ParabolaAnalysis(Q)._b_vanishes_on_kernel
+            else:
+                assert charpoly.ParabolaAnalysis(Q)._b_vanishes_on_kernel
+        assert 0 < raised < 400
 
 
 def _assembled(K, moving, X):
@@ -870,21 +918,38 @@ def _assembled(K, moving, X):
 
 
 class TestConstantDirectionsAgainstReduction:
-    """The decision splits ker C off inside the C-gauge; the SVD
-    reduction, which reduce_degenerate keeps, is the reference: a
-    definite constant block, then the moving part's verdict at n - k,
-    with k added back to its signature."""
+    """The decision splits ker C off inside the C-gauge; an SVD
+    reduction formed here is the independent reference: B U must vanish
+    entrywise, then a definite constant block, then the moving part's
+    verdict at n - k, with k added back to its signature."""
 
     @staticmethod
-    def through_reduction(P, n):
+    def svd_reduction(P, tol=symmat.DEFAULT_TOL):
+        """(K, reduced parabola) from X = [U | V], U the eigenvectors of C
+        within tol * max|C| and V an orthonormal basis of
+        {w : U^T A w = 0} from an SVD of U^T A; None where B U does not
+        vanish at tol * max|B| or X^T Q(s) X is not block-diagonal."""
+        values, vectors = np.linalg.eigh(P.C)
+        U = vectors[:, np.abs(values) <= tol * symmat.max_norm(P.C)]
+        if symmat.max_norm(P.B @ U) > tol * symmat.max_norm(P.B):
+            return None
+        k = U.shape[1]
+        T = symmat.congruence(P.coeffs, np.hstack([U, np.linalg.svd(U.T @ P.A)[2][k:].T]))
         try:
-            red = reduce_degenerate(P)
+            charpoly._verify_reduction(P, T, k, tol)
         except InvalidCharacteristic:
+            return None
+        return T[0, :k, :k], MatrixParabola(*T[:, k:, k:])
+
+    @classmethod
+    def through_reduction(cls, P, n):
+        if (red := cls.svd_reduction(P)) is None:
             return False, None
-        K, k = red.constant_block, red.constant_block.shape[0]
+        K, reduced = red
+        k = K.shape[0]
         if not symmat.sym_eig(K).values[0] > symmat.DEFAULT_TOL * symmat.max_norm(K):
             return False, None
-        ok, sig = is_characteristic(red.reduced, n - k)
+        ok, sig = is_characteristic(reduced, n - k)
         if not ok or sig.k:
             return False, None
         return True, Signature(n, P.dim, sig.r, k)

@@ -1,7 +1,6 @@
 """Reconstruction, certificates, spectral invariants, equivalence search."""
 
 import copy
-import functools
 import io
 import itertools
 import json
@@ -861,23 +860,21 @@ class TestMembershipDecidedOnce:
     def test_almost_equivalent_runs_no_reduction(self, monkeypatch, rng):
         # The C-gauge splits off ker C by itself and the witness maps the
         # constant frames onto each other, so a yes pair with a constant
-        # direction builds no SVD reduction (one per input while the
-        # decision read the moving part of the reduction).
-        reductions = []
-        original = charpoly.ParabolaAnalysis.reduction.func
+        # direction builds no reduction (one per input while the decision
+        # read the moving part of the reduction).
+        reductions, built = [], charpoly.ReductionResult
 
-        def counting(analysis):
-            if analysis.kernel.any():
-                reductions.append(analysis.P.dim)
-            return original(analysis)
+        def counting(*args):
+            reductions.append(args)
+            return built(*args)
 
-        counted = functools.cached_property(counting)
-        counted.__set_name__(charpoly.ParabolaAnalysis, "reduction")
-        monkeypatch.setattr(charpoly.ParabolaAnalysis, "reduction", counted)
+        monkeypatch.setattr(charpoly, "ReductionResult", counting)
         P = char_polynomial(random_manifold(rng, m=3, r=1, k=1, zero_eigs=0))
         P2 = apply_certificate(P, random_certificate(rng, 3).inverse())
         assert almost_equivalent(P, P2).is_yes
         assert reductions == []
+        charpoly.reduce_degenerate(P)  # the spy sees the one builder of a reduction
+        assert len(reductions) == 1
 
     @pytest.mark.parametrize("m, r, k", [(3, 1, 1), (5, 2, 2), (3, 0, 3)])
     def test_almost_equivalent_verifies_once(self, monkeypatch, rng, m, r, k):

@@ -113,6 +113,17 @@ class TestGoldenPipes:
         assert body["result"]["constant_block"] == [[2.0]]
         assert body["result"]["reduced"] == {"A": [[1.0]], "B": [[0.0]], "C": [[1.0]]}
 
+    def test_reduce_prints_the_frames(self):
+        # X = [U | Y]: U spans ker C, and Y = e2 - U K^{-1} U^T A e2 is
+        # A-orthogonal to it but not orthonormal.
+        payload = {"A": [[2.0, 1.0], [1.0, 2.0]], "B": [[0.0, 0.0], [0.0, 1.0]], "C": [[0.0, 0.0], [0.0, 1.0]]}
+        code, body = run_cli(["reduce"], payload)
+        assert code == 0
+        X = np.abs(body["result"]["X"])
+        np.testing.assert_allclose(X, [[1.0, 0.5], [0.0, 1.0]], atol=1e-12)
+        assert body["result"]["constant_block"] == [[2.0]]
+        assert body["result"]["reduced"] == {"A": [[1.5]], "B": [[1.0]], "C": [[1.0]]}
+
     def test_realize_with_constant_direction(self):
         payload = {
             "A": [[1.0, 0.0], [0.0, 2.0]],

@@ -1,5 +1,7 @@
 """Affine action machinery: building data, group laws, recovery."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,29 @@ class TestBuild:
         data[field][0, 0] = bad
         with pytest.raises(NonFiniteInput):
             build(5, **data)
+
+
+    def test_singular_values_through_the_one_kernel(self, monkeypatch, rng):
+        # The lattice and a'' tests of build, the freeness test and
+        # signature_of read symmat.singular_values, which gives numpy's
+        # values bit for bit; numpy's svd wrapper is not called.
+        def refused(*args, **kwargs):
+            raise AssertionError("numpy.linalg.svd called")
+
+        callers, singular_values = [], symmat.singular_values
+
+        def counting(X):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return singular_values(X)
+
+        M = random_manifold(rng, m=3, r=2)
+        monkeypatch.setattr(np.linalg, "svd", refused)
+        monkeypatch.setattr(symmat, "singular_values", counting)
+        build(M.n, M.a_prime, M.a_dblprime, M.lattice)
+        assert callers[:2] == ["build", "build"] and callers[-1] == "signature_of"
+        assert set(callers[2:-1]) == {"_freeness_violation"}
+        with pytest.raises(FreenessViolated):
+            build(5, np.diag([1.0, 1.0]), [[1.0, 0.0]], np.eye(2))
 
 
 class TestExamples:
