@@ -42,18 +42,21 @@ one per repeated eigenvalue of mu, with no SVD and no second parabola.
 ``is_characteristic`` returns the analysis with its verdict, so
 ``realize``, ``almost_equivalent`` and the CLI read it instead of
 decomposing again.  Each criterion has one home on the analysis:
-``inertia`` gives PSD-ness and r, and ``positive`` decides Q(s) > 0
-(the constant block and the Hautus test, or a linearization where no
-C-gauge decides); ``check_positive_all_s`` reads ``positive`` of a
-fresh analysis.  The analysis keeps one A-gauge attribute, a frame Z
-with Z^T A Z = I (``a_frame``): A^{-1/2} when C has full rank, and
-otherwise [U K^{-1/2} | Y (Y^T A Y)^{-1/2}] from the constant block's
-eigenpairs and the gauge's moving frame Y, so that within the ker C
-bands Z^T Q(s) Z = blockdiag(I, I + 2s B~ + s^2 C~).  ``realize`` forms
-B~, C~, G = C~ - B~^2 and the lattice Z^T A from it, ``schur_condition``
-the matrix C - (Z^T B)^T (Z^T B), and ``positive`` its linearization.
-No verdict and no realization reads :func:`reduce_degenerate`, and
-nothing here runs an SVD.
+``inertia`` gives PSD-ness and r, and ``positive`` decides Q(s) > 0 in
+the C-gauge alone (the constant block and the Hautus test, the
+linearization of (s + diag mu)^2 + H where H is indefinite, and an
+exact deflation of ker C where B leaks onto it);
+``check_positive_all_s`` reads ``positive`` of a fresh analysis.  The
+analysis keeps one A-gauge attribute, a frame Z with Z^T A Z = I
+(``a_frame``): A^{-1/2} when C has full rank, and otherwise
+[U K^{-1/2} | Y (Y^T A Y)^{-1/2}] from the constant block's eigenpairs
+and the gauge's moving frame Y, so that within the ker C bands
+Z^T Q(s) Z = blockdiag(I, I + 2s B~ + s^2 C~).  ``realize`` forms B~,
+C~, G = C~ - B~^2 and the lattice Z^T A from it, ``schur_condition``
+the matrix C - (Z^T B)^T (Z^T B), and the CLI the Schur fields where
+no C-gauge decides; ``positive`` does not read it.  No verdict and no
+realization reads :func:`reduce_degenerate`, and nothing here runs an
+SVD.
 """
 
 from __future__ import annotations
@@ -225,8 +228,8 @@ class ParabolaAnalysis:
     frame rescaled exactly.
     The one A-gauge attribute is the frame ``a_frame`` (Z^T A Z = I),
     built from the same U, (kappa, R) and Y, which ``realize``,
-    :func:`_schur` and the linearization of ``positive`` read;
-    :func:`reduce_degenerate` reads U and Y.
+    :func:`_schur` and the CLI read; ``positive`` reads E and Y, and
+    :func:`reduce_degenerate` U and Y.
 
     Every criterion reads the eigenpairs of C and the split of ker C
     first, and every consumer but :func:`reduce_degenerate` the C-gauge
@@ -357,48 +360,44 @@ class ParabolaAnalysis:
 
     @cached_property
     def positive(self):
-        """Whether Q(s) is positive definite for every real s.
+        """Whether Q(s) is positive definite for every real s, decided in
+        the C-gauge alone.
 
-        A 0 x 0 parabola is positive.  When C is singular, the constant
-        block must be positive definite.  Then, in the C-gauge with H
-        positive semidefinite,
-        v^T F^T Q(s) F v = |(s + diag mu) v|^2 + v^T H v, and within the
-        ker C bands Q(s) is blockdiag(I, F^T Q(s) F) in the frame
-        [E | F], so Q(s) is singular for some real s exactly when an
-        eigenvector of diag mu lies in ker H: the
-        Popov-Belevitch-Hautus test, which is the
-        freeness condition.  The mu are clustered at tol * max|mu|, and
-        on each cluster lambda_min of the H-block must clear the band
-        tol * max(max|F^T A F|, max|mu|^2).  When mu is simple (every
-        gap clears tol * max|mu|) the blocks are the diagonal entries of
-        H, so the test is one comparison of diag H with the band.  The
-        empty gauge of the elliptic point leaves the constant block.
+        A 0 x 0 parabola is positive.  With a C-gauge and H positive
+        semidefinite, v^T F^T Q(s) F v = |(s + diag mu) v|^2 + v^T H v,
+        and within the ker C bands Q(s) is blockdiag(I, F^T Q(s) F) in
+        the frame [E | F], so Q(s) is singular for some real s exactly
+        when an eigenvector of diag mu lies in ker H: the
+        Popov-Belevitch-Hautus test, which is the freeness condition.
+        The mu are clustered at tol * max|mu|, and on each cluster
+        lambda_min of the H-block must clear the band
+        tol * max(max|F^T A F|, max|mu|^2).  When mu is simple (every gap
+        clears tol * max|mu|) the blocks are the diagonal entries of H,
+        so the test is one comparison of diag H with the band.  The empty
+        gauge of the elliptic point leaves the constant block.
 
-        Otherwise (no C-gauge, or H indefinite) the linearization
-        decides in the ``a_frame`` Z: Q(0) = A must be definite (Z
-        exists), and Q(s) must never become singular for real s
-        (eigenvalues move continuously in s).  Q(s) is congruent to
-        Z^T Q(s) Z = I + 2s Z^T B Z + s^2 Z^T C Z; where B vanishes on
-        ker C (``_b_vanishes_on_kernel``) its constant columns split off
-        as I, and Q~(s) = I + 2s B~ + s^2 C~ is read on the moving
-        columns, otherwise on all of them.  Q~(s) is singular at
-        s = 1/mu exactly when mu is an eigenvalue of the linearization
-        [[0, I], [-C~, -2B~]].  One batched sym_eig over the stacked
-        Q~(1/Re mu) then requires
-        lambda_min(Q~(s)) > tol * max(1, 2|s| max|B~|, s^2 max|C~|),
-        the largest of its three terms (1 = max|I|), for every mu with
-        |Re mu| > tol * max|mu|; smaller mu are singular points at
-        s = infinity.  Reading Q~ rather than Q keeps the band on the
-        terms Q~ is summed from, so a tangency (Q~(s) ~ 0) is measured
-        against them and not against its own small value, and no entry
-        overflows for finite input.  The s = infinity floor scales like
-        mu, by alpha under s -> alpha s, so no reparametrization moves a
-        genuine singular point across it.  A tangency, where rounding
-        splits a real double eigenvalue into a complex pair, is still
-        caught because every real part is tested.  A direction of ker C
-        would put a 2 x 2 Jordan block at mu = 0, which rounding splits
-        to about sqrt(eps) max|mu|, above the floor; that is why the
-        constant columns split off first.
+        With H indefinite, (s + M)^2 + H (M = diag mu) is singular exactly
+        at the real eigenvalues of its linearization [[-M, I], [-H, -M]]
+        (Tisseur & Meerbergen, SIAM Review 43(2), 2001), and it is
+        definite for large |s|, so lambda_min((s + M)^2 + H) must clear
+        tol * max(size, max_j (s + mu_j)^2), the larger of its two terms,
+        at the real part of every eigenvalue, in one batched sym_eig.
+        Testing every real part catches a tangency that rounding splits
+        into a complex pair.
+
+        Without a C-gauge, Q(s) is not positive when C has a negative
+        eigenvalue beyond its band, or when the constant block
+        K = U^T A U of Q(0) is not definite (``_frames`` has no E).  The
+        one case left is B leaking onto ker C, which is deflated: in the
+        frame [E | Y], E^T Q(s) E = I + 2s E^T B E, so E^T B E must vanish
+        at tol * max|B| times the largest squared column norm of E, and
+        then Q(s) > 0 for all s iff the Schur complement of that block,
+        the order-(m - k) parabola (Y^T A Y, Y^T B Y, Y^T C Y - 4 N^T N)
+        with N = E^T B Y, is positive, decided by its own analysis (the
+        order drops at each step, so at most m analyses run).  Q(s) > 0
+        does not change under positive scaling, so P is read in units of
+        an even power of two at or above max|P| and E rescaled by its
+        square root, both exactly, and no entry overflows.
 
         Verdicts inside a band resolve to False (strictness preserved).
         """
@@ -416,20 +415,20 @@ class ParabolaAnalysis:
                 return min(g.H.diagonal().tolist()) > floor
             cells = symmat.clusters(g.mu, band)
             return all(_lambda_min(g.H[c, c]) > tol * g.size for c in cells)
-        if (Z := self.a_frame) is None:
+        if g is not None:
+            M, eye = np.diag(g.mu), np.eye(g.mu.size)
+            s = np.linalg.eigvals(np.block([[-M, eye], [-g.H, -M]]))
+            shifted = np.square(s.real[s.imag >= 0.0, None] + g.mu)  # (s + mu_j)^2 at each tested s
+            band = tol * np.maximum(g.size, shifted.max(axis=1))
+            return bool(np.all(symmat.sym_eig(g.H + eye * shifted[:, None], vectors=False)[:, 0] > band))
+        if not self.kernel[0] or self._frames is None or self._frames[0] is None:
             return False
-        k = int(self.kernel.sum()) if self._b_vanishes_on_kernel else 0  # constant columns split off
-        B, C = symmat.congruence(P.coeffs[1:], Z[:, k:])
-        m = B.shape[0]
-        companion = np.block([[np.zeros((m, m)), np.eye(m)], [-C, -2.0 * B]])
-        mu = np.linalg.eigvals(companion)
-        floor = tol * np.max(np.abs(mu), initial=0.0)
-        mu = mu.real[mu.imag >= 0.0]  # one of each conjugate pair
-        s = 1.0 / mu[np.abs(mu) > floor, None, None]
-        q = np.eye(m) + 2.0 * s * B + s * s * C
-        terms = np.maximum(2.0 * np.abs(s) * symmat.max_norm(B), s * s * symmat.max_norm(C))
-        band = tol * np.maximum(1.0, terms)
-        return bool(np.all(symmat.sym_eig(q, vectors=False) > band[:, 0]))
+        (E, _, Y), exponent = self._frames, _units(max(P.scales), math.inf)[0]  # units at every scale
+        E, k = _in_units(E, -exponent // 2), E.shape[1]
+        T = symmat.congruence(_in_units(P.coeffs, exponent), np.hstack([E, Y]))
+        N, band = T[1, :k, k:], tol * math.ldexp(P.scales[1], -exponent) * np.square(E).sum(axis=0).max()
+        reduced = MatrixParabola(*T[:2, k:, k:], T[2, k:, k:] - 4.0 * N.T @ N)  # Schur complement of I
+        return bool(symmat.max_norm(T[1, :k, :k]) <= band) and ParabolaAnalysis(reduced, tol).positive
 
 
 def _units(top, m):
@@ -439,7 +438,8 @@ def _units(top, m):
     orthonormal U and V, exceeds the float maximum; then e is the even
     exponent at or above that of max|S| (``math.frexp``), so that the
     exactly scaled 2^-e S has finite eigenvalues and congruences, and a
-    factor 2^(-e/2) is exact too."""
+    factor 2^(-e/2) is exact too.  m = inf asks for those units at every
+    scale."""
     if m * top <= _FLOAT_MAX:
         return 0, top
     exponent = math.frexp(top)[1]
@@ -448,8 +448,9 @@ def _units(top, m):
 
 
 def _in_units(S, exponent):
-    """2^-exponent S, exactly; S itself when the exponent is 0."""
-    return S * math.ldexp(1.0, -exponent) if exponent else S
+    """2^-exponent S, exactly (``np.ldexp``, so 2^1024 may scale back);
+    S itself when the exponent is 0."""
+    return np.ldexp(S, -exponent) if exponent else S
 
 
 def _inertia(values, band):
@@ -501,9 +502,12 @@ class MembershipVerdict(tuple):
 
 def check_positive_all_s(P: MatrixParabola, tol=DEFAULT_TOL):
     """Whether Q(s) is positive definite for every real s
-    (:attr:`ParabolaAnalysis.positive` of a fresh analysis: the constant
-    block and the moving part's Hautus test, or the linearization where
-    no C-gauge decides)."""
+    (:attr:`ParabolaAnalysis.positive` of a fresh analysis, decided in
+    the C-gauge: the constant block and the moving part's Hautus test,
+    the linearization of (s + diag mu)^2 + H where H is indefinite, or,
+    where B leaks onto ker C, the exact deflation of ker C and the
+    positivity of the order-(m - k) Schur complement it leaves, one
+    further analysis per step)."""
     return ParabolaAnalysis(P, tol).positive
 
 
@@ -526,7 +530,12 @@ def reduce_degenerate(P: MatrixParabola, tol=DEFAULT_TOL) -> ReductionResult:
     when B does not vanish on ker C (``_b_vanishes_on_kernel``: a
     parabola that comes from a manifold has ker C inside ker B, those
     directions acting by pure translations), when K is singular, or when
-    :func:`_verify_reduction` finds a block that should vanish."""
+    :func:`_verify_reduction` finds a block that should vanish.  Where
+    X^T S X could overflow (m max|P| times the largest squared column
+    norm of X exceeds the float maximum), T is formed and verified in
+    the units 2^e of :func:`_units`, exactly, and scaled back; raises
+    NonFiniteInput when a coefficient of T itself exceeds the float
+    range."""
     analysis = ParabolaAnalysis(P, tol)
     kernel = analysis.kernel
     if not kernel.any():
@@ -537,10 +546,17 @@ def reduce_degenerate(P: MatrixParabola, tol=DEFAULT_TOL) -> ReductionResult:
         raise InvalidCharacteristic("the constant block U^T A U on ker C is singular")
     k = np.count_nonzero(kernel)
     X = np.hstack([analysis.c_eig.vectors[:, kernel], analysis._frames[2]])
-    T = symmat.congruence(P.coeffs, X)
     # X is an operand of T and Y is not orthonormal: the bands scale with
-    # the largest squared column norm of X (1 on U, at least 1 on Y).
-    _verify_reduction(P, T, k, analysis.tol * float(np.square(X).sum(axis=0).max()))
+    # the largest squared column norm of X (1 on U, at least 1 on Y), and
+    # so does max|T|, which P is read in units of 2^e to keep finite.
+    width = float(np.square(X).sum(axis=0).max())
+    exponent = _units(max(P.scales), P.dim * width)[0]
+    units = MatrixParabola(*_in_units(P.coeffs, exponent)) if exponent else P
+    T = symmat.congruence(units.coeffs, X)
+    _verify_reduction(units, T, k, analysis.tol * width)
+    if exponent and np.abs(T).max() > math.ldexp(_FLOAT_MAX, -exponent):
+        raise NonFiniteInput("the reduced coefficients exceed the float range")
+    T = _in_units(T, -exponent)
     return ReductionResult(X, T[0, :k, :k], MatrixParabola(*T[:, k:, k:]))
 
 
@@ -571,7 +587,8 @@ def is_characteristic(P: MatrixParabola, n, tol=DEFAULT_TOL):
     elliptic point k = m (C = 0 exactly, not merely small); then
     m + r + 2 <= n; then ``positive``, the Hautus test on the same
     gauge.  The inertia is None wherever the Hautus test cannot decide,
-    so the linearization does not run here.
+    so neither the linearization nor the deflation of ``positive`` runs
+    here.
     Raises SignatureInconsistent unless n is an integer, and
     NonFiniteInput unless 0 <= tol < inf.
     """

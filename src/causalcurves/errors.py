@@ -15,8 +15,9 @@ class DimensionMismatch(CausalCurvesError):
 
 
 class NonFiniteInput(CausalCurvesError):
-    """An input matrix or number holds NaN or infinity, or a tolerance
-    lies outside [0, inf)."""
+    """An input matrix or number holds NaN or infinity, a tolerance lies
+    outside [0, inf), or a result of finite input (the coefficients of
+    ``reduce_degenerate``) exceeds the float range."""
 
 
 class NotPositiveDefinite(CausalCurvesError):

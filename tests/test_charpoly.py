@@ -1,6 +1,7 @@
 """Parabola extraction, positivity, Schur criterion, degenerate reduction."""
 
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from conftest import (
     random_free_arrays,
     random_elliptic,
     random_manifold,
+    random_orthogonal,
     random_real_invertible,
     random_unimodular,
     random_violating_arrays,
@@ -247,6 +249,80 @@ class TestPositivity:
         assert lambda_mins == []
 
 
+def _leaking_member(seed, factor):
+    """wide_degenerate_member(seed) with B + eps (u x^T + x u^T): u spans
+    the first direction of ker C, x is a unit vector orthogonal to ker C
+    (so U^T B U stays 0) and eps = factor * tol * max|B|, a leak of
+    ``factor`` times the band of the column-norm rule."""
+    P, _ = wide_degenerate_member(seed)
+    k = is_characteristic(P, 2 * P.dim + 2)[1].k
+    U = np.linalg.eigh(P.C)[1][:, :k]  # C is PSD: its kernel comes first
+    x = np.random.default_rng(10_000 + seed).standard_normal(P.dim)
+    x -= U @ (U.T @ x)
+    x /= np.linalg.norm(x)
+    eps = factor * symmat.DEFAULT_TOL * P.scales[1]
+    return MatrixParabola(P.A, P.B + eps * (np.outer(U[:, 0], x) + np.outer(x, U[:, 0])), P.C)
+
+
+class TestPositivityWhereBLeaks:
+    """Where B leaks onto ker C there is no C-gauge, and positivity
+    deflates ker C exactly in the frame [E | Y] and decides the Schur
+    complement it leaves.  When the linearization of all of Z^T Q(s) Z
+    in the A-gauge decided instead, each direction of ker C left a
+    near-Jordan block that rounding split above its s = infinity floor,
+    so the verdict followed the rounding of the input, not the
+    parabola."""
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_rotated_exact_kernel_family(self, m):
+        # A = I, B = diag(0, t), C = diag(0, t^2 + c^2) with c >= 1/2 and
+        # a leak eps of 1-1000 x the band in B[0, j]: after splitting off
+        # e_0, the Schur complement is diagonal with entries
+        # (1 + s t_i)^2 + s^2 c_i^2, less 4 s^2 eps^2 at i = j, positive
+        # for every s, and so is every orthogonal image.  The A-gauge
+        # linearization read 225 of 400 such images as positive.
+        rng = np.random.default_rng(m)
+        for _ in range(40):
+            t, c = rng.uniform(-2.0, 2.0, m - 1), rng.uniform(0.5, 2.0, m - 1)
+            B, C = np.diag(np.r_[0.0, t]), np.diag(np.r_[0.0, t * t + c * c])
+            j = int(rng.integers(1, m))
+            B[0, j] = B[j, 0] = 10 ** rng.uniform(0.0, 3.0) * symmat.DEFAULT_TOL * np.abs(B).max()
+            X = random_orthogonal(rng, m)
+            assert check_positive_all_s(MatrixParabola(np.eye(m), B, C))
+            assert check_positive_all_s(MatrixParabola(*symmat.congruence(np.array([np.eye(m), B, C]), X)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 399),
+        log_factor=st.floats(np.log10(3.0), 3.0),
+        mix=st.integers(0, 2**32 - 1),
+        log_top=st.floats(-300.0, 300.0),
+    )
+    def test_verdict_invariant_on_leak_draws(self, seed, log_factor, mix, log_top):
+        # Leaks of 3-1000 x the band with U^T B U = 0: the verdict is the
+        # parabola's, so a coordinate permutation, an orthogonal
+        # congruence and a scale to max|entry| = 10^[-300, 300] keep it.
+        # With the A-gauge linearization 27 of 400 draws changed under a
+        # permutation and 46 of 300 under a congruence and a scale.
+        Q = _leaking_member(seed, 10**log_factor)
+        rng = np.random.default_rng(mix)
+        p, X = rng.permutation(Q.dim), random_orthogonal(rng, Q.dim)
+        verdict = check_positive_all_s(Q)
+        assert check_positive_all_s(MatrixParabola(*Q.coeffs[:, p][:, :, p])) == verdict
+        rotated = symmat.congruence(Q.coeffs, X)
+        assert check_positive_all_s(MatrixParabola(*(rotated * (10**log_top / np.abs(rotated).max())))) == verdict
+
+    def test_leak_draws_at_the_float_maximum(self):
+        # P is read in units of a power of two, so the frame [E | Y], whose
+        # Y is not orthonormal, forms no entry beyond the float maximum.
+        for seed in range(0, 200, 5):
+            Q = _leaking_member(seed, 10 ** np.random.default_rng(seed).uniform(0.0, 3.0))
+            top = MatrixParabola(*(Q.coeffs * (1.7e308 / np.abs(Q.coeffs).max())))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert check_positive_all_s(top) == check_positive_all_s(Q)
+
+
 class TestSchur:
     def test_pair_one(self, pair_one):
         schur = schur_condition(pair_one)
@@ -289,12 +365,12 @@ class TestSchur:
 
 class TestDiagnosticsReduceFirst:
     """check_positive_all_s and schur_condition split off ker C as the
-    membership decision does.  The linearization of a parabola with
-    singular C has a 2 x 2 Jordan block at mu = 0 per direction of
-    ker C; rounding splits it to about sqrt(eps) max|mu|, above the
-    s = infinity floor tol * max|mu|, so without that split these
-    members read as not positive, and under wide maps the A-gauge
-    misreads their Schur rank."""
+    membership decision does.  Positivity reads the constant block and
+    the C-gauge of the moving directions; it never linearizes a
+    parabola whose C is singular, where each direction of ker C puts a
+    Jordan block at an infinite eigenvalue that rounding splits.
+    Without that split these members read as not positive, and under
+    wide maps the A-gauge misreads their Schur rank."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5, 6])
     def test_members_are_positive(self, seed):
@@ -333,8 +409,9 @@ class TestDiagnosticsReduceFirst:
         assert analysis.inertia == (True, 0)
 
     def test_undecided_without_a_c_gauge(self):
-        # C indefinite: no C-gauge, so the inertia of H is None and the
-        # linearization decides positivity; the Schur diagnostic reads D.
+        # C indefinite: no C-gauge, so the inertia of H is None, and
+        # Q(s) is not positive (its leading coefficient has a negative
+        # eigenvalue); the Schur diagnostic reads D.
         P = MatrixParabola(I2, np.zeros((2, 2)), np.diag([1.0, -1.0]))
         analysis = charpoly.ParabolaAnalysis(P)
         assert analysis.c_gauge is None
@@ -345,10 +422,13 @@ class TestDiagnosticsReduceFirst:
 
 
 class TestOneAnalysisPerCall:
-    """Each top-level call analyses its parabola once: realize, the
-    positivity linearization and the Schur diagnostic read the frame
-    Z^T A Z = I of that analysis, and no analysis of a moving part is
-    built."""
+    """Each top-level call analyses its parabola once: realize and the
+    Schur diagnostic read the frame Z^T A Z = I of that analysis,
+    positivity reads its C-gauge, and no analysis of a moving part is
+    built.  The one exception is positivity where B leaks onto ker C
+    but vanishes on it to second order (U^T B U = 0): ker C is deflated
+    exactly, and the Schur complement it leaves, of order m - k, gets
+    its own analysis."""
 
     @staticmethod
     def parabola(kind):
@@ -358,8 +438,10 @@ class TestOneAnalysisPerCall:
         member = char_polynomial(random_manifold(rng, m=3, r=1, k=1))
         if kind == "k1":
             return member
-        if kind == "b_leaking":
+        if kind in ("b_leaking", "b_leaking_orthogonal"):
             u, x = np.linalg.eigh(member.C)[1][:, 0], rng.standard_normal(3)
+            if kind == "b_leaking_orthogonal":
+                x -= u * (u @ x)  # x is orthogonal to ker C, so U^T B U stays 0
             return MatrixParabola(member.A, member.B + 1e-2 * (np.outer(u, x) + np.outer(x, u)), member.C)
         # (s + diag(0, 1))^2 + diag(1, -1/2) beside one constant direction:
         # H is indefinite, and Q(-1) is not definite.
@@ -367,7 +449,7 @@ class TestOneAnalysisPerCall:
         moving = np.array([np.diag(mu * mu) + np.diag([1.0, -0.5]), np.diag(mu), I2])
         return _assembled(np.eye(1), moving, random_real_invertible(rng, 3))
 
-    @pytest.mark.parametrize("kind", ["k0", "k1", "h_indefinite", "b_leaking"])
+    @pytest.mark.parametrize("kind", ["k0", "k1", "h_indefinite", "b_leaking", "b_leaking_orthogonal"])
     @pytest.mark.parametrize(
         "call",
         [
@@ -381,7 +463,10 @@ class TestOneAnalysisPerCall:
     def test_one_analysis(self, monkeypatch, kind, call):
         P = self.parabola(kind)
         member = kind in ("k0", "k1")
-        assert is_characteristic(P, 2 * P.dim + 2)[0] == check_positive_all_s(P) == member
+        assert is_characteristic(P, 2 * P.dim + 2)[0] == member
+        # The orthogonal leak of 1e-2 keeps Q(s) positive: its deflated
+        # Schur complement is a small perturbation of the member's.
+        assert check_positive_all_s(P) == (member or kind == "b_leaking_orthogonal")
         analyses = []
         init = charpoly.ParabolaAnalysis.__init__
 
@@ -394,7 +479,7 @@ class TestOneAnalysisPerCall:
             call(P)
         except NotCharacteristic:
             assert not member
-        assert len(analyses) == 1
+        assert len(analyses) == (2 if kind == "b_leaking_orthogonal" and call is check_positive_all_s else 1)
 
     @pytest.mark.parametrize(
         "kind, kept",
@@ -615,12 +700,11 @@ class TestIsCharacteristic:
 
     @pytest.mark.parametrize("alpha", [1e-9, 1e-6, 1e-4, 1e4, 1e8, 1e9])
     def test_contraction_and_expansion_scan(self, alpha):
-        # s -> alpha s scales C by alpha^2 and the linearization
-        # eigenvalues by alpha: members keep their signature (a small C
-        # is no elliptic point), and killed-eigenvector non-members (the
-        # s = infinity floor scales with them) and non-members whose B
-        # does not vanish on ker C (B U is read relative to max|B|) stay
-        # rejected.
+        # s -> alpha s scales C by alpha^2 and mu by alpha: members keep
+        # their signature (a small C is no elliptic point), and
+        # killed-eigenvector non-members (the clusters of mu scale with
+        # them) and non-members whose B does not vanish on ker C (B U is
+        # read relative to max|B|) stay rejected.
         rng = np.random.default_rng(8)
         for m in range(1, 9):
             for k in (0, 1) if m > 1 else (0,):
@@ -856,6 +940,36 @@ class TestReduction:
                         charpoly._verify_reduction(P, bad, 1, 1e-9)
                 else:
                     charpoly._verify_reduction(P, bad, 1, 1e-9)
+
+    def test_members_at_the_float_maximum(self):
+        # wide_degenerate_member draws at max|entry| = 1.7e308, all
+        # accepted by is_characteristic.  X = [U | Y] has columns of
+        # squared norm up to about 300, so X^T S X is formed and verified
+        # in units of 2^e and scaled back exactly: the reduction comes
+        # back where its coefficients fit the float range (44 of 200) and
+        # NonFiniteInput says they do not (156).  Formed at scale, 90
+        # raised "not block-diagonal", 64 NonFiniteInput, and 161 warned
+        # of an overflow.
+        returned = 0
+        for seed in range(200):
+            P, _ = wide_degenerate_member(seed)
+            factor = 1.7e308 / np.abs(P.coeffs).max()
+            Q = MatrixParabola(*(P.coeffs * factor))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert is_characteristic(Q, 2 * P.dim + 2)[0]
+                try:
+                    red = reduce_degenerate(Q)
+                except NonFiniteInput as exc:
+                    assert "float range" in str(exc)
+                    continue
+            returned += 1
+            k = red.constant_block.shape[0]
+            T = np.zeros_like(P.coeffs)
+            T[0, :k, :k], T[:, k:, k:] = red.constant_block, red.reduced.coeffs
+            want = symmat.congruence(P.coeffs, red.X)
+            np.testing.assert_allclose(T / factor, want, rtol=0.0, atol=1e-9 * np.abs(want).max())
+        assert 0 < returned < 200
 
     def test_b_on_ker_c_is_read_by_column_norm(self):
         # ker C = span(e4), A = I and B e4 = 0.9e-9 (1, 1, 1, 0): each

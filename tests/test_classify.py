@@ -979,10 +979,15 @@ class TestMembershipDecidedOnce:
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_positive_is_decided_on_every_kind(self, monkeypatch, capsys, rng, m):
         # positive is a bool on members and on every kind of non-member,
-        # the leaking one included (its reduction fails, so the
-        # linearization runs on P), and validate-parabola reports it.
+        # the leaking one included (it deflates ker C in the C-gauge),
+        # reads no A-gauge, and validate-parabola reports it.
+        def refused(*args, **kwargs):
+            raise AssertionError("A^{-1/2} read by positive")
+
         for Q, n, _ in _every_kind(rng, m):
-            assert type(charpoly.ParabolaAnalysis(Q).positive) is bool
+            with monkeypatch.context() as refusing:
+                refusing.setattr(symmat, "pd_inv_sqrt", refused)
+                assert type(charpoly.ParabolaAnalysis(Q).positive) is bool
             assert _validate_parabola(monkeypatch, Q, n) == 0
             poabc = json.loads(capsys.readouterr().out)["result"]["poabc"]
             assert poabc == charpoly.check_positive_all_s(Q)
@@ -1036,8 +1041,9 @@ class TestSvdCounts:
 
 class TestEigensolverCounts:
     """Eigendecompositions per top-level call, for every k: every
-    symmetric one is a symmat.sym_eig call, and the linearization's is
-    numpy's general eigensolver."""
+    symmetric one is a symmat.sym_eig call, and the one general one,
+    of positivity's linearization [[-M, I], [-H, -M]] where H is
+    indefinite, is numpy's eigvals."""
 
     @pytest.fixture
     def eig_calls(self, monkeypatch):

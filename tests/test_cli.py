@@ -76,8 +76,7 @@ class TestGoldenPipes:
 
     def test_validate_member_with_constant_direction(self):
         # k = 1: positivity splits off ker C before the Hautus test, as
-        # the decision does, instead of reading the linearization, whose
-        # Jordan block at mu = 0 rounding splits above the floor.
+        # the decision does, and reads the C-gauge of the moving part.
         P = char_polynomial(random_manifold(np.random.default_rng(1), m=3, r=1, k=1))
         code, body = run_cli(["validate-parabola", "--n", "6"], {"A": P.A.tolist(), "B": P.B.tolist(), "C": P.C.tolist()})
         assert code == 0
