@@ -25,7 +25,10 @@ off once, in its constructor: the eigenvectors U of C on the kernel
 band, the one test of B on ker C, and the frames of ker C from the
 eigenpairs of the constant block K = U^T A U (``_frames``), which the
 C-gauge, ``a_frame``, ``positive``, ``almost_equivalent`` and
-:func:`reduce_degenerate` (X = [U | Y]) all read.  Membership is
+:func:`reduce_degenerate` (X = [U | Y]) all read.  The frames exist
+only where K is positive definite at its band, and every reader
+treats any other K alike: no C-gauge, no ``a_frame``, not positive,
+and no reduction.  Membership is
 decided in the C-gauge, for every k: from the eigenpairs of C, of K
 (k >= 1 only), of W^T B W and the eigenvalues of H,
 
@@ -48,7 +51,8 @@ linearization of (s + diag mu)^2 + H where H is indefinite, and an
 exact deflation of ker C where B leaks onto it);
 ``check_positive_all_s`` reads ``positive`` of a fresh analysis.  The
 analysis keeps one A-gauge attribute, a frame Z with Z^T A Z = I
-(``a_frame``): A^{-1/2} when C has full rank, and otherwise
+(``a_frame``): A^{-1/2} when C has full rank, read in the same units
+of a power of two as the constant block, and otherwise
 [U K^{-1/2} | Y (Y^T A Y)^{-1/2}] from the constant block's eigenpairs
 and the gauge's moving frame Y, so that within the ker C bands
 Z^T Q(s) Z = blockdiag(I, I + 2s B~ + s^2 C~).  ``realize`` forms B~,
@@ -222,10 +226,10 @@ class ParabolaAnalysis:
     move under s -> s + beta, and H is the Schur complement of C in
     [[A, B], [B, C]] (in the gauge), with the inertia of
     D = C - B A^{-1} B.  One gauge serves every k:
-    no second parabola is formed.  Where an eigenvalue of C, of K or of
-    Y^T A Y could overflow, C (for W) or A (for E and ``a_frame``) is
-    decomposed in units of an even power of two (:func:`_units`) and the
-    frame rescaled exactly.
+    no second parabola is formed.  Where an eigenvalue of C, of A, of K
+    or of Y^T A Y could overflow, C (for W) or A (for E and ``a_frame``,
+    at every k) is decomposed in units of an even power of two
+    (:func:`_units`) and the frame rescaled exactly.
     The one A-gauge attribute is the frame ``a_frame`` (Z^T A Z = I),
     built from the same U, (kappa, R) and Y, which ``realize``,
     :func:`_schur` and the CLI read; ``positive`` reads E and Y, and
@@ -241,8 +245,9 @@ class ParabolaAnalysis:
     ``_b_vanishes_on_kernel``, the one rule by which B vanishes on
     ker C (every column of B U has a 2-norm within tol * max|B|);
     ``_frames``, the (E, R, Y) of :meth:`_constant_frames`, or None when
-    the constant block is singular (both vacuous, True and None, at
-    k = 0); ``c_gauge``; and
+    the constant block is not positive definite at its band (both
+    vacuous, True and None, at k = 0), which every reader takes as the
+    one rule for the constant block; ``c_gauge``; and
     ``inertia``, the (PSD, rank) of D = C - B A^{-1} B, read from the
     eigenvalues of H against tol * size, or None without a C-gauge, and
     (True, 0) for a 0 x 0 parabola and for the empty gauge of the
@@ -279,8 +284,8 @@ class ParabolaAnalysis:
         """The :class:`CGauge` for ``c_gauge`` at k = dim ker C, or None
         when C has a negative eigenvalue beyond the ``kernel`` band, when
         B does not vanish on ker C (``_b_vanishes_on_kernel``), or when
-        the constant block is not positive definite (``_frames`` has no
-        E).
+        the constant block is not positive definite (``_frames`` is
+        None).
 
         The frame is W = Y lambda_c^{-1/2} from the eigenpairs
         (lambda_c, V_c) of C off the band, with Y the moving frame of
@@ -297,7 +302,7 @@ class ParabolaAnalysis:
         if not k:
             W = vectors / np.sqrt(values)
         else:
-            if not self._b_vanishes_on_kernel or self._frames is None or self._frames[0] is None:
+            if not self._b_vanishes_on_kernel or self._frames is None:
                 return None
             if k == P.dim:
                 return CGauge(np.zeros((k, 0)), np.zeros(0), np.zeros((0, 0)), np.zeros(0), 0.0)
@@ -313,49 +318,49 @@ class ParabolaAnalysis:
     def _constant_frames(self, U, V):
         """(E, R, Y) from the eigenvectors U of C on the ``kernel`` band,
         the others V, and the eigenpairs (kappa, R) of the constant block
-        K = U^T A U, or None when K is singular (some |kappa| is within
-        tol * max|K|).  The moving frame Y = V - U R kappa^{-1} R^T U^T A V
-        is A-orthogonal to ker C.  When K is positive definite (kappa_min
-        clears tol * max|K|), E = U R kappa^{-1/2} is the constant frame
-        (E^T A E = I) and Y is formed as V - E E^T A V; otherwise E is
-        None.  A is read in the units 2^e of :func:`_units`, so that K and
-        U^T A V stay finite, and E is rescaled by the exact 2^(-e/2)."""
+        K = U^T A U where K is positive definite (kappa_min clears
+        tol * max|K|), and None for every other K, singular or
+        indefinite.  E = U R kappa^{-1/2} is the constant frame
+        (E^T A E = I), and the moving frame Y = V - E E^T A V is
+        A-orthogonal to ker C.  A is read in the units 2^e of
+        :func:`_units`, so that K and U^T A V stay finite, and E is
+        rescaled by the exact 2^(-e/2)."""
         exponent = _units(self.P.scales[0], self.P.dim)[0]
         A = _in_units(self.P.A, exponent)
         K = symmat.congruence(A, U)
         kappa, R = symmat.sym_eig(K)
-        band = self.tol * symmat.max_norm(K)
-        if kappa[0] > band:
-            E = (U @ R) / np.sqrt(kappa)
-            Y = V - E @ (E.T @ A @ V)
-            return _in_units(E, exponent // 2), R, Y
-        if np.abs(kappa).min() <= band:
+        if kappa[0] <= self.tol * symmat.max_norm(K):
             return None
-        G = U @ R
-        return None, R, V - (G / kappa) @ (G.T @ A @ V)
+        E = (U @ R) / np.sqrt(kappa)
+        return _in_units(E, exponent // 2), R, V - E @ (E.T @ A @ V)
 
     @cached_property
     def a_frame(self):
         """A frame Z with Z^T A Z = I, or None where a block it is built
         from is not positive definite at its own band.
 
-        When C has full rank Z = A^{-1/2} (:func:`symmat.pd_inv_sqrt`).
-        Otherwise Z = [U K^{-1/2} | Y (Y^T A Y)^{-1/2}] from the
-        ``_frames`` (E, R, Y), with U K^{-1/2} = E R^T, so that
-        (Y^T A Y)^{-1/2} is the one decomposition added, read in the
-        units of :func:`_units` like K; None when there is no E.  The
+        A is read in the units 2^e of :func:`_units` (m max|A| against
+        the float maximum) at every k, and the decomposed block's root
+        rescaled by the exact 2^(-e/2).  When C has full rank
+        Z = 2^(-e/2) (2^-e A)^{-1/2} (:func:`symmat.pd_inv_sqrt`), which
+        is A^{-1/2} bit for bit at e = 0.  Otherwise
+        Z = [U K^{-1/2} | Y (Y^T A Y)^{-1/2}] from the ``_frames``
+        (E, R, Y), with U K^{-1/2} = E R^T, so that (Y^T A Y)^{-1/2} is
+        the one decomposition added; None without frames.  The
         first k columns span ker C, so within the ker C bands
         Z^T Q(s) Z = blockdiag(I, I + 2s B~ + s^2 C~) with
         (B~, C~) = Z_mov^T (B, C) Z_mov on the moving columns Z_mov, and
         Z Z^T = A^{-1}.  At the elliptic point Z = U K^{-1/2}.
         """
+        exponent = _units(self.P.scales[0], self.P.dim)[0]
+        A = _in_units(self.P.A, exponent)
         if not self.kernel.any():
-            return symmat.pd_inv_sqrt(self.P.A, self.tol)
-        if self._frames is None or self._frames[0] is None:
+            root = symmat.pd_inv_sqrt(A, self.tol)
+            return None if root is None else _in_units(root, exponent // 2)
+        if self._frames is None:
             return None
         E, R, Y = self._frames
-        exponent = _units(self.P.scales[0], self.P.dim)[0]
-        root = symmat.pd_inv_sqrt(symmat.congruence(_in_units(self.P.A, exponent), Y), self.tol)
+        root = symmat.pd_inv_sqrt(symmat.congruence(A, Y), self.tol)
         return None if root is None else np.hstack([E @ R.T, _in_units(Y @ root, exponent // 2)])
 
     @cached_property
@@ -387,11 +392,12 @@ class ParabolaAnalysis:
 
         Without a C-gauge, Q(s) is not positive when C has a negative
         eigenvalue beyond its band, or when the constant block
-        K = U^T A U of Q(0) is not definite (``_frames`` has no E).  The
-        one case left is B leaking onto ker C, which is deflated: in the
-        frame [E | Y], E^T Q(s) E = I + 2s E^T B E, so E^T B E must vanish
-        at tol * max|B| times the largest squared column norm of E, and
-        then Q(s) > 0 for all s iff the Schur complement of that block,
+        K = U^T A U of Q(0) is not positive definite (``_frames`` is
+        None).  The one case left is B leaking onto ker C, which is
+        deflated: in the frame [E | Y], E^T Q(s) E = I + 2s E^T B E, so
+        E^T B E must vanish at tol * max|B| times the largest squared
+        column norm of E, and then Q(s) > 0 for all s iff the Schur
+        complement of that block,
         the order-(m - k) parabola (Y^T A Y, Y^T B Y, Y^T C Y - 4 N^T N)
         with N = E^T B Y, is positive, decided by its own analysis (the
         order drops at each step, so at most m analyses run).  Q(s) > 0
@@ -421,7 +427,7 @@ class ParabolaAnalysis:
             shifted = np.square(s.real[s.imag >= 0.0, None] + g.mu)  # (s + mu_j)^2 at each tested s
             band = tol * np.maximum(g.size, shifted.max(axis=1))
             return bool(np.all(symmat.sym_eig(g.H + eye * shifted[:, None], vectors=False)[:, 0] > band))
-        if not self.kernel[0] or self._frames is None or self._frames[0] is None:
+        if not self.kernel[0] or self._frames is None:
             return False
         (E, _, Y), exponent = self._frames, _units(max(P.scales), math.inf)[0]  # units at every scale
         E, k = _in_units(E, -exponent // 2), E.shape[1]
@@ -529,7 +535,9 @@ def reduce_degenerate(P: MatrixParabola, tol=DEFAULT_TOL) -> ReductionResult:
     Raises NotDegenerate when C has full rank, and InvalidCharacteristic
     when B does not vanish on ker C (``_b_vanishes_on_kernel``: a
     parabola that comes from a manifold has ker C inside ker B, those
-    directions acting by pure translations), when K is singular, or when
+    directions acting by pure translations), when K is not positive
+    definite at its band (``_frames`` is None: a manifold's constant
+    block is a Gram matrix, and the rule is the decision's), or when
     :func:`_verify_reduction` finds a block that should vanish.  Where
     X^T S X could overflow (m max|P| times the largest squared column
     norm of X exceeds the float maximum), T is formed and verified in
@@ -543,7 +551,7 @@ def reduce_degenerate(P: MatrixParabola, tol=DEFAULT_TOL) -> ReductionResult:
     if not analysis._b_vanishes_on_kernel:
         raise InvalidCharacteristic("B does not vanish on ker C; no manifold produces this parabola")
     if analysis._frames is None:
-        raise InvalidCharacteristic("the constant block U^T A U on ker C is singular")
+        raise InvalidCharacteristic("the constant block U^T A U on ker C is not positive definite")
     k = np.count_nonzero(kernel)
     X = np.hstack([analysis.c_eig.vectors[:, kernel], analysis._frames[2]])
     # X is an operand of T and Y is not orthonormal: the bands scale with

@@ -5,12 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from causalcurves import (
     EquivalenceCertificate,
     InvalidCharacteristic,
+    ManifoldData,
     MatrixParabola,
     NonFiniteInput,
     NotCharacteristic,
@@ -19,6 +20,7 @@ from causalcurves import (
     SignatureInconsistent,
     SingularA,
     apply_certificate,
+    build,
     char_polynomial,
     check_free,
     check_positive_all_s,
@@ -38,6 +40,7 @@ from conftest import (
     random_characteristic_parabola,
     random_free_arrays,
     random_elliptic,
+    random_lattice,
     random_manifold,
     random_orthogonal,
     random_real_invertible,
@@ -512,22 +515,70 @@ class TestOneAnalysisPerCall:
             np.testing.assert_allclose(symmat.congruence(P.A, analysis.a_frame), np.eye(3), atol=1e-12)
 
     def test_frames_of_an_indefinite_constant_block(self):
-        # K = diag(-1, 2) is nonsingular but indefinite: the moving frame
-        # Y is still A-orthogonal to ker C, but there is no E, so neither
-        # the C-gauge nor a_frame exists, and reduce_degenerate still
-        # splits K off.  A singular K leaves no frames at all.
+        # K = diag(-1, 2) is nonsingular but indefinite, and K = diag(-1, 0)
+        # is singular: ker C has frames only where K is positive definite,
+        # so neither has frames, a C-gauge or a_frame, positive is False
+        # and reduce_degenerate raises.
         A = np.diag([-1.0, 2.0, 1.0])
         A[:2, 2] = A[2, :2] = 0.5
-        P = MatrixParabola(A, np.zeros((3, 3)), np.diag([0.0, 0.0, 1.0]))
+        for K11 in (2.0, 0.0):
+            A[1, 1] = K11
+            P = MatrixParabola(A, np.zeros((3, 3)), np.diag([0.0, 0.0, 1.0]))
+            analysis = charpoly.ParabolaAnalysis(P)
+            assert analysis._frames is None and analysis.c_gauge is None and analysis.a_frame is None
+            assert analysis.positive is False
+            with pytest.raises(InvalidCharacteristic, match="U\\^T A U on ker C is not positive definite$"):
+                reduce_degenerate(P)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(2, 5),
+        k=st.integers(1, 5),
+        negative=st.lists(st.booleans(), min_size=5, max_size=5),
+        log_ratios=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+        exponent=st.integers(-900, 1000),
+        mix=st.integers(0, 2**32 - 1),
+    )
+    def test_frames_exist_iff_the_constant_block_is_definite(self, m, k, negative, log_ratios, exponent, mix):
+        # K = U^T A U has eigenvalues of either sign: 1 and tol x
+        # 10^[-2, 2], around its band tol * max|K|.  The coupling
+        # N = |K|^{1/2} G with |G| = 1/2 keeps Y^T A Y = I - N^T K^{-1} N
+        # definite wherever K is, B and C vanish on ker C, and the whole
+        # parabola is rotated and scaled by 2^[-900, 1000].  ker C has
+        # frames (E, R, Y), with E^T A E = I and U^T A Y = 0, exactly
+        # where lambda_min(K) clears the band; the C-gauge, a_frame,
+        # positive and reduce_degenerate follow that one rule.
+        rng, k, tol = np.random.default_rng(mix), min(k, m), symmat.DEFAULT_TOL
+        kappa = np.where(negative[:k], -1.0, 1.0) * np.r_[1.0, tol * 10.0 ** np.array(log_ratios[: k - 1])]
+        R = random_orthogonal(rng, k)
+        G = rng.standard_normal((k, m - k))
+        G *= 0.5 / max(np.linalg.norm(G, 2), 1e-300)
+        N = (R * np.sqrt(np.abs(kappa))) @ R.T @ G
+        t, c = rng.uniform(-1.0, 1.0, m - k), rng.uniform(0.5, 2.0, m - k)
+        coeffs = np.zeros((3, m, m))
+        coeffs[0] = np.block([[(R * kappa) @ R.T, N], [N.T, np.eye(m - k)]])
+        coeffs[1, k:, k:], coeffs[2, k:, k:] = np.diag(t), np.diag(t * t + c)
+        P = MatrixParabola(*np.ldexp(symmat.congruence(coeffs, random_orthogonal(rng, m)), exponent))
         analysis = charpoly.ParabolaAnalysis(P)
-        E, R, Y = analysis._frames
-        assert E is None and analysis.c_gauge is None and analysis.a_frame is None
-        np.testing.assert_allclose(analysis.c_eig.vectors[:, :2].T @ A @ Y, np.zeros((2, 1)), atol=1e-15)
-        red = reduce_degenerate(P)
-        np.testing.assert_allclose(red.constant_block, A[:2, :2], atol=1e-15)
-        np.testing.assert_allclose(red.reduced.A, [[1.125]], atol=1e-15)  # 1 - (1/4)(-1 + 1/2)
-        A[1, 1] = 0.0
-        assert charpoly.ParabolaAnalysis(MatrixParabola(A, P.B, P.C))._frames is None
+        U = analysis.c_eig.vectors[:, analysis.kernel]
+        K = symmat.congruence(P.A, U)
+        lowest, band = np.linalg.eigvalsh(K)[0], tol * np.abs(K).max()
+        assume(abs(lowest - band) > 0.01 * band)
+        definite = bool(lowest > band)
+        assert U.shape[1] == k
+        assert (analysis._frames is not None) == definite
+        assert (analysis.c_gauge is not None) == definite
+        assert (analysis.a_frame is not None) == definite
+        if not definite:
+            assert analysis.positive is False
+            with pytest.raises(InvalidCharacteristic, match="not positive definite$"):
+                reduce_degenerate(P)
+            return
+        E, _, Y = analysis._frames
+        condition = np.abs(K).max() / lowest
+        np.testing.assert_allclose(symmat.congruence(P.A, E), np.eye(k), rtol=0.0, atol=1e-13 * condition)
+        assert np.abs(U.T @ P.A @ Y).max(initial=0.0) <= 1e-13 * np.abs(P.A).max() * np.abs(Y).max(initial=1.0)
+        assert reduce_degenerate(P).constant_block.shape == (k, k)
 
     def test_realize_forms_no_svd_or_inverse(self, monkeypatch):
         P, calls = self.parabola("k1"), []
@@ -970,6 +1021,36 @@ class TestReduction:
             want = symmat.congruence(P.coeffs, red.X)
             np.testing.assert_allclose(T / factor, want, rtol=0.0, atol=1e-9 * np.abs(want).max())
         assert 0 < returned < 200
+
+    def test_full_rank_members_at_the_float_maximum(self):
+        # k = 0 members scaled by an exact power of two 2^e to just under
+        # max|entry| = 1.7e308, where an eigenvalue of A read unscaled can
+        # come back inf (A^{-1/2} then singular): a_frame reads A in the
+        # units of _units, so the Schur matrix scales back to the
+        # unscaled one, and realize succeeds.  Its manifold's parabola
+        # overflows at this scale, so the round trip is compared with
+        # the lattice scaled by 2^(-e/2).  Reading A unscaled, 9 of the
+        # 400 draws failed (realize raising NotPositiveDefinite, the
+        # Schur matrix off by up to 15x relative).
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            m = seed % 5 + 1
+            a_prime, a_dblprime = random_free_arrays(rng, m=m, zero_eigs=0)
+            M = build(m + a_dblprime.shape[0] + 2, a_prime, a_dblprime, random_lattice(rng, m))
+            P = char_polynomial(M)
+            e = int(np.frexp(1.7e308 / np.abs(P.coeffs).max())[1]) - 1
+            Q = MatrixParabola(*np.ldexp(P.coeffs, e))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert is_characteristic(Q, M.n)[0]
+                schur, want = schur_condition(Q), schur_condition(P)
+                R = realize(Q, M.n)
+            assert (schur.psd, schur.rank) == (want.psd, want.rank)
+            np.testing.assert_allclose(
+                np.ldexp(schur.matrix, -e), want.matrix, rtol=0.0, atol=1e-12 * np.abs(want.matrix).max()
+            )
+            back = char_polynomial(ManifoldData(R.frame, R.a_prime, R.a_dblprime, R.lattice * 2.0 ** (-e / 2)))
+            np.testing.assert_allclose(back.coeffs, P.coeffs, rtol=0.0, atol=1e-12 * P.coeff_scale())
 
     def test_b_on_ker_c_is_read_by_column_norm(self):
         # ker C = span(e4), A = I and B e4 = 0.9e-9 (1, 1, 1, 0): each

@@ -1112,7 +1112,8 @@ class TestEigensolverCounts:
         P = MatrixParabola(*symmat.congruence(T, np.linalg.inv(red.X)))
         verdict = charpoly.is_characteristic(P, M.n)
         assert not verdict[0]
-        assert charpoly.reduce_degenerate(P).constant_block[0, 0] < 0.0
+        U = verdict.analysis.c_eig.vectors[:, verdict.analysis.kernel]
+        assert (U.T @ P.A @ U)[0, 0] < 0.0
         assert self._count(eig_calls, lambda: charpoly.is_characteristic(P, M.n)) == 2
 
     @pytest.mark.parametrize("m", [1, 3, 8])

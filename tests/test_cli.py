@@ -347,6 +347,22 @@ class TestExitCodes:
         assert code == 1
         assert body["error"]["code"] == "ZeroParameter"
 
+    def test_reduce_indefinite_constant_block_is_one(self):
+        # ker C = span(e1, e2) with K = U^T A U = diag(-1, 2): nonsingular
+        # but indefinite, so ker C has no frames and nothing is reduced.
+        payload = {
+            "A": [[-1.0, 0.0, 0.5], [0.0, 2.0, 0.5], [0.5, 0.5, 1.0]],
+            "B": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+            "C": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+        }
+        code, body = run_cli(["reduce"], payload)
+        assert code == 1
+        assert body["ok"] is False and body["result"] is None
+        assert body["error"] == {
+            "code": "InvalidCharacteristic",
+            "message": "the constant block U^T A U on ker C is not positive definite",
+        }
+
     def test_malformed_json_is_two(self):
         proc = subprocess.run(
             CLI + ["charpoly"], input="{not json", capture_output=True, text=True
