@@ -41,8 +41,8 @@ _EXPORTS = {
     ),
     "minkowski": ("LorentzFrame",),
     "symmat": (
-        "DEFAULT_TOL", "EigenDecomposition", "congruence", "det_poly", "is_pd", "psd_sqrt", "real_roots",
-        "sym_eig", "symmetrize",
+        "DEFAULT_TOL", "EigenDecomposition", "congruence", "det_poly", "psd_sqrt", "real_roots", "sym_eig",
+        "symmetrize",
     ),
 }
 _ORIGIN = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}

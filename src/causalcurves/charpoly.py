@@ -172,7 +172,8 @@ class CGauge(NamedTuple):
     """The normal form F^T Q(s) F = (s + diag mu)^2 + H of the moving
     directions of a parabola whose C is positive semidefinite, where
     F^T C F = I and F is A-orthogonal to ker C: m x m when C has full
-    rank, m x 0 at the elliptic point.
+    rank, m x 0 where no direction moves (the elliptic point, and the
+    0 x 0 parabola).
 
     ``h`` holds the eigenvalues of H in ascending order, and ``size``
     is max(max|F^T A F|, max|mu|^2), the size of the operands
@@ -250,13 +251,13 @@ class ParabolaAnalysis:
     one rule for the constant block; ``c_gauge``; and
     ``inertia``, the (PSD, rank) of D = C - B A^{-1} B, read from the
     eigenvalues of H against tol * size, or None without a C-gauge, and
-    (True, 0) for a 0 x 0 parabola and for the empty gauge of the
-    elliptic point.  D and H are the two Schur complements of
-    [[A, B], [B, C]], so with A and C definite they share their
-    inertia; D vanishes on ker C, so with C singular H is that of the
-    moving directions, and the rank counts them only.  ``a_frame`` and
-    ``positive`` are computed on first use and kept.  Raises
-    NonFiniteInput unless 0 <= tol < inf.
+    (True, 0) for the empty gauge, which has no moving directions: that
+    of the elliptic point and of the 0 x 0 parabola.  D and H are the
+    two Schur complements of [[A, B], [B, C]], so with A and C definite
+    they share their inertia; D vanishes on ker C, so with C singular
+    H is that of the moving directions, and the rank counts them only.
+    ``a_frame`` and ``positive`` are computed on first use and kept.
+    Raises NonFiniteInput unless 0 <= tol < inf.
     """
 
     def __init__(self, P: MatrixParabola, tol=DEFAULT_TOL):
@@ -278,35 +279,29 @@ class ParabolaAnalysis:
             self._b_vanishes_on_kernel = bool(leak.max() <= self.tol * P.scales[1])
             self._frames = self._constant_frames(U, V)
         self.c_gauge = g = self._c_gauge(k)
-        self.inertia = (True, 0) if P.dim == 0 else None if g is None else _inertia(g.h, self.tol * g.size)
+        self.inertia = None if g is None else _inertia(g.h, self.tol * g.size)
 
     def _c_gauge(self, k):
-        """The :class:`CGauge` for ``c_gauge`` at k = dim ker C, or None
-        when C has a negative eigenvalue beyond the ``kernel`` band, when
-        B does not vanish on ker C (``_b_vanishes_on_kernel``), or when
-        the constant block is not positive definite (``_frames`` is
-        None).
+        """The :class:`CGauge` for ``c_gauge`` at k = dim ker C, or None.
 
+        The tests run in this order: at k >= 1, B must vanish on ker C
+        (``_b_vanishes_on_kernel``) and the constant block must be
+        positive definite (``_frames`` is not None); then, where no
+        direction moves (k = m: the elliptic point, and the 0 x 0
+        parabola), the gauge is empty, with inertia (True, 0); then C
+        must have no negative eigenvalue beyond the ``kernel`` band.
         The frame is W = Y lambda_c^{-1/2} from the eigenpairs
         (lambda_c, V_c) of C off the band, with Y the moving frame of
-        ``_frames`` (Y = V_c when C has full rank).  At the elliptic
-        point (ker C is everything) W has no columns and the gauge is
-        empty, with inertia (True, 0).
+        ``_frames`` (Y = V_c when C has full rank).
         """
-        P = self.P
-        if P.dim == 0:
+        P, (values, vectors) = self.P, self.c_eig
+        if k and (not self._b_vanishes_on_kernel or self._frames is None):
             return None
-        values, vectors = self.c_eig
+        if k == P.dim:
+            return CGauge(np.zeros((k, 0)), np.zeros(0), np.zeros((0, 0)), np.zeros(0), 0.0)
         if values[0] < 0.0 and not self.kernel[0]:
             return None
-        if not k:
-            W = vectors / np.sqrt(values)
-        else:
-            if not self._b_vanishes_on_kernel or self._frames is None:
-                return None
-            if k == P.dim:
-                return CGauge(np.zeros((k, 0)), np.zeros(0), np.zeros((0, 0)), np.zeros(0), 0.0)
-            W = self._frames[2] / np.sqrt(values[k:])
+        W = (self._frames[2] if k else vectors) / np.sqrt(values[k:])
         W = _in_units(W, self._c_units[0] // 2)  # eigenvalues in units of 2^e, e even: exact
         mu, R = symmat.sym_eig(symmat.congruence(P.B, W))
         F = W @ R
@@ -368,8 +363,8 @@ class ParabolaAnalysis:
         """Whether Q(s) is positive definite for every real s, decided in
         the C-gauge alone.
 
-        A 0 x 0 parabola is positive.  With a C-gauge and H positive
-        semidefinite, v^T F^T Q(s) F v = |(s + diag mu) v|^2 + v^T H v,
+        With a C-gauge and H positive semidefinite,
+        v^T F^T Q(s) F v = |(s + diag mu) v|^2 + v^T H v,
         and within the ker C bands Q(s) is blockdiag(I, F^T Q(s) F) in
         the frame [E | F], so Q(s) is singular for some real s exactly
         when an eigenvector of diag mu lies in ker H: the
@@ -379,7 +374,8 @@ class ParabolaAnalysis:
         tol * max(max|F^T A F|, max|mu|^2).  When mu is simple (every gap
         clears tol * max|mu|) the blocks are the diagonal entries of H,
         so the test is one comparison of diag H with the band.  The empty
-        gauge of the elliptic point leaves the constant block.
+        gauge (no moving directions: the elliptic point, and the 0 x 0
+        parabola, which is positive) leaves the constant block.
 
         With H indefinite, (s + M)^2 + H (M = diag mu) is singular exactly
         at the real eigenvalues of its linearization [[-M, I], [-H, -M]]
@@ -408,8 +404,6 @@ class ParabolaAnalysis:
         Verdicts inside a band resolve to False (strictness preserved).
         """
         P, tol = self.P, self.tol
-        if P.dim == 0:
-            return True
         g = self.c_gauge
         if g is not None and self.inertia[0]:
             if not g.mu.size:

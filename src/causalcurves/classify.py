@@ -205,11 +205,12 @@ def affine_spectrum(P: MatrixParabola, tol=DEFAULT_TOL) -> AffineSpectrum:
     """Spectrum of C^{-1/2} B C^{-1/2}, canonicalized.
 
     The symmetric route makes the realness of sp(B C^{-1}) manifest.
-    Requires C positive definite: C counts as singular on the
-    analysis's ker C band, the rule membership uses.
+    Requires C positive definite of order m >= 1 (the 0 x 0 parabola
+    has no spectrum): C counts as singular on the analysis's ker C band,
+    the rule membership uses.
     """
     analysis = ParabolaAnalysis(P, tol)
-    if analysis.kernel.any() or analysis.c_gauge is None:
+    if not P.dim or analysis.kernel.any() or analysis.c_gauge is None:
         raise CSingular("C must be positive definite for the affine spectrum")
     return _affine_spectrum(analysis)
 
@@ -416,10 +417,10 @@ def almost_equivalent(P1, P2, tol=DEFAULT_TOL, n=None) -> AlmostVerdict:
     frames E_i (E_i^T A_i E_i = I, spanning ker C_i), because
     [E1 | G1 d1]^{-1} = [E1^T A1; (G1 d1)^T C1]: it maps E1 onto E2 and
     G1 d1 onto G2 d2 / alpha.  The first term is absent when C has full
-    rank, and the gauges of the elliptic point are empty and always
-    pair.  The witness is verified once.  The answer is
-    unknown when a proper cluster's H-block has a repeated eigenvalue or
-    the witness fails verification.  Membership is decided once per
+    rank, and the empty gauges (the elliptic point's, and the 0 x 0
+    parabola's) always pair.  The witness is verified once.  The answer
+    is unknown when a proper cluster's H-block has a repeated eigenvalue
+    or the witness fails verification.  Membership is decided once per
     parabola, and its analysis supplies everything else; no parabola is
     analysed anew and no manifold data is built.
     """
@@ -449,7 +450,7 @@ def _moving_witness(a1, a2):
     of the C-gauges of two members of equal signature, or a "no" or
     "unknown" :class:`AlmostVerdict`.  X maps the moving directions
     only (it vanishes on ker C1); the empty gauges of the elliptic point
-    always pair, with X = 0."""
+    and of the 0 x 0 parabola always pair, with X = 0."""
     if not a1.c_gauge.mu.size:
         return np.zeros((a1.P.dim, a1.P.dim)), 1.0, 0.0
     sp1, sp2 = _affine_spectrum(a1), _affine_spectrum(a2)

@@ -70,9 +70,13 @@ class Signature:
 class ManifoldData:
     """Canonical-frame realization (frame, a', a'', lattice).
 
-    Instances made directly are only shape-checked; go through
-    :func:`build` to have all invariants (symmetry, freeness, lattice
-    nondegeneracy, rank of a'') verified.
+    The constructor is the one shape check of manifold data: a' and the
+    lattice must be m x m and a'' r x m for the frame's m and r (an
+    empty a'' of any shape is reshaped to 0 x m), else
+    DimensionMismatch.  Instances made directly are only shape-checked;
+    go through :func:`build`, which relies on this check, to have all
+    invariants (symmetry, freeness, lattice nondegeneracy, rank of a'')
+    verified.
     """
 
     frame: LorentzFrame
@@ -144,23 +148,17 @@ def build(n, a_prime, a_dblprime, lattice, tol=DEFAULT_TOL):
     """Validate and assemble manifold data in the canonical frame.
 
     a_dblprime has one row per R-coordinate (r rows); r = 0 with a' = 0
-    gives the elliptic case of a pure translation lattice.
+    gives the elliptic case of a pure translation lattice, and an empty
+    a_dblprime of any shape reads as r = 0.  The order m is that of the
+    square a_prime, r is read from a_dblprime, and :class:`ManifoldData`
+    checks the r x m and m x m shapes; the lattice, rank, freeness and
+    signature tests then read its arrays.
     """
     a_prime = symmat.as_square(symmat.require_finite(a_prime, "a_prime"), "a_prime")
-    m = a_prime.shape[0]
     a_dbl = symmat.require_finite(a_dblprime, "a_dblprime")
-    if a_dbl.size == 0:
-        a_dbl = a_dbl.reshape(0, m)
-    if a_dbl.ndim != 2 or a_dbl.shape[1] != m:
-        raise DimensionMismatch(
-            f"a_dblprime must have {m} columns, got shape {a_dbl.shape}"
-        )
-    r = a_dbl.shape[0]
-    lattice = symmat.as_square(symmat.require_finite(lattice, "lattice"), "lattice")
-    if lattice.shape[0] != m:
-        raise DimensionMismatch(f"lattice must be {m}x{m}, got {lattice.shape}")
-
-    frame = LorentzFrame(n, m, r)
+    if a_dbl.size and a_dbl.ndim != 2:
+        raise DimensionMismatch(f"a_dblprime must be 2-D, got shape {a_dbl.shape}")
+    frame = LorentzFrame(n, a_prime.shape[0], a_dbl.shape[0] if a_dbl.size else 0)
 
     skew = symmat.max_norm(a_prime - a_prime.T)
     if skew > tol * symmat.max_norm(a_prime):
@@ -168,23 +166,23 @@ def build(n, a_prime, a_dblprime, lattice, tol=DEFAULT_TOL):
             f"a_prime deviates from symmetry by {skew:.3e}; the structure map "
             "must be ell-symmetric"
         )
-    a_prime = symmat.symmetrize(a_prime)
+    M = ManifoldData(frame, symmat.symmetrize(a_prime), a_dbl, symmat.require_finite(lattice, "lattice"))
 
-    sv = symmat.singular_values(lattice)
+    sv = symmat.singular_values(M.lattice)
     if sv[-1] <= tol * sv[0]:
         raise NotPositiveDefinite(
             "lattice generators are linearly dependent; their Gram matrix is "
             "not positive definite"
         )
 
-    if r > 0:
-        dsv = symmat.singular_values(a_dbl)
-        if int(np.sum(dsv > tol * dsv[0])) < r:
+    if M.r > 0:
+        dsv = symmat.singular_values(M.a_dblprime)
+        if int(np.sum(dsv > tol * dsv[0])) < M.r:
             raise RankDeficientR(
-                f"a_dblprime has rank below {r}; its rows do not span R"
+                f"a_dblprime has rank below {M.r}; its rows do not span R"
             )
 
-    violation = _freeness_violation(a_prime, a_dbl)
+    violation = _freeness_violation(M.a_prime, M.a_dblprime)
     if violation is not None:
         t, vec, smin = violation
         raise FreenessViolated(
@@ -194,7 +192,6 @@ def build(n, a_prime, a_dblprime, lattice, tol=DEFAULT_TOL):
             eigenvector=vec,
         )
 
-    M = ManifoldData(frame, a_prime, a_dbl, lattice)
     signature_of(M, tol)  # Signature rejects r + k > m
     return M
 

@@ -130,19 +130,6 @@ def singular_values(X):
     return values
 
 
-def is_pd(S, tol=DEFAULT_TOL):
-    """Strict positive definiteness: min eigenvalue > tol * max|S|.
-
-    Verdicts inside the tolerance band resolve to False; boundary cases
-    never count as definite.
-    """
-    S = symmetrize(S)
-    if S.size == 0:
-        return True
-    values, _ = sym_eig(S)
-    return bool(values[0] > tol * max_norm(S))
-
-
 def psd_sqrt(S, tol=DEFAULT_TOL):
     """Nonnegative square root of a PSD matrix.
 
@@ -161,11 +148,14 @@ def psd_sqrt(S, tol=DEFAULT_TOL):
 
 
 def pd_inv_sqrt(S, tol=DEFAULT_TOL):
-    """Inverse square root of a positive definite matrix.
+    """Inverse square root of a positive definite matrix, and the
+    package's test of strict positive definiteness.
 
-    Returns None unless S is positive definite in the sense of
-    :func:`is_pd` (min eigenvalue > tol * max|S|); callers
-    translate None into their own error (SingularA, CSingular, ...).
+    S is symmetrized and counts as definite when its min eigenvalue
+    clears tol * max|S|: an eigenvalue inside the band resolves to the
+    strict side, so a semidefinite S is not definite, and the empty
+    matrix is.  Returns None unless S is definite; callers translate
+    None into their own error (SingularA, CSingular, ...).
     """
     S = symmetrize(S)
     values, vectors = sym_eig(S)

@@ -109,6 +109,10 @@ class TestQDirect:
         v = rng.standard_normal(5)
         assert q_direct(M, np.zeros(2), v) == pytest.approx(0.0)
 
+    def test_rejects_coordinates_of_the_wrong_length(self):
+        with pytest.raises(DimensionMismatch, match="lattice coordinates must have length 2"):
+            q_direct(example_5d(1, 1), np.zeros(3), np.zeros(5))
+
     def test_matches_parabola_form(self, rng):
         for _ in range(200):
             M = random_manifold(rng)
@@ -634,9 +638,7 @@ class TestIsCharacteristic:
             schur = schur_condition(P)
             if schur.rank != P.dim:
                 continue
-            from causalcurves import is_pd
-
-            assert check_positive_all_s(P) == is_pd(P.A)
+            assert check_positive_all_s(P) == (symmat.pd_inv_sqrt(P.A) is not None)
 
     def test_freeness_matches_positivity(self, rng):
         # Orders 5 and 8 draw from their own seed.  A killed eigenvector
@@ -1086,7 +1088,7 @@ class TestReduction:
             k = red.constant_block.shape[0]
             assert k == sig.k
             assert abs(np.linalg.det(red.X)) == pytest.approx(1.0, rel=1e-6)
-            assert symmat.is_pd(red.constant_block)
+            assert symmat.pd_inv_sqrt(red.constant_block) is not None
             assert is_characteristic(red.reduced, n - k) == (True, Signature(n - k, P.dim - k, sig.r, 0))
             rng = np.random.default_rng(10_000 + seed)
             u, x = red.X[:, 0], rng.standard_normal(P.dim)

@@ -15,11 +15,14 @@ from hypothesis import strategies as st
 from causalcurves import (
     BadCertificate,
     CSingular,
+    DimensionMismatch,
     EquivalenceCertificate,
     MatrixParabola,
     NonFiniteInput,
     NotCharacteristic,
+    NotDegenerate,
     NotSimpleSpectrum,
+    SignatureInconsistent,
     UnsupportedDimension,
     affine_spectrum,
     almost_equivalent,
@@ -795,6 +798,80 @@ class TestAlmostEquivalent:
         verdict = almost_equivalent(P, Q)
         assert verdict.is_yes, verdict.reason
         assert verify_equivalence(P, Q, verdict.certificate)
+
+
+class TestOrderZero:
+    """The 0 x 0 parabola has no moving directions: its C-gauge is the
+    empty gauge of the elliptic point, so every reader of the gauge
+    answers for it as for the elliptic point's moving part."""
+
+    P0 = MatrixParabola(*np.zeros((3, 0, 0)))
+
+    def test_empty_gauge(self):
+        g = charpoly.ParabolaAnalysis(self.P0).c_gauge
+        assert g.F.shape == (0, 0) and g.mu.shape == (0,) and g.H.shape == (0, 0) and g.h.shape == (0,)
+        assert g.size == 0.0
+
+    def test_almost_equivalent_to_itself(self):
+        verdict = almost_equivalent(self.P0, self.P0)
+        assert verdict.is_yes, verdict.reason
+        cert = verdict.certificate
+        assert cert.X.shape == (0, 0) and (cert.alpha, cert.beta) == (1.0, 0.0)
+        assert verify_equivalence(self.P0, self.P0, cert)
+
+    def test_membership_positivity_and_schur(self):
+        ok, sig = is_characteristic(self.P0, 4)
+        assert ok and sig.as_tuple() == (4, 0, 0, 0)
+        assert is_characteristic(self.P0, 1) == (False, None)
+        assert charpoly.check_positive_all_s(self.P0) is True
+        schur = charpoly.schur_condition(self.P0)
+        assert schur.matrix.shape == (0, 0) and (schur.psd, schur.rank) == (True, 0)
+
+    def test_typed_errors(self):
+        with pytest.raises(CSingular):
+            affine_spectrum(self.P0)
+        with pytest.raises(NotDegenerate):
+            charpoly.reduce_degenerate(self.P0)
+        with pytest.raises(SignatureInconsistent):
+            realize(self.P0, 4)
+        with pytest.raises(UnsupportedDimension):
+            search_certificate(self.P0, self.P0)
+
+
+class TestTypedErrors:
+    """The order checks of the equivalence entry points, and the answers
+    of almost_equivalent that no pair of members reaches by itself."""
+
+    P2 = char_polynomial(example_5d(1.0, 2.0))
+
+    def test_orders_must_agree(self):
+        with pytest.raises(DimensionMismatch, match="certificate is 2x2, parabola has order 1"):
+            apply_certificate(P_UNIT, identity_certificate(2))
+        with pytest.raises(DimensionMismatch, match="different orders 1 and 2"):
+            verify_equivalence(P_UNIT, self.P2, identity_certificate(1))
+        with pytest.raises(DimensionMismatch, match="different orders 1 and 2"):
+            almost_equivalent(P_UNIT, self.P2)
+        with pytest.raises(DimensionMismatch, match="different orders 2 and 1"):
+            search_certificate(self.P2, P_UNIT)
+
+    def test_second_parabola_not_characteristic(self):
+        bad = MatrixParabola(np.eye(2), np.eye(2), [[1.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(NotCharacteristic, match="second parabola"):
+            almost_equivalent(self.P2, bad)
+
+    def test_failed_witness_is_unknown(self, monkeypatch):
+        # The invariants match, but a perturbed witness does not fit.
+        witness = classify._moving_witness
+
+        def perturbed(a1, a2):
+            X, alpha, beta = witness(a1, a2)
+            return X * 1.01, alpha, beta
+
+        assert almost_equivalent(self.P2, self.P2).is_yes
+        monkeypatch.setattr(classify, "_moving_witness", perturbed)
+        verdict = almost_equivalent(self.P2, self.P2)
+        assert verdict.verdict == "unknown" and verdict.certificate is None
+        assert verdict.reason == "invariants match but the assembled witness failed verification"
 
 
 def _rebind(monkeypatch, name, replacement):

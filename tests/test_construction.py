@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from causalcurves import (
+    DimensionMismatch,
     FreenessViolated,
     InconsistentHolonomy,
     LorentzFrame,
@@ -104,6 +105,29 @@ class TestBuild:
         with pytest.raises(NonFiniteInput):
             build(5, **data)
 
+    @pytest.mark.parametrize(
+        "a_dblprime, lattice, message",
+        [
+            ([[1.0, 1.0, 0.0]], np.eye(2), r"a_dblprime must be 1x2, got \(1, 3\)"),
+            ([[1.0, 1.0]], np.ones((2, 3)), r"lattice must be 2x2, got \(2, 3\)"),
+            ([[1.0, 1.0]], [1.0, 1.0], r"lattice must be 2x2, got \(2,\)"),
+            ([1.0, 1.0], np.eye(2), r"a_dblprime must be 2-D, got shape \(2,\)"),
+        ],
+        ids=["a_dblprime 1x3", "lattice 2x3", "lattice 1-D", "a_dblprime 1-D"],
+    )
+    def test_rejects_shapes(self, a_dblprime, lattice, message):
+        # build reads m from a' and r from a'', and leaves the r x m and
+        # m x m shapes to ManifoldData.
+        with pytest.raises(DimensionMismatch, match=message):
+            build(5, np.diag([0.0, 1.0]), a_dblprime, lattice)
+
+    def test_rejects_r_plus_k_beyond_m(self):
+        # The stacked [a'; a''] has singular values 1e10, 1 and 1, and
+        # the two inside the band 1e-9 * 1e10 count as kernel: k = 2,
+        # so with r = 2 the signature has r + k = 4 > m = 3.
+        with pytest.raises(SignatureInconsistent, match="r \\+ k = 4 exceeds m = 3"):
+            build(8, np.diag([1e10, 0.0, 0.0]), [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], np.eye(3))
+
 
     def test_singular_values_through_the_one_kernel(self, monkeypatch, rng):
         # The lattice and a'' tests of build, the freeness test and
@@ -180,6 +204,15 @@ class TestLambdaTau:
         expected[1] = 1.0
         expected[3] = 0.5
         np.testing.assert_allclose(tau_of(M, np.array([0.0, 1.0])), expected, atol=1e-14)
+
+    def test_rejects_shapes(self):
+        M = example_5d(1, 1)
+        with pytest.raises(DimensionMismatch, match="x must live in T"):
+            a_vector(M, np.zeros(3))
+        with pytest.raises(DimensionMismatch, match="x must live in T"):
+            tau_of(M, np.zeros((2, 1)))
+        with pytest.raises(DimensionMismatch, match="v must have length 5"):
+            gamma_apply(M, np.zeros(2), np.zeros(4))
 
 
 class TestGroupLaws:
@@ -329,6 +362,12 @@ class TestSignature:
 
             Signature(5, 2, 2, 1)
 
+    def test_negative_entry(self):
+        from causalcurves import Signature
+
+        with pytest.raises(SignatureInconsistent, match="negative entry"):
+            Signature(6, 2, 1, -1)
+
     @pytest.mark.parametrize("field", range(4))
     def test_entries_must_be_integers(self, field):
         from causalcurves import Signature
@@ -381,3 +420,26 @@ class TestHolonomyRecovery:
         bad[2, 2] = 2.0  # scales v0
         with pytest.raises(InconsistentHolonomy):
             recover_a_from_holonomy(frame, [bad])
+
+    def test_rejects_wrong_count_and_shape(self):
+        frame = LorentzFrame(5, 2, 1)
+        with pytest.raises(DimensionMismatch, match="expected 2 holonomy matrices, got 1"):
+            recover_a_from_holonomy(frame, [np.eye(5)])
+        with pytest.raises(DimensionMismatch, match="holonomy matrix 1 must be 5x5"):
+            recover_a_from_holonomy(frame, [np.eye(5), np.eye(4)])
+
+    def test_rejects_leak_into_euclidean_factor(self):
+        # n = 6, m = r = 1: coordinate 2 of N is the Euclidean factor.
+        frame = LorentzFrame(6, 1, 1)
+        leaking = np.eye(6)
+        leaking[2, 5] = 1.0  # lambda v1 picks up the Euclidean direction
+        with pytest.raises(InconsistentHolonomy, match="Euclidean factor"):
+            recover_a_from_holonomy(frame, [leaking])
+
+    def test_rejects_asymmetric_map(self):
+        # lambda_0 v1 = v1 + e2 gives a' = [[0, 0], [1, 0]].
+        frame = LorentzFrame(5, 2, 1)
+        first = np.eye(5)
+        first[1, 4] = 1.0
+        with pytest.raises(InconsistentHolonomy, match="deviates from symmetry"):
+            recover_a_from_holonomy(frame, [first, np.eye(5)])

@@ -86,6 +86,14 @@ class TestProjection:
         f = LorentzFrame(5, 2, 1)
         np.testing.assert_array_equal(f.proj_N(f.v1 + e(5, 2)), e(5, 2))
 
+    def test_embed_n(self):
+        f = LorentzFrame(5, 2, 1)
+        np.testing.assert_array_equal(f.embed_N([1.0, 2.0], [3.0]), [1.0, 2.0, 3.0, 0.0, 0.0])
+        with pytest.raises(DimensionMismatch, match="T-component must have length 2"):
+            f.embed_N(np.zeros(3))
+        with pytest.raises(DimensionMismatch, match="R-component must have length 1"):
+            f.embed_N(np.zeros(2), np.zeros(2))
+
     def test_idempotent_and_orthogonal(self, rng):
         f = LorentzFrame(7, 3, 1)
         for _ in range(100):

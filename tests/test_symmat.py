@@ -152,20 +152,22 @@ def _fail_to_converge(monkeypatch):
 
 
 class TestPredicates:
+    # pd_inv_sqrt is the test of strict definiteness: None exactly when
+    # the matrix is not positive definite.
     def test_identity_is_pd(self):
-        assert symmat.is_pd(np.eye(2), 1e-9)
+        assert symmat.pd_inv_sqrt(np.eye(2), 1e-9) is not None
 
     def test_semidefinite_boundary_is_not_pd(self):
-        assert not symmat.is_pd(np.diag([1.0, 0.0]))
+        assert symmat.pd_inv_sqrt(np.diag([1.0, 0.0])) is None
 
     def test_perturbed_identity_is_pd(self):
         # Eigenvalues 1 +- 1/2 by hand.
-        assert symmat.is_pd([[1.0, 0.5], [0.5, 1.0]])
+        assert symmat.pd_inv_sqrt([[1.0, 0.5], [0.5, 1.0]]) is not None
 
     def test_strictness_near_boundary(self):
         # Min eigenvalue sits exactly at the tolerance threshold: false.
         eps = 1e-9
-        assert not symmat.is_pd(np.diag([eps, 1.0]), tol=eps)
+        assert symmat.pd_inv_sqrt(np.diag([eps, 1.0]), tol=eps) is None
 
 
 class TestClusters:
